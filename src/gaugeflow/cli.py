@@ -135,12 +135,16 @@ def _apply_heatflow_flags(cfg, args):
         h["grid"] = args.grid
     if args.ds is not None:
         h["ds"] = args.ds
-    if args.total_s is not None:
-        h["steps"] = max(1, int(round(args.total_s / h["ds"])))
     if args.save_every is not None:
         h["save_every"] = args.save_every
     if args.amplitude is not None:
         h["field"]["amplitude"] = args.amplitude
+    if args.total_s is not None:
+        validate_config(cfg)  # --S divides by ds, so ds must be a valid step first
+        steps = args.total_s / h["ds"]
+        if not 0.0 < steps < float("inf"):
+            raise ConfigError(f"--S {args.total_s:g} at ds {h['ds']:g} gives no step count")
+        h["steps"] = max(1, int(round(steps)))
 
 
 def build_parser():
@@ -179,9 +183,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        validate_config(cfg)
         if args.subcommand == "heatflow":
             _apply_heatflow_flags(cfg, args)
+        validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -371,7 +371,8 @@ CONFIG_SCHEMA = {
                 "order_space": {
                     "type": "object",
                     "properties": {
-                        "grids": {"type": "array", "items": {"type": "integer", "minimum": 8}},
+                        "grids": {"type": "array", "items": {"type": "integer", "minimum": 8},
+                                  "minItems": 2},
                         "k": {"type": "array", "items": {"type": "integer"}},
                         "ds": {"type": "number", "exclusiveMinimum": 0},
                         "total_s": {"type": "number", "exclusiveMinimum": 0},
@@ -449,6 +450,28 @@ def validate_config(cfg):
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    _validate_cross_fields(cfg)
+
+
+def _validate_cross_fields(cfg):
+    """Constraints between entries: point lengths against d, flow steps against grids."""
+    d, L = cfg["torus"]["d"], cfg["torus"]["L"]
+    h, rd = cfg["heatflow"], cfg["r_diagnostic"]
+    ot, osp = h["order_time"], h["order_space"]
+    points = {"heatflow/order_time/k": ot["k"], "heatflow/order_space/k": osp["k"],
+              "r_diagnostic/line_p0": rd["line_p0"], "r_diagnostic/line_p1": rd["line_p1"]}
+    points.update((f"curves/{i}/{key}", spec[key]) for i, spec in enumerate(cfg["curves"])
+                  for key in ("p0", "p1", "center") if key in spec)
+    for path, vec in points.items():
+        if len(vec) != d:
+            raise ConfigError(f"config invalid at {path}: needs {d} entries (torus.d), "
+                              f"got {len(vec)}")
+    steps = {"heatflow/ds": (h["ds"], h["grid"]), "heatflow/order_time/ds": (ot["ds"], ot["grid"]),
+             "heatflow/order_space/ds": (osp["ds"], max(osp["grids"]))}
+    for path, (ds, grid) in steps.items():
+        if ds > cfl_bound(L / grid, d):
+            raise ConfigError(f"config invalid at {path}: {ds:g} exceeds the stability bound "
+                              f"{cfl_bound(L / grid, d):g} of a {grid}-site grid at d={d}")
 
 
 def set_by_path(cfg, dotted_key, raw_value):

@@ -311,9 +311,19 @@ class AnalyticField(GaugeField):
 
 def stencil_d1(arr, axis, a):
     """4th-order central first derivative along a periodic site axis."""
-    f1, b1 = np.roll(arr, -1, axis), np.roll(arr, 1, axis)
-    f2, b2 = np.roll(arr, -2, axis), np.roll(arr, 2, axis)
+    m = arr.shape[axis]
+    # one copy padded by two periodic images per side; shifts are views of it
+    pad = np.moveaxis(np.take(arr, np.arange(-2, m + 2), axis, mode="wrap"), axis, 0)
+    f1, b1, f2, b2 = (np.moveaxis(pad[k:k + m], 0, axis) for k in (3, 1, 4, 0))
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
+
+
+def _matmul(a, b):
+    """Broadcast product of trailing small matrices, unrolled over the inner index."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
 
 
 class LatticeField(GaugeField):
@@ -421,12 +431,19 @@ class LatticeField(GaugeField):
     @classmethod
     def load(cls, base):
         base = pathlib.Path(base)
-        header = json.loads(base.with_suffix(".json").read_text())
+        head, body = base.with_suffix(".json"), base.with_suffix(".bin")
+        header = json.loads(head.read_text())
+        for key, want in (("kind", "lattice"), ("dtype", "complex128-little-endian")):
+            if header.get(key) != want:
+                raise ValueError(f"{head}: {key} is {header.get(key)!r}, expected {want!r}")
         torus = Torus.from_dict(header["torus"])
         m, n, d = header["grid"], header["n"], torus.d
-        raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
-        values = raw.reshape((m,) * d + (d, n, n)).astype(np.complex128)
-        return cls(torus, values)
+        shape = (m,) * d + (d, n, n)
+        data, size = body.read_bytes(), 16 * int(np.prod(shape))
+        if len(data) != size:
+            raise ValueError(f"{body}: {len(data)} bytes, but grid {m}, d {d}, n {n} "
+                             f"in {head.name} need {size}")
+        return cls(torus, np.frombuffer(data, "<c16").reshape(shape).astype(np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +665,14 @@ def lattice_curvature_grid(field):
     d, a = field.torus.d, field.a
     vals = field.values
     p = np.stack([stencil_d1(vals, ax, a) for ax in range(d)], axis=-4)
-    aa = np.einsum("...mij,...vjk->...mvik", vals, vals)
+    aa = _matmul(vals[..., :, None, :, :], vals[..., None, :, :, :])
     return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+
+
+def _curvature_action(torus, f):
+    """Riemann sum of -1/2 sum_mn tr(F_mn F_mn) over the sites of curvature f."""
+    dens = -0.5 * np.sum(f * np.swapaxes(f, -1, -2), axis=(-4, -3, -2, -1))
+    return float(np.mean(np.real(dens)) * torus.volume)
 
 
 def ym_action(field, samples=None):
@@ -669,9 +692,7 @@ def ym_action(field, samples=None):
         axes = [np.arange(samples) * (torus.L / samples)] * torus.d
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         f = curvature(field, pts)
-    dens = -0.5 * np.einsum("...mvij,...mvji->...", f, f)
-    mean = np.mean(np.real(dens))
-    return float(mean * torus.volume)
+    return _curvature_action(torus, f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ of the curvature) with classical RK4 in flow time and fourth-order central
 stencils in space, on the same lattice container the rest of the package
 interpolates from. The action is monitored every step: the exact flow is a
 gradient descent, so sustained growth means the step size has crossed the
-stability threshold and the run aborts rather than report garbage.
+stability threshold and the run aborts rather than report garbage. The
+action guard and the next step's k1 share one curvature grid, so an RK4
+step builds four curvature grids, not five.
 
 For pairwise-commuting fields the flow is linear and `abelian_oracle`
 evolves the Fourier data in closed form: transverse mode components decay
@@ -22,7 +24,8 @@ import dataclasses
 import numpy as np
 
 from .algebra import maxabs
-from .field import AnalyticField, LatticeField, lattice_curvature_grid, stencil_d1, ym_action
+from .field import (AnalyticField, LatticeField, _curvature_action, _matmul,
+                    lattice_curvature_grid, stencil_d1)
 
 
 class CflViolation(RuntimeError):
@@ -44,17 +47,18 @@ def cfl_bound(spacing, d):
     return spacing * spacing / (8.0 * d)
 
 
+def _velocity(field, f=None):
+    """sum_mu D_mu F_{mu nu} on the grid; f is the curvature of `field` if known."""
+    f = lattice_curvature_grid(field) if f is None else f
+    div = sum(stencil_d1(f[..., mu, :, :, :], mu, field.a) for mu in range(field.torus.d))
+    av = field.values[..., :, None, :, :]
+    comm = np.sum(_matmul(av, f) - _matmul(f, av), axis=-4)
+    return div + comm
+
+
 def ym_rhs(field):
     """Flow velocity sum_mu D_mu F_{mu nu} on the grid, as a LatticeField."""
-    f = lattice_curvature_grid(field)  # (*grid, d, d, n, n)
-    d, a = field.torus.d, field.a
-    df = np.stack([stencil_d1(f, ax, a) for ax in range(d)], axis=-5)
-    div = np.einsum("...mmvij->...vij", df)
-    av = field.values
-    comm = np.einsum("...mij,...mvjk->...vik", av, f) - np.einsum(
-        "...mvij,...mjk->...vik", f, av
-    )
-    return LatticeField(field.torus, div + comm)
+    return LatticeField(field.torus, _velocity(field))
 
 
 @dataclasses.dataclass
@@ -63,10 +67,6 @@ class FlowTrajectory:
     ds: float
     snapshots: list  # (step_index, values array)
     table: list      # dict rows: step, s, action, rhs_max
-
-    @property
-    def times(self):
-        return [step * self.ds for step, _ in self.snapshots]
 
     def _index_at(self, s):
         steps = np.array([step for step, _ in self.snapshots], dtype=float)
@@ -111,15 +111,17 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
         raise CflViolation(f"ds={ds:g} exceeds stability bound {bound:g}")
     if guard is None:
         guard = rhs_fn is None
-    rhs = rhs_fn if rhs_fn is not None else (lambda fld: ym_rhs(fld).values)
+    # the plain flow's k1 reuses f, the curvature the action guard built at v
+    rhs = _velocity if rhs_fn is None else (lambda fld, f=None: rhs_fn(fld))
 
     v = np.array(field0.values, dtype=np.complex128, copy=True)
     make = lambda vals: LatticeField(torus, vals)
-    action = ym_action(make(v))
+    f = lattice_curvature_grid(make(v))
+    action = _curvature_action(torus, f)
     snapshots = [(0, v.copy())]
     table = []
     for i in range(1, steps + 1):
-        k1 = rhs(make(v))
+        k1 = rhs(make(v), f)
         table.append(
             {"step": i - 1, "s": (i - 1) * ds, "action": action, "rhs_max": maxabs(k1)}
         )
@@ -127,7 +129,8 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
         k3 = rhs(make(v + (0.5 * ds) * k2))
         k4 = rhs(make(v + ds * k3))
         v = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_action = ym_action(make(v))
+        f = lattice_curvature_grid(make(v))
+        new_action = _curvature_action(torus, f)
         if guard and new_action > action * (1.0 + max_action_growth) + 1e-300:
             raise BlowUp(
                 f"action grew from {action:.12g} to {new_action:.12g} at step {i}"
@@ -136,8 +139,7 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
         if i % save_every == 0 or i == steps:
             snapshots.append((i, v.copy()))
     table.append(
-        {"step": steps, "s": steps * ds, "action": action,
-         "rhs_max": maxabs(rhs(make(v)))}
+        {"step": steps, "s": steps * ds, "action": action, "rhs_max": maxabs(rhs(make(v), f))}
     )
     return FlowTrajectory(torus, ds, snapshots, table)
 

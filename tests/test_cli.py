@@ -106,14 +106,56 @@ def test_failed_check_is_exit_1(tmp_path):
 
 
 def test_cfl_violation_is_exit_3(tmp_path):
+    """The theorem's flow step is bounded only by the runtime guard."""
     cfg = write_config(tmp_path, REDUCED_CONFIG)
     proc = run_cli(
-        ["heatflow", "--config", cfg.name, "--out", "out",
-         "--set", "heatflow.ds=0.01"],
+        ["verify-theorem", "--config", cfg.name, "--out", "out",
+         "--set", "theorem.ds=0.01"],
         tmp_path,
     )
     assert proc.returncode == 3
     assert "stability" in (proc.stderr + proc.stdout).lower()
+
+
+D3 = {"torus": {"d": 3, "L": 1.0},
+      "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5]}}
+D3_HEATFLOW = {"grid": 16, "steps": 4, "save_every": 2, "su2_grid": 8, "su2_steps": 4,
+               "critical_steps": 2,
+               "order_time": {"k": [2, 0, 0], "ds": 4e-4, "steps": 4},
+               "order_space": {"k": [1, 0, 0], "ds": 1e-4, "total_s": 0.001}}
+
+
+def test_bad_heatflow_inputs_are_exit_2(tmp_path):
+    """Flags, point lengths and flow steps are all checked before any numerics."""
+    cfg = write_config(tmp_path, REDUCED_CONFIG)
+    # 3-vectors throughout, but the reduced order_time.ds exceeds the 8^3 bound
+    d3_steep = dict(REDUCED_CONFIG, **D3, heatflow=dict(D3_HEATFLOW, order_time={
+        "k": [2, 0, 0]}))
+    steep = write_config(tmp_path, d3_steep, "steep.json")
+    cases = [
+        [cfg.name, "--ds=-1e-5"],
+        [cfg.name, "--save-every", "0"],
+        [cfg.name, "--grid", "4"],
+        [cfg.name, "--ds", "0", "--S", "0.1"],
+        [cfg.name, "--S", "nan"],
+        [cfg.name, "--set", "heatflow.ds=0.01"],
+        [cfg.name, "--set", "torus.d=3"],
+        [steep.name],
+    ]
+    for args in cases:
+        proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("config error:"), (args, proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
+def test_heatflow_runs_at_d3(tmp_path):
+    cfg = write_config(tmp_path, dict(REDUCED_CONFIG, **D3, heatflow=D3_HEATFLOW))
+    proc = run_cli(["heatflow", "--config", cfg.name, "--out", "out"], tmp_path)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / "heatflow" / "heatflow.report.json").read_text())
+    assert report["config"]["torus"]["d"] == 3
 
 
 def test_set_override_reflected_in_report(tmp_path):

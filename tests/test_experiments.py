@@ -68,6 +68,39 @@ def test_validate_rejects_bad_configs():
         assert "transport/triples" in str(exc)
 
 
+D3_CONFIG = {
+    "torus": {"d": 3, "L": 1.0},
+    "heatflow": {"grid": 16, "order_time": {"k": [2, 0, 0], "ds": 4e-4, "steps": 20},
+                 "order_space": {"k": [1, 0, 0], "ds": 1e-4}},
+    "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5]},
+}
+
+
+def test_validate_cross_field_constraints():
+    """Point lengths must equal torus.d; flow steps must meet the CFL bound."""
+    resolve_config(D3_CONFIG)  # consistent at d = 3
+    bad = [
+        ({"torus": {"d": 3}}, "heatflow/order_time/k"),
+        ({"heatflow": {"order_space": {"k": [1, 0, 0]}}}, "heatflow/order_space/k"),
+        ({"r_diagnostic": {"line_p1": [0.5]}}, "r_diagnostic/line_p1"),
+        ({"curves": [{"kind": "line", "p0": [0, 0, 0], "p1": [1, 0]}]}, "curves/0/p0"),
+        ({"curves": [{"kind": "circle", "center": [0.5], "radius": 0.1}]}, "curves/0/center"),
+        ({"heatflow": {"ds": 1e-3}}, "heatflow/ds"),
+        ({"heatflow": {"order_time": {"ds": 1e-3}}}, "heatflow/order_time/ds"),
+        ({"heatflow": {"order_space": {"ds": 3e-4}}}, "heatflow/order_space/ds"),
+        ({"heatflow": {"order_space": {"grids": [8]}}}, "heatflow/order_space/grids"),
+        # default steps exceed the smaller d = 3 bounds: 1.25e-5 > 1.02e-5 on 64^3,
+        # 8e-4 > 6.5e-4 on 8^3
+        (dict(D3_CONFIG, heatflow={"order_time": {"k": [2, 0, 0]},
+                                   "order_space": {"k": [1, 0, 0]}}), "heatflow/ds"),
+        (dict(D3_CONFIG, heatflow={"grid": 16, "order_time": {"k": [2, 0, 0]},
+                                   "order_space": {"k": [1, 0, 0]}}), "heatflow/order_time/ds"),
+    ]
+    for overrides, path in bad:
+        with pytest.raises(ConfigError, match=path):
+            resolve_config(overrides)
+
+
 def test_set_by_path():
     cfg = resolve_config()
     set_by_path(cfg, "transport.triples", "12")

@@ -6,6 +6,8 @@ The action oracle re-integrates the analytic curvature on an independent
 dense grid (96^2, well above the Nyquist rate of the kmax=2 test field).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,21 @@ def test_lattice_save_load_round_trip(tmp_path, torus2, su2_field):
     back = LatticeField.load(base)
     assert back.torus == torus2
     assert np.array_equal(back.values, lat.values)
+
+
+def test_lattice_load_rejects_inconsistent_files(tmp_path, torus2, su2_field):
+    base = tmp_path / "snap"
+    LatticeField.sample(su2_field, 8).save(base)
+    raw = (tmp_path / "snap.bin").read_bytes()
+    (tmp_path / "snap.bin").write_bytes(raw[:-16])
+    with pytest.raises(ValueError, match="bytes"):
+        LatticeField.load(base)
+    (tmp_path / "snap.bin").write_bytes(raw)
+    header = json.loads((tmp_path / "snap.json").read_text())
+    for key, bad in (("kind", "analytic"), ("dtype", "complex64-little-endian")):
+        (tmp_path / "snap.json").write_text(json.dumps(dict(header, **{key: bad})))
+        with pytest.raises(ValueError, match=key):
+            LatticeField.load(base)
 
 
 def test_save_field_dispatch(tmp_path, torus2, su2_field):

@@ -14,7 +14,14 @@ import pytest
 
 from gaugeflow.algebra import maxabs, su_basis
 from gaugeflow.experiments import rng_for
-from gaugeflow.field import AnalyticField, LatticeField, Torus
+from gaugeflow.field import (
+    AnalyticField,
+    LatticeField,
+    Torus,
+    lattice_curvature_grid,
+    stencil_d1,
+    ym_action,
+)
 from gaugeflow.heatflow import (
     BlowUp,
     CflViolation,
@@ -26,6 +33,46 @@ from gaugeflow.heatflow import (
 
 TORUS = Torus(2, 1.0)
 T_BASIS = su_basis(2)
+
+
+# --- einsum/np.roll reference kernels: the lattice flow's earlier bodies ----
+
+
+def oracle_stencil(arr, axis, a):
+    f1, b1 = np.roll(arr, -1, axis), np.roll(arr, 1, axis)
+    f2, b2 = np.roll(arr, -2, axis), np.roll(arr, 2, axis)
+    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
+
+
+def oracle_curvature(field):
+    d, a = field.torus.d, field.a
+    vals = field.values
+    p = np.stack([oracle_stencil(vals, ax, a) for ax in range(d)], axis=-4)
+    aa = np.einsum("...mij,...vjk->...mvik", vals, vals)
+    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+
+
+def oracle_rhs(field):
+    """Stencils the whole curvature along every axis, then keeps the trace."""
+    f = oracle_curvature(field)
+    d, a = field.torus.d, field.a
+    df = np.stack([oracle_stencil(f, ax, a) for ax in range(d)], axis=-5)
+    div = np.einsum("...mmvij->...vij", df)
+    av = field.values
+    comm = np.einsum("...mij,...mvjk->...vik", av, f) - np.einsum(
+        "...mvij,...mjk->...vik", f, av
+    )
+    return div + comm
+
+
+def oracle_action(field):
+    f = oracle_curvature(field)
+    dens = -0.5 * np.einsum("...mvij,...mvji->...", f, f)
+    return float(np.mean(np.real(dens)) * field.torus.volume)
+
+
+def rel_gap(got, want):
+    return maxabs(got - want) / maxabs(want)
 
 
 def transverse_mode(m, kx=2, amp=0.35):
@@ -105,7 +152,8 @@ def test_flow_descends_action_and_snapshot_cadence():
     assert all(b <= a * (1 + 1e-12) for a, b in zip(actions, actions[1:]))
     assert actions[-1] < 0.9 * actions[0]  # measured: 1.12 -> 0.60 over 40 steps
     assert [idx for idx, _ in traj.snapshots] == [0, 7, 14, 21, 28, 30]
-    assert np.allclose(traj.times, [0.0, 7e-4, 14e-4, 21e-4, 28e-4, 30e-4])
+    assert np.allclose([step * traj.ds for step, _ in traj.snapshots],
+                       [0.0, 7e-4, 14e-4, 21e-4, 28e-4, 30e-4])
     assert len(traj.table) == 31  # one row per step plus the final state
     assert traj.table[0]["step"] == 0 and traj.table[-1]["step"] == 30
     assert set(traj.table[0]) == {"step", "s", "action", "rhs_max"}
@@ -204,3 +252,40 @@ def test_fd_ds_field_second_order():
         fd, _ = traj.fd_ds_field(mid)
         gaps.append(maxabs(fd.values - traj.ds_field(mid).values))
     assert gaps[0] / gaps[1] > 3.0
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernels_match_einsum_oracle(d, n, m):
+    """Padded stencil is bit-identical to np.roll; the unrolled products, the
+    divergence-only stencil and the F * F^T action match einsum to roundoff
+    (measured at most 2.7e-16 relative)."""
+    torus = Torus(d, 1.0)
+    fld = AnalyticField.random_su(rng_for(7, f"unit/kernels-{d}-{n}-{m}"), torus, n=n,
+                                  modes=2, amplitude=0.3, kmax=2)
+    lat = LatticeField.sample(fld, m)
+    for ax in range(d):
+        assert np.array_equal(stencil_d1(lat.values, ax, lat.a),
+                              oracle_stencil(lat.values, ax, lat.a))
+    assert rel_gap(lattice_curvature_grid(lat), oracle_curvature(lat)) <= 1e-13
+    assert rel_gap(ym_rhs(lat).values, oracle_rhs(lat)) <= 1e-13
+    assert abs(ym_action(lat) / oracle_action(lat) - 1.0) <= 1e-13
+
+
+def test_flow_curvature_reuse_matches_oracle_rhs():
+    """The plain flow takes k1 from the curvature the action guard built; a
+    custom right side recomputes it. Both trajectories agree to roundoff."""
+    fld = AnalyticField.random_su(rng_for(7, "unit/su-flow"), TORUS, modes=2,
+                                  amplitude=0.2, kmax=1)
+    lat = LatticeField.sample(fld, 16)
+    plain = flow(lat, 12, 1e-4, save_every=4)
+    ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=oracle_rhs, guard=True)
+    assert [s for s, _ in plain.snapshots] == [s for s, _ in ref.snapshots] == [0, 4, 8, 12]
+    for (_, got), (_, want) in zip(plain.snapshots, ref.snapshots):
+        assert rel_gap(got, want) <= 1e-13
+    assert len(plain.table) == len(ref.table) == 13
+    for got, want in zip(plain.table, ref.table):
+        assert (got["step"], got["s"]) == (want["step"], want["s"])
+        assert abs(got["action"] / want["action"] - 1.0) <= 1e-13
+        assert abs(got["rhs_max"] / want["rhs_max"] - 1.0) <= 1e-13
