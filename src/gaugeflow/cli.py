@@ -7,7 +7,8 @@ times; timing goes to a `timings.json` sidecar so the reports themselves
 bit-reproduce for a fixed config and seed.
 
 Exit codes: 0 all checks pass; 1 at least one check failed; 2 the config
-is missing or invalid; 3 the numerics aborted (stability bound or blow-up).
+is missing or invalid; 3 the numerics aborted (stability bound or blow-up);
+4 internal error (any other error the program raised).
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL_ABORT = 3
+EXIT_INTERNAL_ERROR = 4
+
+# The error families the program itself raises. An exception outside them,
+# such as a caller's own control-flow exception raised from a patched
+# hook, passes through main unchanged.
+INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, ImportError, LookupError,
+                   MemoryError, NameError, OSError, RuntimeError, TypeError, ValueError)
 
 
 def _json_default(obj):
@@ -179,8 +187,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _main(args):
     try:
         cfg = _load_config(args)
         if args.subcommand == "heatflow":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
+import functools
 import json
 import zlib
 
@@ -65,7 +66,7 @@ from .path import (
 from .transport import (
     TransportContext,
     duhamel_derivative,
-    propagator,
+    propagator_endpoint,
     transport,
     transport_derivative,
     transport_s_derivative,
@@ -445,16 +446,22 @@ def validate_config(cfg):
         if cfg.get("schema") != 1:
             raise ConfigError("config must declare schema: 1")
         return
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(cfg))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {error.message}")
     _validate_cross_fields(cfg)
 
 
+@functools.cache
+def _schema_validator():
+    """One validator for CONFIG_SCHEMA per process (the schema itself is a tested constant)."""
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def _validate_cross_fields(cfg):
-    """Constraints between entries: point lengths against d, flow steps against grids."""
+    """Constraints between entries: point lengths against d, flow steps against grids,
+    the diagnostic window inside [0, 1], Cesàro checkpoints within n_modes."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
     h, rd = cfg["heatflow"], cfg["r_diagnostic"]
     ot, osp = h["order_time"], h["order_space"]
@@ -472,6 +479,15 @@ def _validate_cross_fields(cfg):
         if ds > cfl_bound(L / grid, d):
             raise ConfigError(f"config invalid at {path}: {ds:g} exceeds the stability bound "
                               f"{cfl_bound(L / grid, d):g} of a {grid}-site grid at d={d}")
+    lo, hi = rd["window"]
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ConfigError(f"config invalid at r_diagnostic/window: need 0 <= lo < hi <= 1, "
+                          f"got [{lo:g}, {hi:g}]")
+    n_modes = cfg["cesaro"]["n_modes"]
+    for i, k in enumerate(cfg["cesaro"]["checkpoints"]):
+        if k > n_modes:
+            raise ConfigError(f"config invalid at cesaro/checkpoints/{i}: {k} exceeds "
+                              f"cesaro.n_modes {n_modes}")
 
 
 def set_by_path(cfg, dotted_key, raw_value):
@@ -640,7 +656,7 @@ def run_duhamel(cfg, seed):
         formula = duhamel_derivative(zf, dzf, step=step)
 
         def final(e):
-            return propagator(lambda t: zf(t) + e * dzf(t), step=step)[1][-1]
+            return propagator_endpoint(lambda t: zf(t) + e * dzf(t), step=step)
 
         fd = (final(eps) - final(-eps)) / (2.0 * eps)
         return _rel(formula - fd, fd)

@@ -14,6 +14,9 @@ Step grids are aligned with curve breakpoints (plateau corners, seams), so
 piecewise-smooth curves integrate at full order. A `TransportContext`
 caches U_{t_i, 0} and U_{1, t_i} on the integrator nodes of one curve;
 every integral formula in this package is a quadrature over those nodes.
+`transport()` reduces only the endpoint: it multiplies the same factors
+in M products instead of scanning all M prefixes, and unitarizes one
+matrix. `propagator_endpoint()` does the same for `propagator`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,69 @@ class Segment:
     h: float
 
 
+def _endpoint_product(mats):
+    """mats[-1] @ ... @ mats[0] by pairwise reduction in M products.
+
+    Pairs are right-aligned (the earliest factor carries over when the count
+    is odd), which is the bracketing of the last row of `prefix_products`,
+    so the two agree bit for bit.
+    """
+    while len(mats) > 1:
+        odd = len(mats) % 2
+        pairs = mats[odd + 1 :: 2] @ mats[odd::2]
+        mats = np.concatenate([mats[:1], pairs]) if odd else pairs
+    return mats[0]
+
+
+def _richardson_endpoint(coarse, fine):
+    """The extrapolated product (4 fine - coarse) / 3 at the last node only."""
+    return (4.0 * _endpoint_product(fine) - _endpoint_product(coarse)) / 3.0
+
+
+def _step_factors(field, curve, mids, hs):
+    pts = curve.point(mids)
+    vel = curve.velocity(mids)
+    z = np.einsum("...mij,...m->...ij", field.eval(pts), vel)
+    return expm(-hs[:, None, None] * z)
+
+
+def _midpoint_factors(field, curve, step, lo, hi):
+    """Integrator nodes, segments and midpoint factors on [lo, hi].
+
+    The step grid is aligned with the curve breakpoints inside (lo, hi) and
+    every segment has an even step count. Returns (nodes, segments, coarse,
+    fine): `coarse` holds the factors expm(-h Z(mid)) of the node grid and
+    `fine` those of the grid at half the step.
+    """
+    edges = [lo]
+    edges += [b for b in sorted(curve.breakpoints) if lo < b < hi]
+    edges += [hi]
+
+    node_chunks, mids, hs, fmids, fhs, seg_meta = [], [], [], [], [], []
+    start = 0
+    for k in range(len(edges) - 1):
+        a, b = edges[k], edges[k + 1]
+        nst = _even_steps(b - a, step)
+        h = (b - a) / nst
+        ts = a + np.arange(nst + 1) * h
+        ts[-1] = b
+        node_chunks.append(ts if k == 0 else ts[1:])
+        mids.append(a + (np.arange(nst) + 0.5) * h)
+        hs.append(np.full(nst, h))
+        fmids.append(a + (np.arange(2 * nst) + 0.5) * (0.5 * h))
+        fhs.append(np.full(2 * nst, 0.5 * h))
+        seg_meta.append((start, start + nst, h))
+        start += nst
+    nodes = np.concatenate(node_chunks)
+    segments = [
+        Segment(i, slice(i0, i1 + 1), nodes[i0 : i1 + 1], h)
+        for i, (i0, i1, h) in enumerate(seg_meta)
+    ]
+    coarse = _step_factors(field, curve, np.concatenate(mids), np.concatenate(hs))
+    fine = _step_factors(field, curve, np.concatenate(fmids), np.concatenate(fhs))
+    return nodes, segments, coarse, fine
+
+
 class TransportContext:
     """Cached transports along one curve for one gauge field.
 
@@ -74,7 +140,7 @@ class TransportContext:
         endpoint: U_{hi, lo}.
     """
 
-    def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0, unitary=True):
+    def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0):
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("need 0 <= lo < hi <= 1")
         if not step > 0:
@@ -83,59 +149,14 @@ class TransportContext:
         self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
 
-        edges = [self.lo]
-        edges += [b for b in sorted(curve.breakpoints) if self.lo < b < self.hi]
-        edges += [self.hi]
-
-        node_chunks, mids, hs, seg_meta = [], [], [], []
-        start = 0
-        for k in range(len(edges) - 1):
-            a, b = edges[k], edges[k + 1]
-            nst = _even_steps(b - a, step)
-            h = (b - a) / nst
-            ts = a + np.arange(nst + 1) * h
-            ts[-1] = b
-            node_chunks.append(ts if k == 0 else ts[1:])
-            mids.append(a + (np.arange(nst) + 0.5) * h)
-            hs.append(np.full(nst, h))
-            seg_meta.append((start, start + nst, h))
-            start += nst
-        self.nodes = np.concatenate(node_chunks)
-        self._segments = [
-            Segment(i, slice(i0, i1 + 1), self.nodes[i0 : i1 + 1], h)
-            for i, (i0, i1, h) in enumerate(seg_meta)
-        ]
-
-        mids = np.concatenate(mids)
-        hs = np.concatenate(hs)
-        coarse = prefix_products(self._step_factors(mids, hs))
-
-        fmids, fhs = [], []
-        for a, b, nst, h in [
-            (edges[k], edges[k + 1], 2 * (m[1] - m[0]), 0.5 * m[2])
-            for k, m in enumerate(seg_meta)
-        ]:
-            fmids.append(a + (np.arange(nst) + 0.5) * h)
-            fhs.append(np.full(nst, h))
-        fine = prefix_products(self._step_factors(np.concatenate(fmids), np.concatenate(fhs)))
-
-        extrap = (4.0 * fine[::2] - coarse) / 3.0
-        if unitary:
-            extrap, _ = unitarize(extrap)
+        self.nodes, self._segments, coarse, fine = _midpoint_factors(
+            field, curve, step, self.lo, self.hi)
+        extrap = (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
+        extrap, _ = unitarize(extrap)
         self.from_start = extrap
         self.endpoint = extrap[-1]
         self.to_end = self.endpoint @ dagger(extrap)
         self._points = None
-        self._velocities = None
-
-    def _step_factors(self, mids, hs):
-        z = self._zfun(mids)
-        return expm(-hs[:, None, None] * z)
-
-    def _zfun(self, ts):
-        pts = self.curve.point(ts)
-        vel = self.curve.velocity(ts)
-        return np.einsum("...mij,...m->...ij", self.field.eval(pts), vel)
 
     # --- node data ---
 
@@ -217,7 +238,20 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
         raise ValueError("need 0 <= s <= t <= 1")
     if s == t:
         return np.eye(field.n, dtype=np.complex128)
-    return TransportContext(field, curve, step=step, lo=s, hi=t).endpoint
+    if not step > 0:
+        raise ValueError("step must be positive")
+    _, _, coarse, fine = _midpoint_factors(field, curve, step, float(s), float(t))
+    return unitarize(_richardson_endpoint(coarse, fine))[0]
+
+
+def _propagator_factors(zfun, c, d, step):
+    nst = _even_steps(d - c, step)
+    h = (d - c) / nst
+    mids = c + (np.arange(nst) + 0.5) * h
+    fmids = c + (np.arange(2 * nst) + 0.5) * (0.5 * h)
+    coarse = expm(-h * np.asarray(zfun(mids)))
+    fine = expm(-(0.5 * h) * np.asarray(zfun(fmids)))
+    return nst, h, coarse, fine
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
@@ -227,19 +261,16 @@ def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     (nodes, P at nodes) with the same midpoint + Richardson scheme as
     `transport`.
     """
-    nst = _even_steps(d - c, step)
-    h = (d - c) / nst
+    nst, h, coarse, fine = _propagator_factors(zfun, c, d, step)
     nodes = c + np.arange(nst + 1) * h
     nodes[-1] = d
+    return nodes, (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
 
-    def factors(mids, hh):
-        return expm(-hh * np.asarray(zfun(mids)))
 
-    mids = c + (np.arange(nst) + 0.5) * h
-    coarse = prefix_products(factors(mids, h))
-    fmids = c + (np.arange(2 * nst) + 0.5) * (0.5 * h)
-    fine = prefix_products(factors(fmids, 0.5 * h))
-    return nodes, (4.0 * fine[::2] - coarse) / 3.0
+def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
+    """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
+    _, _, coarse, fine = _propagator_factors(zfun, c, d, step)
+    return _richardson_endpoint(coarse, fine)
 
 
 def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):

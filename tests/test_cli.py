@@ -7,6 +7,7 @@ exit-code contract are exercised end to end:
 
     0 = all checks passed   1 = a check failed
     2 = unusable config     3 = numerical abort (stability guard)
+    4 = internal error (any other error; checked in process)
 """
 
 import csv
@@ -19,6 +20,7 @@ import numpy as np
 
 from _cli_env import cli_env
 from _reduced import REDUCED_CONFIG
+from gaugeflow import cli
 from gaugeflow.field import LatticeField, load_field
 
 TRANSPORT_ONLY = {
@@ -141,12 +143,25 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [cfg.name, "--set", "heatflow.ds=0.01"],
         [cfg.name, "--set", "torus.d=3"],
         [steep.name],
+        [cfg.name, "--set", "r_diagnostic.window=[0.6,0.4]"],
+        [cfg.name, "--set", "cesaro.checkpoints=[4,16]"],
     ]
     for args in cases:
         proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("config error:"), (args, proc.stderr)
     assert not (tmp_path / "out").exists()
+
+
+def test_internal_error_is_exit_4(tmp_path, monkeypatch, capsys):
+    def broken(name, cfg, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    cfg = write_config(tmp_path, TRANSPORT_ONLY)
+    code = cli.main(["transport", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
 
 
 def test_heatflow_runs_at_d3(tmp_path):

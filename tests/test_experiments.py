@@ -12,6 +12,7 @@ import pytest
 from gaugeflow.algebra import maxabs
 from gaugeflow.experiments import (
     ALL_ORDER,
+    CONFIG_SCHEMA,
     DEFAULT_CONFIG,
     EXPERIMENTS,
     ConfigError,
@@ -68,6 +69,11 @@ def test_validate_rejects_bad_configs():
         assert "transport/triples" in str(exc)
 
 
+def test_config_schema_is_a_valid_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
 D3_CONFIG = {
     "torus": {"d": 3, "L": 1.0},
     "heatflow": {"grid": 16, "order_time": {"k": [2, 0, 0], "ds": 4e-4, "steps": 20},
@@ -95,6 +101,9 @@ def test_validate_cross_field_constraints():
                                    "order_space": {"k": [1, 0, 0]}}), "heatflow/ds"),
         (dict(D3_CONFIG, heatflow={"grid": 16, "order_time": {"k": [2, 0, 0]},
                                    "order_space": {"k": [1, 0, 0]}}), "heatflow/order_time/ds"),
+        ({"r_diagnostic": {"window": [0.6, 0.4]}}, "r_diagnostic/window"),
+        ({"r_diagnostic": {"window": [-0.1, 0.5]}}, "r_diagnostic/window"),
+        ({"cesaro": {"n_modes": 32}}, "cesaro/checkpoints/4"),  # default list ends at 64
     ]
     for overrides, path in bad:
         with pytest.raises(ConfigError, match=path):

@@ -14,7 +14,7 @@ ratio 16.02, kinked-curve ratio 16.00, gauge-covariance gap 3.4e-12.
 import numpy as np
 import pytest
 
-from gaugeflow.algebra import dagger, expm, group_defect, maxabs, random_lie
+from gaugeflow.algebra import dagger, expm, group_defect, maxabs, random_group, random_lie
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import GaugeMap, gauge_transform
 from gaugeflow.path import (
@@ -28,9 +28,11 @@ from gaugeflow.path import (
 )
 from gaugeflow.transport import (
     TransportContext,
+    _endpoint_product,
     duhamel_derivative,
     prefix_products,
     propagator,
+    propagator_endpoint,
     simpson_weights,
     transport,
     transport_derivative,
@@ -65,6 +67,8 @@ def test_transport_identity_and_validation(su2_field, wiggly_curve):
         transport(su2_field, wiggly_curve, t=0.2, s=0.5)
     with pytest.raises(ValueError):
         transport(su2_field, wiggly_curve, t=1.2)
+    with pytest.raises(ValueError):
+        transport(su2_field, wiggly_curve, step=0.0)
     with pytest.raises(ValueError):
         TransportContext(su2_field, wiggly_curve, step=0.0)
     with pytest.raises(ValueError):
@@ -110,6 +114,7 @@ def test_rotating_frame_closed_form():
     assert maxabs(p - want) < 1e-9
     assert maxabs(p[0] - np.eye(2)) < 1e-14
     assert nodes[0] == 0.0 and nodes[-1] == 1.0
+    assert np.array_equal(propagator_endpoint(zfun, step=1.0 / 1024), p[-1])
 
 
 def test_unitarity_and_to_end(su2_field, wiggly_curve):
@@ -279,3 +284,23 @@ def test_prefix_products_matches_loop():
     for i in range(9):
         acc = mats[i] @ acc
         assert maxabs(got[i + 1] - acc) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_endpoint_product_matches_scan_bitwise(n):
+    """The pairwise reduction brackets exactly as the scan's last row."""
+    rng = np.random.default_rng(5)
+    for m in [*range(1, 70), 8191, 8192, 8193, 12345, 16384]:
+        mats = random_group(rng, n, scale=0.1, shape=(m,))
+        assert np.array_equal(_endpoint_product(mats), prefix_products(mats)[-1]), m
+
+
+def test_transport_matches_context_endpoint_bitwise(su2_field, wiggly_curve):
+    """Endpoint-only transport equals the full context's endpoint bit for bit."""
+    from gaugeflow.path import plateau
+
+    cases = [(plateau(wiggly_curve, 0.375), 0.0, 1.0), (wiggly_curve, 0.2, 0.7)]
+    for curve, s, t in cases:
+        u = transport(su2_field, curve, t=t, s=s, step=1.0 / 512)
+        ctx = TransportContext(su2_field, curve, step=1.0 / 512, lo=s, hi=t)
+        assert np.array_equal(u, ctx.endpoint)
