@@ -17,7 +17,6 @@ from .algebra import (
     dagger,
     expm,
     fiber_metric,
-    lie_defect,
     group_defect,
     maxabs,
     project_lie,
@@ -62,7 +61,6 @@ from .field import (
     ScalarFourier,
     Torus,
     TransformedField,
-    bianchi_residual,
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
@@ -89,10 +87,8 @@ from .levy import (
     assemble_bilinear,
     cesaro_levy_estimate,
     cesaro_second_trace,
-    h0_gradient_functional,
     h0_gradient_transport,
     levy_divergence,
-    levy_laplacian_functional,
     levy_laplacian_transport,
     second_kernels,
 )

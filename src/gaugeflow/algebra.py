@@ -23,10 +23,6 @@ def commutator(x, y):
     return x @ y - y @ x
 
 
-def anticommutator(x, y):
-    return x @ y + y @ x
-
-
 def dagger(u):
     """Conjugate transpose over the trailing two axes."""
     return np.conjugate(np.swapaxes(u, -1, -2))
@@ -106,13 +102,6 @@ def unitarize(u, steps=2):
     det = np.linalg.det(u)
     phase = det ** (-1.0 / n)
     return phase[..., None, None] * u, maxabs(dagger(u) @ u - eye)
-
-
-def lie_defect(x):
-    """How far x is from anti-Hermitian traceless."""
-    herm = maxabs(x + dagger(x))
-    tr = maxabs(trace(x))
-    return max(herm, tr)
 
 
 def group_defect(u):

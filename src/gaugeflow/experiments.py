@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
-import functools
 import json
+import math
 import zlib
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - dependency declared, belt and braces
-    jsonschema = None
 
 from . import algebra
 from .algebra import fiber_metric, group_defect, maxabs, random_fiber, su_basis
@@ -36,9 +31,7 @@ from .field import (
     ScalarFourier,
     Torus,
     TransformedField,
-    curvature,
     make_field,
-    ym_action,
 )
 from .heatflow import abelian_oracle, cfl_bound, flow, ym_rhs
 from .levy import (
@@ -46,7 +39,6 @@ from .levy import (
     cesaro_levy_estimate,
     cesaro_second_trace,
     h0_gradient_transport,
-    levy_divergence,
     levy_laplacian_transport,
     second_kernels,
 )
@@ -55,13 +47,13 @@ from .path import (
     PolyReparam,
     SineReparam,
     curve_integral,
+    gauss_legendre,
     make_curve,
     perturb,
     plateau,
     random_field,
     random_vanishing_field,
     reparametrize,
-    sine_basis,
 )
 from .transport import (
     TransportContext,
@@ -74,7 +66,7 @@ from .transport import (
 
 
 class ConfigError(ValueError):
-    """Config failed schema validation or cannot be resolved."""
+    """Config does not match the shape of DEFAULT_CONFIG or cannot be resolved."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,221 +199,35 @@ DEFAULT_CONFIG = {
     },
 }
 
-_TOL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": {
-        "oneOf": [
-            {"type": "number", "exclusiveMinimum": 0},
-            {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        ]
-    },
-}
+# Validation takes every key and type from DEFAULT_CONFIG; these tables hold
+# only what the defaults cannot show. Bounds, lengths and choices are looked
+# up by the nearest dict key. By default an integer is >= 1, a number > 0 and
+# a list has at least one entry.
+_MINIMUM = {"seed": 0, "free_end_cases": 0, "gauge_rank": 2, "grid": 8, "su2_grid": 8,
+            "grids": 8, "n_modes": 4, "cesaro_modes": 4, "r_divisions": 4}
+_SIGNED = {"k", "p0", "p1", "center", "axes", "turns", "phase", "line_p0", "line_p1",
+           "window", "cesaro_slope", "order_factor"}
+_LENGTH = {"checkpoints": (2, math.inf), "grids": (2, math.inf), "window": (2, 2),
+           "cesaro_slope": (2, 2), "order_factor": (2, 2)}
+_CHOICES = {"schema": (1,), "d": (2, 3)}
 
-_FIELD_SPEC = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["zero", "random_su", "abelian", "pure_gauge", "lattice"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "modes": {"type": "integer", "minimum": 1},
-        "amplitude": {"type": "number", "exclusiveMinimum": 0},
-        "kmax": {"type": "integer", "minimum": 1},
-        "factors": {"type": "integer", "minimum": 1},
-        "grid": {"type": "integer", "minimum": 8},
-        "base": {"type": "object"},
+# Field and curve specs: kind -> (required keys, optional keys), each key with
+# a value of its type. A spec's family is the one that knows its default kind.
+_RANDOM_SPEC = {"seed": 0, "modes": 1, "amplitude": 1.0, "kmax": 1}
+_SPEC_KINDS = (
+    {
+        "zero": ({}, {}),
+        "random_su": ({}, _RANDOM_SPEC),
+        "abelian": ({}, _RANDOM_SPEC),
+        "pure_gauge": ({}, dict(_RANDOM_SPEC, factors=1)),
+        "lattice": ({"base": {"kind": "zero"}}, {"grid": 8}),
     },
-    "additionalProperties": False,
-}
-
-_CURVE_SPEC = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["line", "circle", "fourier"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "modes": {"type": "integer", "minimum": 1},
-        "amplitude": {"type": "number", "exclusiveMinimum": 0},
-        "closed": {"type": "boolean"},
-        "p0": {"type": "array", "items": {"type": "number"}},
-        "p1": {"type": "array", "items": {"type": "number"}},
-        "center": {"type": "array", "items": {"type": "number"}},
-        "radius": {"type": "number"},
-        "axes": {"type": "array", "items": {"type": "integer"}},
-        "turns": {"type": "number"},
-        "phase": {"type": "number"},
+    {
+        "line": ({"p0": [0.0], "p1": [0.0]}, {}),
+        "circle": ({"center": [0.0], "radius": 1.0}, {"axes": [0], "turns": 1.0, "phase": 0.0}),
+        "fourier": ({"seed": 0}, {"modes": 1, "amplitude": 1.0, "closed": False}),
     },
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema": {"const": 1},
-        "torus": {
-            "type": "object",
-            "properties": {
-                "d": {"enum": [2, 3]},
-                "L": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["d", "L"],
-            "additionalProperties": False,
-        },
-        "gauge_rank": {"type": "integer", "minimum": 2},
-        "threads": {"type": "integer", "minimum": 1},
-        "field": _FIELD_SPEC,
-        "abelian_field": _FIELD_SPEC,
-        "curves": {"type": "array", "items": _CURVE_SPEC, "minItems": 1},
-        "transport": {
-            "type": "object",
-            "properties": {
-                "triples": {"type": "integer", "minimum": 1},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "duhamel": {
-            "type": "object",
-            "properties": {
-                "pairs": {"type": "integer", "minimum": 1},
-                "fd_eps": {"type": "number", "exclusiveMinimum": 0},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "gradient": {
-            "type": "object",
-            "properties": {
-                "cases": {"type": "integer", "minimum": 1},
-                "free_end_cases": {"type": "integer", "minimum": 0},
-                "fd_eps": {"type": "number", "exclusiveMinimum": 0},
-                "riesz_pairs": {"type": "integer", "minimum": 1},
-                "riesz_curves": {"type": "integer", "minimum": 1},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "kernels": {
-            "type": "object",
-            "properties": {
-                "pairs": {"type": "integer", "minimum": 1},
-                "curves": {"type": "integer", "minimum": 1},
-                "fd_eps": {"type": "number", "exclusiveMinimum": 0},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "laplacian": {
-            "type": "object",
-            "properties": {
-                "curves": {"type": "integer", "minimum": 1},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "cesaro": {
-            "type": "object",
-            "properties": {
-                "curves": {"type": "integer", "minimum": 1},
-                "n_modes": {"type": "integer", "minimum": 4},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-                "checkpoints": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "functional": {
-            "type": "object",
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0},
-                "modes": {"type": "integer", "minimum": 1},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "kmax": {"type": "integer", "minimum": 1},
-                "curves": {"type": "integer", "minimum": 1},
-                "grad_eps": {"type": "number", "exclusiveMinimum": 0},
-                "hess_eps": {"type": "number", "exclusiveMinimum": 0},
-                "heat_s": {"type": "number", "exclusiveMinimum": 0},
-                "cesaro_modes": {"type": "integer", "minimum": 4},
-            },
-            "additionalProperties": False,
-        },
-        "heatflow": {
-            "type": "object",
-            "properties": {
-                "grid": {"type": "integer", "minimum": 8},
-                "ds": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-                "save_every": {"type": "integer", "minimum": 1},
-                "field": _FIELD_SPEC,
-                "su2_grid": {"type": "integer", "minimum": 8},
-                "su2_steps": {"type": "integer", "minimum": 1},
-                "su2_amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "critical_steps": {"type": "integer", "minimum": 1},
-                "order_time": {
-                    "type": "object",
-                    "properties": {
-                        "grid": {"type": "integer", "minimum": 8},
-                        "k": {"type": "array", "items": {"type": "integer"}},
-                        "ds": {"type": "number", "exclusiveMinimum": 0},
-                        "steps": {"type": "integer", "minimum": 1},
-                    },
-                    "additionalProperties": False,
-                },
-                "order_space": {
-                    "type": "object",
-                    "properties": {
-                        "grids": {"type": "array", "items": {"type": "integer", "minimum": 8},
-                                  "minItems": 2},
-                        "k": {"type": "array", "items": {"type": "integer"}},
-                        "ds": {"type": "number", "exclusiveMinimum": 0},
-                        "total_s": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "theorem": {
-            "type": "object",
-            "properties": {
-                "grid": {"type": "integer", "minimum": 8},
-                "ds": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-                "save_every": {"type": "integer", "minimum": 1},
-                "checkpoint_steps": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "field": _FIELD_SPEC,
-                "curves": {"type": "integer", "minimum": 1},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "abelian_s": {"type": "number", "exclusiveMinimum": 0},
-                "abelian_delta": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "r_diagnostic": {
-            "type": "object",
-            "properties": {
-                "grid": {"type": "integer", "minimum": 8},
-                "ds": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-                "save_every": {"type": "integer", "minimum": 1},
-                "checkpoint_step": {"type": "integer", "minimum": 1},
-                "field": _FIELD_SPEC,
-                "line_p0": {"type": "array", "items": {"type": "number"}},
-                "line_p1": {"type": "array", "items": {"type": "number"}},
-                "r_divisions": {"type": "integer", "minimum": 4},
-                "window": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                "bump_height": {"type": "number", "exclusiveMinimum": 0},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "tolerances": _TOL_SCHEMA,
-    },
-    "required": ["schema"],
-    "additionalProperties": False,
-}
+)
 
 
 def _deep_merge(base, extra):
@@ -435,33 +241,84 @@ def _deep_merge(base, extra):
 
 
 def resolve_config(overrides=None):
-    """DEFAULT_CONFIG merged with overrides, schema-validated."""
+    """DEFAULT_CONFIG merged with overrides, validated."""
     cfg = _deep_merge(DEFAULT_CONFIG, overrides or {})
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg):
-    if jsonschema is None:  # pragma: no cover
-        if cfg.get("schema") != 1:
-            raise ConfigError("config must declare schema: 1")
-        return
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(cfg))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {error.message}")
+    """Check cfg against the shape of DEFAULT_CONFIG, then the cross-field constraints."""
+    _check_entry(cfg, DEFAULT_CONFIG, ())
     _validate_cross_fields(cfg)
 
 
-@functools.cache
-def _schema_validator():
-    """One validator for CONFIG_SCHEMA per process (the schema itself is a tested constant)."""
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+def _invalid(path, reason):
+    where = "/".join(str(p) for p in path) or "<root>"
+    return ConfigError(f"config invalid at {where}: {reason}")
 
+
+def _check_entry(value, default, path, name=None):
+    """value must have the type of `default`: a dict its keys (a spec the keys of
+    its kind), a list entries like its first, a number finite and in bounds."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise _invalid(path, f"expected an object, got {value!r}")
+        required = allowed = default
+        for_kind = ""
+        if "kind" in default:
+            required, allowed = _spec_keys(value, default, path)
+            for_kind = f" for kind {value['kind']!r}"
+        for key in value:
+            if key not in allowed:
+                raise _invalid(path + (key,), f"unknown key{for_kind}")
+        for key in required:
+            if key not in value:
+                raise _invalid(path + (key,), f"missing{for_kind}")
+        for key, item in value.items():
+            _check_entry(item, allowed[key], path + (key,), key)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise _invalid(path, f"expected a list, got {value!r}")
+        lo, hi = _LENGTH.get(name, (1, math.inf))
+        if not lo <= len(value) <= hi:
+            raise _invalid(path, f"has {len(value)} entries, needs "
+                                 f"{'exactly' if lo == hi else 'at least'} {lo}")
+        for i, item in enumerate(value):
+            _check_entry(item, default[0], path + (i,), name)
+    elif isinstance(default, (bool, str)):
+        if type(value) is not type(default):
+            raise _invalid(path, f"expected a {type(default).__name__}, got {value!r}")
+    else:
+        integer = isinstance(default, int)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise _invalid(path, f"expected {'an integer' if integer else 'a number'}, "
+                                 f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _invalid(path, f"must be finite, got {value!r}")
+        if name in _CHOICES:
+            if value not in _CHOICES[name]:
+                raise _invalid(path, f"must be one of {list(_CHOICES[name])}, got {value!r}")
+        elif name not in _SIGNED:
+            lo = _MINIMUM.get(name, 1)
+            if not (value >= lo if integer else value > 0):
+                raise _invalid(path, f"must be {f'>= {lo}' if integer else '> 0'}, "
+                                     f"got {value!r}")
+
+
+def _spec_keys(value, default, path):
+    """(required, allowed) keys of the kind a field or curve spec names."""
+    kinds = next(family for family in _SPEC_KINDS if default["kind"] in family)
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise _invalid(path + ("kind",), f"must be one of {list(kinds)}, got {kind!r}")
+    required, optional = kinds[kind]
+    return dict(required, kind=kind), dict(required, kind=kind, **optional)
 
 def _validate_cross_fields(cfg):
-    """Constraints between entries: point lengths against d, flow steps against grids,
-    the diagnostic window inside [0, 1], Cesàro checkpoints within n_modes."""
+    """Constraints between entries: point lengths and circle axes against d, flow
+    steps against grids, the diagnostic window inside [0, 1], Cesàro checkpoints
+    within n_modes."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
     h, rd = cfg["heatflow"], cfg["r_diagnostic"]
     ot, osp = h["order_time"], h["order_space"]
@@ -473,6 +330,11 @@ def _validate_cross_fields(cfg):
         if len(vec) != d:
             raise ConfigError(f"config invalid at {path}: needs {d} entries (torus.d), "
                               f"got {len(vec)}")
+    for i, spec in enumerate(cfg["curves"]):
+        axes = spec.get("axes", [0, 1])
+        if not (len(axes) == 2 and axes[0] != axes[1] and all(0 <= a < d for a in axes)):
+            raise ConfigError(f"config invalid at curves/{i}/axes: need two distinct "
+                              f"indices in [0, {d}), got {axes}")
     steps = {"heatflow/ds": (h["ds"], h["grid"]), "heatflow/order_time/ds": (ot["ds"], ot["grid"]),
              "heatflow/order_space/ds": (osp["ds"], max(osp["grids"]))}
     for path, (ds, grid) in steps.items():
@@ -750,8 +612,6 @@ def _abelian_levy_oracle(fld, curve, panels=512):
     is -(int divF.gammadot dt) U, with divF assembled directly from the
     Fourier data of the field (independent of the kernel/transport code).
     """
-    from .path import gauss_legendre
-
     nodes, weights = gauss_legendre(panels)
     pts = curve.point(nodes)
     vel = curve.velocity(nodes)
@@ -977,8 +837,6 @@ def run_levy(cfg, seed):
 
 
 def _functional_grad_pair(f, curve, x_field, panels=256):
-    from .path import gauss_legendre
-
     nodes, weights = gauss_legendre(panels)
     g = f.grad(curve.point(nodes))
     xv = x_field.value(nodes)
@@ -986,8 +844,6 @@ def _functional_grad_pair(f, curve, x_field, panels=256):
 
 
 def _functional_hessian(f, curve, x_field, y_field, panels=256):
-    from .path import gauss_legendre
-
     nodes, weights = gauss_legendre(panels)
     h = f.hess(curve.point(nodes))
     xv, yv = x_field.value(nodes), y_field.value(nodes)

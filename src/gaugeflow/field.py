@@ -43,9 +43,6 @@ class Torus:
     def volume(self):
         return self.L**self.d
 
-    def wrap(self, x):
-        return np.mod(x, self.L)
-
     def to_dict(self):
         return {"d": self.d, "L": self.L}
 
@@ -155,9 +152,6 @@ class GaugeField:
 
     def second_all(self, x):
         raise NotImplementedError
-
-    def partial(self, x, axis):
-        return self.partial_all(x)[..., axis, :, :, :]
 
 
 class AnalyticField(GaugeField):
@@ -649,15 +643,6 @@ def cov_deriv_curvature(field, x):
 def cov_div_curvature(field, x):
     """(div F)_n = sum_m nabla_m F_mn; shape (..., d, N, N)."""
     return np.einsum("...mmvij->...vij", cov_deriv_curvature(field, x))
-
-
-def bianchi_residual(field, x):
-    """Max norm of the cyclic sum nabla_l F_mn + nabla_m F_nl + nabla_n F_lm."""
-    df = cov_deriv_curvature(field, x)
-    cyc = df + np.moveaxis(df, (-5, -4, -3), (-3, -5, -4)) + np.moveaxis(
-        df, (-5, -4, -3), (-4, -3, -5)
-    )
-    return float(np.max(np.abs(cyc)))
 
 
 def lattice_curvature_grid(field):

@@ -104,8 +104,8 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
     the plain flow and off when a custom right side is supplied.
     """
     torus = field0.torus
-    if ds <= 0:
-        raise ValueError("ds must be positive")
+    if not 0 < ds:
+        raise ValueError(f"ds must be positive, got {ds!r}")
     bound = cfl_bound(field0.a, torus.d)
     if ds > bound:
         raise CflViolation(f"ds={ds:g} exceeds stability bound {bound:g}")
@@ -131,7 +131,8 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
         v = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         f = lattice_curvature_grid(make(v))
         new_action = _curvature_action(torus, f)
-        if guard and new_action > action * (1.0 + max_action_growth) + 1e-300:
+        # written so that a non-finite action also aborts
+        if guard and not new_action <= action * (1.0 + max_action_growth) + 1e-300:
             raise BlowUp(
                 f"action grew from {action:.12g} to {new_action:.12g} at step {i}"
             )

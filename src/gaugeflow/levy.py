@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import dagger, fiber_metric, maxabs
 from .field import cov_deriv_curvature, cov_div_curvature, curvature
-from .path import curve_integral, gauss_legendre, perturb, sine_basis
+from .path import perturb, sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport
 
 
@@ -80,26 +80,6 @@ def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     return GradientField(ctx, values)
 
 
-class FunctionalGradient:
-    """H^0 gradient of the integral functional gamma -> int f(gamma(t)) dt."""
-
-    def __init__(self, f, curve, panels=256):
-        self.f, self.curve, self.panels = f, curve, panels
-
-    def values(self, ts):
-        return self.f.grad(self.curve.point(np.asarray(ts)))
-
-    def pair(self, x_field):
-        nodes, weights = gauss_legendre(self.panels)
-        g = self.values(nodes)
-        xv = x_field.value(nodes)
-        return float(np.einsum("t,tm,tm->", weights, g, xv))
-
-
-def h0_gradient_functional(f, curve, panels=256):
-    return FunctionalGradient(f, curve, panels)
-
-
 # ---------------------------------------------------------------------------
 # second derivative kernels
 # ---------------------------------------------------------------------------
@@ -118,7 +98,6 @@ class KernelTriple:
                   + 1/2 int K_S,ab (X'^a Y^b + Y'^a X^b) dt
 
     with OX(t) = sum_a out[t, a] X^a(t), IY(s) = sum_b in[s, b] Y^b(s).
-    `dense` optionally materializes K_V on a subgrid for inspection.
     """
 
     ctx: TransportContext
@@ -126,11 +105,9 @@ class KernelTriple:
     singular_seg: list  # (npts, d, d, N, N)
     out_seg: list       # (npts, d, N, N)
     in_seg: list        # (npts, d, N, N)
-    dense_index: np.ndarray | None = None
-    dense: np.ndarray | None = None
 
 
-def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None, dense=0):
+def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
     levy_seg, singular_seg, out_seg, in_seg = [], [], [], []
@@ -147,24 +124,7 @@ def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None, dense=0):
         singular_seg.append(np.einsum("tij,tabjk,tkl->tabil", ut, f, uf))
         out_seg.append(np.einsum("tij,tmjk,tkl->tmil", ut, g, uf))
         in_seg.append(np.einsum("tij,tmjk,tkl->tmil", dagger(uf), g, uf))
-
-    dense_index = dense_vals = None
-    if dense:
-        m = len(ctx.nodes)
-        out_glob = np.empty((m,) + out_seg[0].shape[1:], dtype=np.complex128)
-        in_glob = np.empty_like(out_glob)
-        for seg in ctx.segments():
-            out_glob[seg.sl] = out_seg[seg.index]
-            in_glob[seg.sl] = in_seg[seg.index]
-        dense_index = np.unique(np.linspace(0, m - 1, int(dense)).round().astype(int))
-        o, i = out_glob[dense_index], in_glob[dense_index]
-        upper = np.einsum("taij,svjk->tsavik", o, i)    # t >= s branch
-        lower = np.einsum("svij,tajk->tsavik", o, i)    # t <  s branch
-        tt = ctx.nodes[dense_index]
-        mask = (tt[:, None] >= tt[None, :])[:, :, None, None, None, None]
-        dense_vals = np.where(mask, upper, lower)
-    return KernelTriple(ctx, levy_seg, singular_seg, out_seg, in_seg,
-                        dense_index, dense_vals)
+    return KernelTriple(ctx, levy_seg, singular_seg, out_seg, in_seg)
 
 
 def levy_divergence(kernels):
@@ -255,11 +215,6 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
             f"Levy Laplacian routes disagree: relative gap {mismatch:.3e}"
         )
     return LevyLaplacian(closed, kernel_value, mismatch)
-
-
-def levy_laplacian_functional(f, curve, panels=256):
-    """Levy Laplacian of gamma -> int f(gamma(t)) dt, i.e. int (lap f)(gamma) dt."""
-    return curve_integral(f.laplacian, curve, panels=panels)
 
 
 # ---------------------------------------------------------------------------

@@ -24,20 +24,12 @@ class Curve:
 
     def __init__(self, d):
         self.d = d
-        self._samples = {}
 
     def point(self, t):
         raise NotImplementedError
 
     def velocity(self, t, side=1):
         raise NotImplementedError
-
-    def samples(self, m):
-        """Cached uniform grid of m+1 nodes: (t, point, velocity)."""
-        if m not in self._samples:
-            t = np.linspace(0.0, 1.0, m + 1)
-            self._samples[m] = (t, self.point(t), self.velocity(t))
-        return self._samples[m]
 
 
 class Line(Curve):
@@ -351,20 +343,6 @@ def random_field(rng, d, modes=3, amplitude=1.0):
     cos_c = amplitude * rng.standard_normal((modes, d)) / k
     sin_c = amplitude * rng.standard_normal((modes, d)) / k
     return TrigField(a, b, cos_c, sin_c)
-
-
-def covariant_deriv_along(field):
-    """Covariant derivative of X along the curve; flat metric, so X'."""
-    return CurveField(field.deriv, _second_deriv_fd(field), field.d)
-
-
-def _second_deriv_fd(field, h=1e-6):
-    # only the first derivative is ever integrated; the second appears in
-    # no formula, so a central difference of the exact X' is enough
-    def second(t):
-        return (field.deriv(t + h) - field.deriv(t - h)) / (2.0 * h)
-
-    return second
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [steep.name],
         [cfg.name, "--set", "r_diagnostic.window=[0.6,0.4]"],
         [cfg.name, "--set", "cesaro.checkpoints=[4,16]"],
+        [cfg.name, "--set", "heatflow.ds=NaN"],
+        [cfg.name, "--ds", "nan"],
     ]
     for args in cases:
         proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)

@@ -5,6 +5,7 @@ experiment is built on.
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from gaugeflow.algebra import maxabs
 from gaugeflow.experiments import (
     ALL_ORDER,
-    CONFIG_SCHEMA,
     DEFAULT_CONFIG,
     EXPERIMENTS,
     ConfigError,
@@ -51,27 +51,64 @@ def test_resolve_config_merges_nested():
     assert cfg["duhamel"] == DEFAULT_CONFIG["duhamel"]
 
 
+BAD_SETTINGS = [
+    # (dotted key, JSON value as --set takes it, path the error must name)
+    ("no_such_section", "1", "no_such_section"),
+    ("transport.triples", "many", "transport/triples"),
+    ("torus.d", "4", "torus/d"),
+    ("curves", '[{"kind": "zigzag"}]', "curves/0/kind"),
+    ("cesaro.checkpoints", "[64]", "cesaro/checkpoints"),  # need at least 2
+    # each of these used to pass validation and then crash with an internal error
+    ("transport.triples", "2.0", "transport/triples"),
+    ("curves", '[{"kind": "line", "p1": [0.5, 0.5]}]', "curves/0/p0"),
+    ("curves.0", '{"kind": "fourier"}', "curves/0/seed"),
+    ("gauge_rank", "3.0", "gauge_rank"),
+    ("curves.0", '{"kind": "circle", "center": [0.5, 0.5], "radius": 0.2, "axes": [0, 5]}',
+     "curves/0/axes"),
+    ("transport", '{"triples": 2}', "transport/step"),
+    ("field", '{"kind": "lattice", "grid": 16}', "field/base"),
+    # ... and this one ran to an all-NaN flow that passed every check
+    ("heatflow.ds", "NaN", "heatflow/ds"),
+    ("field.kind", "zero", "field/seed"),  # not a key of a zero field
+    ("tolerances.no_such_check", "1e-6", "tolerances/no_such_check"),
+    ("tolerances.order_factor", "[12.8]", "tolerances/order_factor"),
+]
+
+
 def test_validate_rejects_bad_configs():
-    with pytest.raises(ConfigError):
-        resolve_config({"no_such_section": 1})
-    with pytest.raises(ConfigError):
-        resolve_config({"transport": {"triples": "many"}})
-    with pytest.raises(ConfigError):
-        resolve_config({"torus": {"d": 4}})
-    with pytest.raises(ConfigError):
-        resolve_config({"curves": [{"kind": "zigzag"}]})
-    with pytest.raises(ConfigError):
-        resolve_config({"cesaro": {"checkpoints": [64]}})  # need at least 2
-    # the error names the offending path
-    try:
-        resolve_config({"transport": {"triples": "many"}})
-    except ConfigError as exc:
-        assert "transport/triples" in str(exc)
+    """Each bad setting is refused with an error that names its path."""
+    for key, value, path in BAD_SETTINGS:
+        cfg = resolve_config()
+        set_by_path(cfg, key, value)
+        with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}:")):
+            validate_config(cfg)
 
 
-def test_config_schema_is_a_valid_schema():
-    jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        if not isinstance(node, bool) and isinstance(node, (int, float)):
+            yield path
+        return
+    for key, child in node:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+def test_every_numeric_default_is_checked():
+    """NaN, a boolean or a string in place of any number in DEFAULT_CONFIG is
+    refused at that number's path, so a new default cannot go unchecked."""
+    leaves = list(_numeric_leaves(DEFAULT_CONFIG))
+    assert len(leaves) > 100
+    for path in leaves:
+        where = "/".join(str(p) for p in path)
+        for bad in ("NaN", "true", '"1"'):
+            cfg = resolve_config()
+            set_by_path(cfg, ".".join(str(p) for p in path), bad)
+            with pytest.raises(ConfigError, match=re.escape(f"config invalid at {where}:")):
+                validate_config(cfg)
 
 
 D3_CONFIG = {

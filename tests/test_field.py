@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from gaugeflow.algebra import commutator, dagger, group_defect, lie_defect, maxabs
+from _oracles import bianchi_residual, lie_defect
+from gaugeflow.algebra import commutator, dagger, group_defect, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -20,7 +21,6 @@ from gaugeflow.field import (
     ScalarFourier,
     Torus,
     TransformedField,
-    bianchi_residual,
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
@@ -52,7 +52,6 @@ def test_torus_validation():
         Torus(4, 1.0)
     with pytest.raises(ValueError):
         Torus(2, 0.0)
-    assert np.allclose(t.wrap(np.array([1.25, -0.25])), [0.25, 0.75])
     assert Torus.from_dict(t.to_dict()) == t
     assert t != Torus(3, 1.0)
 

@@ -99,8 +99,9 @@ def test_flow_rejects_bad_steps():
     _, lat = transverse_mode(8)
     with pytest.raises(CflViolation):
         flow(lat, 5, ds=1e-3)  # bound on an 8-grid is ~9.8e-4
-    with pytest.raises(ValueError):
-        flow(lat, 5, ds=0.0)
+    for ds in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            flow(lat, 5, ds=ds)
 
 
 def test_zero_field_stationary():
@@ -169,6 +170,9 @@ def test_blowup_guard_on_reversed_flow():
     # without the guard the same run completes
     traj = flow(lat, 3, ds=1e-4, rhs_fn=lambda f: -ym_rhs(f).values)
     assert len(traj.table) == 4
+    # a non-finite action aborts too, instead of flowing on as NaN
+    with pytest.raises(BlowUp):
+        flow(lat, 3, ds=1e-4, rhs_fn=lambda f: np.full_like(f.values, np.nan), guard=True)
 
 
 def test_abelian_oracle_vs_lattice_flow():

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import simpson
 
 from gaugeflow.algebra import expm, fiber_metric, maxabs, random_lie
-from gaugeflow.experiments import rng_for
+from gaugeflow.experiments import _functional_grad_pair, rng_for
 from gaugeflow.field import (
     AnalyticField,
     GaugeMap,
@@ -27,9 +27,7 @@ from gaugeflow.levy import (
     assemble_bilinear,
     cesaro_levy_estimate,
     cesaro_second_trace,
-    h0_gradient_functional,
     h0_gradient_transport,
-    levy_laplacian_functional,
     levy_laplacian_transport,
     second_kernels,
 )
@@ -116,14 +114,6 @@ def test_bilinear_vs_fd(su2_field, wiggly_curve):
     assert maxabs(got - fd) < 1e-4
 
 
-def test_dense_kernel_grid(su2_field, wiggly_curve):
-    k = second_kernels(su2_field, wiggly_curve, step=1.0 / 256, dense=9)
-    assert k.dense is not None
-    m = len(k.dense_index)
-    assert k.dense.shape == (m, m, 2, 2, 2, 2)
-    assert np.all(np.isfinite(k.dense))
-
-
 # ---------------------------------------------------------------------------
 # Levy Laplacian of the transport
 
@@ -207,14 +197,13 @@ def test_cesaro_estimator_converges(su2_field, wiggly_curve):
 
 def test_functional_gradient_vs_fd(torus2, wiggly_curve):
     f = ScalarFourier.random(np.random.default_rng(68), torus2, modes=4, amplitude=1.0, kmax=1)
-    grad = h0_gradient_functional(f, wiggly_curve)
     rng = np.random.default_rng(69)
     eps = 1e-4
     for _ in range(3):
         x = random_vanishing_field(rng, 2, modes=3)
         up = curve_integral(f.value, perturb(wiggly_curve, x, +eps))
         dn = curve_integral(f.value, perturb(wiggly_curve, x, -eps))
-        assert abs(grad.pair(x) - (up - dn) / (2 * eps)) < 1e-6
+        assert abs(_functional_grad_pair(f, wiggly_curve, x) - (up - dn) / (2 * eps)) < 1e-6
 
 
 def test_functional_laplacian_closed_form(torus2):
@@ -224,7 +213,7 @@ def test_functional_laplacian_closed_form(torus2):
     """
     f = ScalarFourier(torus2, [[1, 0]], [1.0], [0])
     line = Line([0.0, 0.0], [0.25, 0.0])
-    got = levy_laplacian_functional(f, line)
+    got = curve_integral(f.laplacian, line)
     assert abs(got - (-8.0 * np.pi)) < 1e-12
 
 
@@ -232,7 +221,7 @@ def test_functional_cesaro_matches_laplacian(torus2, wiggly_curve):
     """O(1/n) Cesaro convergence; measured errors 0.47 / 0.23 / 0.11 / 0.057
     at n = 8 / 16 / 32 / 64 for this draw."""
     f = ScalarFourier.random(np.random.default_rng(70), torus2, modes=3, amplitude=1.0, kmax=1)
-    closed = levy_laplacian_functional(f, wiggly_curve)
+    closed = curve_integral(f.laplacian, wiggly_curve)
     res = cesaro_second_trace(
         lambda c: curve_integral(f.value, c), wiggly_curve, 2, 64, eps=1e-3,
         checkpoints=(8, 16, 32, 64),

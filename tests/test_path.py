@@ -14,7 +14,6 @@ from gaugeflow.path import (
     SineReparam,
     TrigCurve,
     concat,
-    covariant_deriv_along,
     curve_integral,
     gauss_legendre,
     h0_inner,
@@ -225,17 +224,6 @@ def test_field_algebra():
     assert (y + y).vanishing_ends
 
 
-def test_covariant_deriv_along():
-    """On the flat torus the covariant derivative along gamma is plain d/dt."""
-    x = random_field(RNG, 2)
-    dx = covariant_deriv_along(x)
-    t = np.linspace(0.1, 0.9, 7)
-    assert np.allclose(dx.value(t), x.deriv(t))
-    h = 1e-5
-    fd2 = (x.deriv(t + h) - x.deriv(t - h)) / (2 * h)
-    assert np.max(np.abs(dx.deriv(t) - fd2)) < 1e-5
-
-
 def test_gauss_legendre_exactness():
     """Composite order-8 rule integrates t^15 exactly; weights sum to 1."""
     t, w = gauss_legendre(4)
@@ -265,11 +253,3 @@ def test_make_curve_kinds():
     with pytest.raises(ValueError):
         make_curve({"kind": "zigzag"})
 
-
-def test_samples_cache():
-    c = TrigCurve.random(RNG, 2, modes=2)
-    t, pts, vel = c.samples(8)
-    assert t.shape == (9,) and pts.shape == (9, 2) and vel.shape == (9, 2)
-    assert np.allclose(pts, c.point(t))
-    t2, _, _ = c.samples(8)
-    assert t2 is t  # same cached arrays
