@@ -18,11 +18,6 @@ import numpy as np
 import scipy.linalg
 
 
-def commutator(x, y):
-    """[x, y] = xy - yx."""
-    return x @ y - y @ x
-
-
 def dagger(u):
     """Conjugate transpose over the trailing two axes."""
     return np.conjugate(np.swapaxes(u, -1, -2))
@@ -88,15 +83,19 @@ def expm(x):
     return out.reshape(x.shape)
 
 
-def unitarize(u, steps=2):
+# Newton iteration is quadratic, so two steps take a 1e-6 defect to roundoff.
+NEWTON_STEPS = 2
+
+
+def unitarize(u):
     """Project a near-unitary matrix back onto the unitary group.
 
-    Newton iteration for the polar factor; quadratic, so two steps take a
-    1e-6 defect to roundoff. Input must already be close to unitary.
+    Newton iteration for the polar factor, NEWTON_STEPS steps. Input must
+    already be close to unitary.
     """
     n = u.shape[-1]
     eye = np.eye(n)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         u = 0.5 * (3.0 * u - u @ dagger(u) @ u)
     # remove the residual determinant phase mod the center
     det = np.linalg.det(u)

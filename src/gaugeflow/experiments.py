@@ -18,6 +18,7 @@ import concurrent.futures
 import copy
 import json
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -294,8 +295,8 @@ def _check_entry(value, default, path, name=None):
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             raise _invalid(path, f"expected {'an integer' if integer else 'a number'}, "
                                  f"got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise _invalid(path, f"must be finite, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
+            raise _invalid(path, f"must be a finite float, got {value!r}")
         if name in _CHOICES:
             if value not in _CHOICES[name]:
                 raise _invalid(path, f"must be one of {list(_CHOICES[name])}, got {value!r}")
@@ -318,7 +319,8 @@ def _spec_keys(value, default, path):
 def _validate_cross_fields(cfg):
     """Constraints between entries: point lengths and circle axes against d, flow
     steps against grids, the diagnostic window inside [0, 1], Cesàro checkpoints
-    within n_modes."""
+    within n_modes, kernel curves within the curve list, flow checkpoints on the
+    snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
     h, rd = cfg["heatflow"], cfg["r_diagnostic"]
     ot, osp = h["order_time"], h["order_space"]
@@ -350,6 +352,19 @@ def _validate_cross_fields(cfg):
         if k > n_modes:
             raise ConfigError(f"config invalid at cesaro/checkpoints/{i}: {k} exceeds "
                               f"cesaro.n_modes {n_modes}")
+    if cfg["kernels"]["curves"] > len(cfg["curves"]):
+        raise ConfigError(f"config invalid at kernels/curves: {cfg['kernels']['curves']} "
+                          f"exceeds the {len(cfg['curves'])} configured curves")
+    # a checkpoint reads the snapshots one save_every before and after it
+    th = cfg["theorem"]
+    checkpoints = {f"theorem/checkpoint_steps/{i}": (c, th)
+                   for i, c in enumerate(th["checkpoint_steps"])}
+    checkpoints["r_diagnostic/checkpoint_step"] = (rd["checkpoint_step"], rd)
+    for path, (c, run) in checkpoints.items():
+        every, steps = run["save_every"], run["steps"]
+        if not (c % every == 0 and every <= c <= steps - every):
+            raise ConfigError(f"config invalid at {path}: {c} is not a multiple of save_every "
+                              f"{every} in [{every}, {steps - every}]")
 
 
 def set_by_path(cfg, dotted_key, raw_value):
@@ -444,7 +459,7 @@ def _rel(diff, ref):
 
 
 def run_transport(cfg, seed):
-    torus, a_field = _torus(cfg), _field(cfg)
+    a_field = _field(cfg)
     curves = _curves(cfg)
     step = cfg["transport"]["step"]
     threads = cfg["threads"]
@@ -1219,15 +1234,7 @@ EXPERIMENTS = {
     "r-diagnostic": run_r_diagnostic,
 }
 
-ALL_ORDER = [
-    "transport",
-    "verify-duhamel",
-    "verify-gradient",
-    "levy",
-    "heatflow",
-    "verify-theorem",
-    "r-diagnostic",
-]
+ALL_ORDER = list(EXPERIMENTS)
 
 
 def run_experiment(name, cfg, seed):

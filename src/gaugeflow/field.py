@@ -26,7 +26,7 @@ import pathlib
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .algebra import commutator, dagger, expm, project_lie, random_lie
+from .algebra import dagger, expm, random_lie
 
 
 class Torus:
@@ -52,6 +52,18 @@ class Torus:
 
     def __eq__(self, other):
         return isinstance(other, Torus) and (self.d, self.L) == (other.d, other.L)
+
+
+def _trig(x, w, phases, order):
+    """d^order/da^order of cos a (phase 0) or sin a (phase 1) at a = x . w_m, shape (..., M)."""
+    ang = np.asarray(x, dtype=float) @ w.T
+    iscos = phases == 0
+    # cos -> -sin -> -cos -> sin and sin -> cos -> -sin -> -cos
+    if order % 2:
+        out = np.where(iscos, -np.sin(ang), np.cos(ang))
+    else:
+        out = np.where(iscos, np.cos(ang), np.sin(ang))
+    return -out if order >= 2 else out
 
 
 class ScalarFourier:
@@ -81,35 +93,23 @@ class ScalarFourier:
         coeffs /= np.sum(np.asarray(kvecs, dtype=float) ** 2, axis=1)
         return cls(torus, np.array(kvecs), coeffs, np.array(phases))
 
-    def _trig(self, x, order):
-        ang = np.asarray(x, dtype=float) @ self._w.T  # (..., M)
-        c, s = np.cos(ang), np.sin(ang)
-        iscos = self.phases == 0
-        table = [
-            np.where(iscos, c, s),
-            np.where(iscos, -s, c),
-            np.where(iscos, -c, -s),
-            np.where(iscos, s, -c),
-        ]
-        return table[order]
-
     def value(self, x):
-        return self.const + self._trig(x, 0) @ self.coeffs
+        return self.const + _trig(x, self._w, self.phases, 0) @ self.coeffs
 
     def grad(self, x):
-        t = self._trig(x, 1) * self.coeffs
+        t = _trig(x, self._w, self.phases, 1) * self.coeffs
         return np.einsum("...m,ma->...a", t, self._w)
 
     def hess(self, x):
-        t = self._trig(x, 2) * self.coeffs
+        t = _trig(x, self._w, self.phases, 2) * self.coeffs
         return np.einsum("...m,ma,mb->...ab", t, self._w, self._w)
 
     def third(self, x):
-        t = self._trig(x, 3) * self.coeffs
+        t = _trig(x, self._w, self.phases, 3) * self.coeffs
         return np.einsum("...m,ma,mb,mc->...abc", t, self._w, self._w, self._w)
 
     def laplacian(self, x):
-        t = self._trig(x, 2) * self.coeffs
+        t = _trig(x, self._w, self.phases, 2) * self.coeffs
         return t @ np.sum(self._w**2, axis=1)
 
     def decay_rates(self):
@@ -195,9 +195,9 @@ class AnalyticField(GaugeField):
         return cls(torus, n, np.array(kvecs), np.array(mus), np.stack(coeffs), np.array(phases))
 
     @classmethod
-    def random_abelian(cls, rng, torus, n=2, modes=3, amplitude=0.2, kmax=2, direction=None):
+    def random_abelian(cls, rng, torus, n=2, modes=3, amplitude=0.2, kmax=2):
         """All coefficients proportional to one Lie direction (commuting)."""
-        t_dir = random_lie(rng, n) if direction is None else np.asarray(direction)
+        t_dir = random_lie(rng, n)
         t_dir = t_dir / np.max(np.abs(t_dir))
         kvecs, mus, coeffs, phases = [], [], [], []
         for _ in range(modes):
@@ -210,17 +210,6 @@ class AnalyticField(GaugeField):
             scale = amplitude * rng.standard_normal() / np.sum(k.astype(float) ** 2)
             coeffs.append(scale * t_dir)
         return cls(torus, n, np.array(kvecs), np.array(mus), np.stack(coeffs), np.array(phases))
-
-    def _trig(self, x, order):
-        ang = np.asarray(x, dtype=float) @ self._w.T
-        c, s = np.cos(ang), np.sin(ang)
-        iscos = self.phases == 0
-        table = [
-            np.where(iscos, c, s),
-            np.where(iscos, -s, c),
-            np.where(iscos, -c, -s),
-        ]
-        return table[order]
 
     def _sum_modes(self, weights, x_shape):
         # weights: (..., M) real; scatter mode sums into the mu slots
@@ -236,26 +225,20 @@ class AnalyticField(GaugeField):
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        if len(self.kvecs) == 0:
-            return np.zeros(x.shape[:-1] + (self.torus.d, self.n, self.n), dtype=np.complex128)
-        return self._sum_modes(self._trig(x, 0), x.shape)
+        return self._sum_modes(_trig(x, self._w, self.phases, 0), x.shape)
 
     def partial_all(self, x):
         x = np.asarray(x, dtype=float)
-        d, n = self.torus.d, self.n
-        if len(self.kvecs) == 0:
-            return np.zeros(x.shape[:-1] + (d, d, n, n), dtype=np.complex128)
-        t1 = self._trig(x, 1)
+        d = self.torus.d
+        t1 = _trig(x, self._w, self.phases, 1)
         return np.stack(
             [self._sum_modes(t1 * self._w[:, a], x.shape) for a in range(d)], axis=-4
         )
 
     def second_all(self, x):
         x = np.asarray(x, dtype=float)
-        d, n = self.torus.d, self.n
-        if len(self.kvecs) == 0:
-            return np.zeros(x.shape[:-1] + (d, d, d, n, n), dtype=np.complex128)
-        t2 = self._trig(x, 2)
+        d = self.torus.d
+        t2 = _trig(x, self._w, self.phases, 2)
         rows = []
         for a in range(d):
             rows.append(
@@ -595,17 +578,6 @@ class TransformedField(GaugeField):
         return out
 
 
-def gauge_transform(field, gauge_map):
-    """psi^-1 A psi + psi^-1 d psi as an exactly evaluable field.
-
-    The result supports the full field interface (including second
-    derivatives), so curvature and its covariant derivatives of the
-    transformed field carry no sampling error. Use LatticeField.sample to
-    put it on a grid when a lattice is wanted.
-    """
-    return TransformedField(field, gauge_map)
-
-
 # ---------------------------------------------------------------------------
 # local differential-geometric quantities
 
@@ -684,13 +656,12 @@ def ym_action(field, samples=None):
 # named field library and serialization
 
 
-def make_field(spec, torus=None, n=2):
+def make_field(spec, torus, n=2):
     """Build a gauge field from a JSON-style dict.
 
     Kinds: zero | random_su | abelian | pure_gauge | lattice (wraps a base
     spec with {"grid": m}).
     """
-    torus = torus or Torus(**spec.get("torus", {}))
     kind = spec.get("kind", "random_su")
     seed = spec.get("seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -722,6 +693,7 @@ def make_field(spec, torus=None, n=2):
             factors=spec.get("factors", 2),
             modes=spec.get("modes", 2),
             amplitude=spec.get("amplitude", 0.7),
+            kmax=spec.get("kmax", 1),
         )
         return TransformedField(AnalyticField.zero(torus, n), psi)
     if kind == "lattice":

@@ -28,6 +28,9 @@ from .field import (AnalyticField, LatticeField, _curvature_action, _matmul,
                     lattice_curvature_grid, stencil_d1)
 
 
+MAX_ACTION_GROWTH = 1e-6
+
+
 class CflViolation(RuntimeError):
     """Requested flow step exceeds the RK4/stencil stability bound."""
 
@@ -95,13 +98,13 @@ class FlowTrajectory:
         return LatticeField(self.torus, (vp - vm) / (2.0 * delta)), delta
 
 
-def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
-         max_action_growth=1e-6):
+def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
     """Integrate the gradient flow from `field0` for `steps` RK4 steps.
 
     rhs_fn(LatticeField) -> values array overrides the flow velocity (used
     for driven variants); the action-monotonicity guard defaults to on for
-    the plain flow and off when a custom right side is supplied.
+    the plain flow and off when a custom right side is supplied. The guard
+    aborts a step whose action exceeds the last by a factor 1 + MAX_ACTION_GROWTH.
     """
     torus = field0.torus
     if not 0 < ds:
@@ -132,7 +135,7 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None,
         f = lattice_curvature_grid(make(v))
         new_action = _curvature_action(torus, f)
         # written so that a non-finite action also aborts
-        if guard and not new_action <= action * (1.0 + max_action_growth) + 1e-300:
+        if guard and not new_action <= action * (1.0 + MAX_ACTION_GROWTH) + 1e-300:
             raise BlowUp(
                 f"action grew from {action:.12g} to {new_action:.12g} at step {i}"
             )

@@ -57,15 +57,6 @@ class GradientField:
 
         return float(self.ctx.integrate(integrand))
 
-    def at_nodes(self):
-        """Gradient on the global node grid (right-limit at junctions)."""
-        m = len(self.ctx.nodes)
-        d, n = self.seg_values[0].shape[1], self.seg_values[0].shape[-1]
-        out = np.empty((m, d, n, n), dtype=np.complex128)
-        for seg in self.ctx.segments():
-            out[seg.sl] = self.seg_values[seg.index]
-        return out
-
 
 def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:

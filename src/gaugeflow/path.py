@@ -233,10 +233,6 @@ def reparametrize(curve, phi):
     return ReparamCurve(curve, phi)
 
 
-def concat(first, second):
-    return ConcatCurve(first, second)
-
-
 # ---------------------------------------------------------------------------
 # vector fields along a curve
 
@@ -358,20 +354,6 @@ def gauss_legendre(panels, order=8):
     nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
     weights = np.tile(half * w, panels)
     return nodes, weights
-
-
-def h0_inner(x, y, panels=256):
-    """G0 inner product: integral of X(t) . Y(t) dt."""
-    t, w = gauss_legendre(panels)
-    return float(np.einsum("td,td,t->", x.value(t), y.value(t), w))
-
-
-def h1_inner(x, y, panels=256):
-    """G1 inner product: integral of X . Y + X' . Y' dt."""
-    t, w = gauss_legendre(panels)
-    val = np.einsum("td,td,t->", x.value(t), y.value(t), w)
-    val += np.einsum("td,td,t->", x.deriv(t), y.deriv(t), w)
-    return float(val)
 
 
 def curve_integral(fn, curve, panels=256):

@@ -1,22 +1,25 @@
 """Parallel transport along curves and its functional derivatives.
 
-The transport U_{t,s} solves dU/dt = -A_mu(gamma(t)) gammadot^mu(t) U with
-U_{s,s} = Id. The integrator is the exponential midpoint rule
+One integrator serves every product-integral here. For dP/dt = -Z(t) P,
+P(c) = Id, `_midpoint_factors` splits [c, d] at given edges into segments
+with even step counts and builds the exponential midpoint factors
 
-    U <- expm(-h Z(t + h/2)) U,      Z(t) = A_mu(gamma(t)) gammadot^mu(t),
+    expm(-h Z(t + h/2))
 
-a Lie-group method (each factor is exactly special-unitary), followed by
-one Richardson extrapolation level, so halving h cuts the error by at
-least 2^3. Extrapolated values are projected back onto the group, which
-restores unitarity to roundoff without touching the order.
+at step h and at h/2. Products of the factors, combined by one Richardson
+level (4 fine - coarse) / 3, give P at the nodes (`_richardson_scan`) or at
+d alone (`_richardson_endpoint`, M products instead of a scan over all M
+prefixes). Halving h cuts the error by at least 2^3.
 
-Step grids are aligned with curve breakpoints (plateau corners, seams), so
-piecewise-smooth curves integrate at full order. A `TransportContext`
-caches U_{t_i, 0} and U_{1, t_i} on the integrator nodes of one curve;
-every integral formula in this package is a quadrature over those nodes.
-`transport()` reduces only the endpoint: it multiplies the same factors
-in M products instead of scanning all M prefixes, and unitarizes one
-matrix. `propagator_endpoint()` does the same for `propagator`.
+The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
+gammadot^mu(t), with the curve breakpoints (plateau corners, seams) as
+edges, so piecewise-smooth curves integrate at full order. Each factor is
+exactly special-unitary, and the extrapolated values are projected back
+onto the group, which restores unitarity to roundoff without touching the
+order. A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes
+of one curve; every integral formula in this package is a quadrature over
+those nodes. `transport()` unitarizes only the endpoint. `propagator` takes
+any matrix-valued Z on one segment and applies no unitarization.
 """
 
 from __future__ import annotations
@@ -86,48 +89,49 @@ def _richardson_endpoint(coarse, fine):
     return (4.0 * _endpoint_product(fine) - _endpoint_product(coarse)) / 3.0
 
 
-def _step_factors(field, curve, mids, hs):
-    pts = curve.point(mids)
-    vel = curve.velocity(mids)
-    z = np.einsum("...mij,...m->...ij", field.eval(pts), vel)
-    return expm(-hs[:, None, None] * z)
+def _richardson_scan(coarse, fine):
+    """The extrapolated product (4 fine - coarse) / 3 at every node."""
+    return (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
 
 
-def _midpoint_factors(field, curve, step, lo, hi):
-    """Integrator nodes, segments and midpoint factors on [lo, hi].
+def _midpoint_factors(zfun, edges, step):
+    """Nodes, segments and midpoint factors of dP/dt = -Z(t) P between `edges`.
 
-    The step grid is aligned with the curve breakpoints inside (lo, hi) and
-    every segment has an even step count. Returns (nodes, segments, coarse,
-    fine): `coarse` holds the factors expm(-h Z(mid)) of the node grid and
-    `fine` those of the grid at half the step.
+    Each interval between consecutive edges is one segment with an even step
+    count. Returns (nodes, segments, coarse, fine): `coarse` holds the factors
+    expm(-h Z(mid)) of the node grid and `fine` those of the grid at half the
+    step.
     """
-    edges = [lo]
-    edges += [b for b in sorted(curve.breakpoints) if lo < b < hi]
-    edges += [hi]
-
-    node_chunks, mids, hs, fmids, fhs, seg_meta = [], [], [], [], [], []
+    nodes, segments, coarse, fine = [], [], ([], []), ([], [])
     start = 0
-    for k in range(len(edges) - 1):
-        a, b = edges[k], edges[k + 1]
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         nst = _even_steps(b - a, step)
         h = (b - a) / nst
         ts = a + np.arange(nst + 1) * h
         ts[-1] = b
-        node_chunks.append(ts if k == 0 else ts[1:])
-        mids.append(a + (np.arange(nst) + 0.5) * h)
-        hs.append(np.full(nst, h))
-        fmids.append(a + (np.arange(2 * nst) + 0.5) * (0.5 * h))
-        fhs.append(np.full(2 * nst, 0.5 * h))
-        seg_meta.append((start, start + nst, h))
+        nodes.append(ts if i == 0 else ts[1:])
+        segments.append(Segment(i, slice(start, start + nst + 1), ts, h))
         start += nst
-    nodes = np.concatenate(node_chunks)
-    segments = [
-        Segment(i, slice(i0, i1 + 1), nodes[i0 : i1 + 1], h)
-        for i, (i0, i1, h) in enumerate(seg_meta)
-    ]
-    coarse = _step_factors(field, curve, np.concatenate(mids), np.concatenate(hs))
-    fine = _step_factors(field, curve, np.concatenate(fmids), np.concatenate(fhs))
-    return nodes, segments, coarse, fine
+        for (mids, hs), k in ((coarse, 1), (fine, 2)):
+            mids.append(a + (np.arange(k * nst) + 0.5) * (h / k))
+            hs.append(np.full(k * nst, h / k))
+
+    def factors(mids, hs):
+        z = np.asarray(zfun(np.concatenate(mids)))
+        return expm(-np.concatenate(hs)[:, None, None] * z)
+
+    return np.concatenate(nodes), segments, factors(*coarse), factors(*fine)
+
+
+def _curve_factors(field, curve, step, lo, hi):
+    """`_midpoint_factors` of Z(t) = A_mu(gamma(t)) gammadot^mu(t) on [lo, hi],
+    with the curve's breakpoints inside (lo, hi) as segment edges."""
+
+    def zfun(t):
+        return np.einsum("...mij,...m->...ij", field.eval(curve.point(t)), curve.velocity(t))
+
+    edges = [lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi]
+    return _midpoint_factors(zfun, edges, step)
 
 
 class TransportContext:
@@ -149,13 +153,11 @@ class TransportContext:
         self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
 
-        self.nodes, self._segments, coarse, fine = _midpoint_factors(
+        self.nodes, self._segments, coarse, fine = _curve_factors(
             field, curve, step, self.lo, self.hi)
-        extrap = (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
-        extrap, _ = unitarize(extrap)
-        self.from_start = extrap
-        self.endpoint = extrap[-1]
-        self.to_end = self.endpoint @ dagger(extrap)
+        self.from_start = unitarize(_richardson_scan(coarse, fine))[0]
+        self.endpoint = self.from_start[-1]
+        self.to_end = self.endpoint @ dagger(self.from_start)
         self._points = None
 
     # --- node data ---
@@ -240,18 +242,8 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
         return np.eye(field.n, dtype=np.complex128)
     if not step > 0:
         raise ValueError("step must be positive")
-    _, _, coarse, fine = _midpoint_factors(field, curve, step, float(s), float(t))
+    _, _, coarse, fine = _curve_factors(field, curve, step, float(s), float(t))
     return unitarize(_richardson_endpoint(coarse, fine))[0]
-
-
-def _propagator_factors(zfun, c, d, step):
-    nst = _even_steps(d - c, step)
-    h = (d - c) / nst
-    mids = c + (np.arange(nst) + 0.5) * h
-    fmids = c + (np.arange(2 * nst) + 0.5) * (0.5 * h)
-    coarse = expm(-h * np.asarray(zfun(mids)))
-    fine = expm(-(0.5 * h) * np.asarray(zfun(fmids)))
-    return nst, h, coarse, fine
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
@@ -261,15 +253,13 @@ def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     (nodes, P at nodes) with the same midpoint + Richardson scheme as
     `transport`.
     """
-    nst, h, coarse, fine = _propagator_factors(zfun, c, d, step)
-    nodes = c + np.arange(nst + 1) * h
-    nodes[-1] = d
-    return nodes, (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
+    nodes, _, coarse, fine = _midpoint_factors(zfun, [c, d], step)
+    return nodes, _richardson_scan(coarse, fine)
 
 
 def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
-    _, _, coarse, fine = _propagator_factors(zfun, c, d, step)
+    _, _, coarse, fine = _midpoint_factors(zfun, [c, d], step)
     return _richardson_endpoint(coarse, fine)
 
 
@@ -305,8 +295,7 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
         return -(ctx.to_end[seg.sl] @ t @ ctx.from_start[seg.sl])
 
     out = ctx.integrate(bulk)
-    t1 = np.asarray(1.0 if ctx.hi == 1.0 else ctx.hi)
-    t0 = np.asarray(0.0 if ctx.lo == 0.0 else ctx.lo)
+    t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
     a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))
     a0 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t0)), x_field.value(t0))
     return out - a1 @ ctx.endpoint + ctx.endpoint @ a0

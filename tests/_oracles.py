@@ -1,14 +1,20 @@
 """Defect measures the tests hold the library's output to.
 
 Nothing in the package needs them at run time: they check that a result
-lies in the set it claims (the Lie algebra) or satisfies an identity the
-formulas must keep (Bianchi).
+lies in the set it claims (the Lie algebra), satisfies an identity the
+formulas must keep (Bianchi), or has the inner products a basis claims.
 """
 
 import numpy as np
 
 from gaugeflow.algebra import dagger, maxabs, trace
 from gaugeflow.field import cov_deriv_curvature
+from gaugeflow.path import gauss_legendre
+
+
+def commutator(x, y):
+    """[x, y] = xy - yx."""
+    return x @ y - y @ x
 
 
 def lie_defect(x):
@@ -23,3 +29,17 @@ def bianchi_residual(field, x):
         df, (-5, -4, -3), (-4, -3, -5)
     )
     return float(np.max(np.abs(cyc)))
+
+
+def h0_inner(x, y, panels=256):
+    """G0 inner product of two curve fields: integral of X(t) . Y(t) dt."""
+    t, w = gauss_legendre(panels)
+    return float(np.einsum("td,td,t->", x.value(t), y.value(t), w))
+
+
+def h1_inner(x, y, panels=256):
+    """G1 inner product of two curve fields: integral of X . Y + X' . Y' dt."""
+    t, w = gauss_legendre(panels)
+    val = np.einsum("td,td,t->", x.value(t), y.value(t), w)
+    val += np.einsum("td,td,t->", x.deriv(t), y.deriv(t), w)
+    return float(val)

@@ -8,9 +8,8 @@ python loop over the batch.
 import numpy as np
 import scipy.linalg
 
-from _oracles import lie_defect
+from _oracles import commutator, lie_defect
 from gaugeflow.algebra import (
-    commutator,
     dagger,
     expm,
     fiber_metric,

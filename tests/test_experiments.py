@@ -72,6 +72,12 @@ BAD_SETTINGS = [
     ("field.kind", "zero", "field/seed"),  # not a key of a zero field
     ("tolerances.no_such_check", "1e-6", "tolerances/no_such_check"),
     ("tolerances.order_factor", "[12.8]", "tolerances/order_factor"),
+    # each of these used to crash with an internal error (exit 4)
+    ("theorem.checkpoint_steps", "[100]", "theorem/checkpoint_steps/0"),  # save_every 40
+    ("r_diagnostic.checkpoint_step", "240", "r_diagnostic/checkpoint_step"),  # = steps
+    ("kernels", '{"pairs": 12, "curves": 12, "fd_eps": 2e-4, "step": 5e-4}',
+     "kernels/curves"),  # 10 curves
+    ("heatflow.ds", "1" + "0" * 400, "heatflow/ds"),  # overflows a float
 ]
 
 

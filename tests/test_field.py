@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import bianchi_residual, lie_defect
-from gaugeflow.algebra import commutator, dagger, group_defect, maxabs
+from _oracles import bianchi_residual, commutator, lie_defect
+from gaugeflow.algebra import dagger, group_defect, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -24,7 +24,6 @@ from gaugeflow.field import (
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
-    gauge_transform,
     lattice_curvature_grid,
     load_field,
     make_field,
@@ -268,7 +267,7 @@ def test_gauge_map_empty_is_identity(torus2):
 
 def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
     """The exact chain-rule tensors of psi^-1 A psi + psi^-1 d psi vs FD."""
-    fld = gauge_transform(su2_field, gauge_map(torus2))
+    fld = TransformedField(su2_field, gauge_map(torus2))
     x = random_points(RNG, torus2, (3,))
     h = 1e-5
     eye = np.eye(2)
@@ -284,7 +283,7 @@ def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
 def test_curvature_gauge_covariance(torus2, su2_field):
     """F^psi = psi^-1 F psi pointwise, and the same for nabla F and div F."""
     psi = gauge_map(torus2)
-    fld = gauge_transform(su2_field, psi)
+    fld = TransformedField(su2_field, psi)
     x = random_points(RNG, torus2, (4,))
     u = psi.value(x)
     ud = dagger(u)
@@ -401,7 +400,7 @@ def test_ym_action_oracle(torus2, su2_field):
 
 
 def test_ym_action_gauge_invariant(torus2, su2_field):
-    fld = gauge_transform(su2_field, gauge_map(torus2))
+    fld = TransformedField(su2_field, gauge_map(torus2))
     assert abs(ym_action(fld, samples=96) - ym_action(su2_field)) < 1e-9
 
 
@@ -450,7 +449,7 @@ def test_save_field_dispatch(tmp_path, torus2, su2_field):
     save_field(lat, tmp_path / "lat")
     assert np.array_equal(load_field(tmp_path / "lat").values, lat.values)
     with pytest.raises(TypeError):
-        save_field(gauge_transform(su2_field, gauge_map(torus2)), tmp_path / "nope")
+        save_field(TransformedField(su2_field, gauge_map(torus2)), tmp_path / "nope")
 
 
 def test_make_field_kinds(torus2):
@@ -464,6 +463,11 @@ def test_make_field_kinds(torus2):
     assert maxabs(commutator(a[..., 0, :, :], a[..., 1, :, :])) < 1e-14
     pg = make_field({"kind": "pure_gauge", "seed": 9}, torus2)
     assert maxabs(curvature(pg, x)) < 1e-11
+    # kmax reaches the gauge map's angles: kmax 1 is the default, 4 draws other wave vectors
+    pg1 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 1}, torus2)
+    pg4 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 4}, torus2)
+    assert np.array_equal(pg1.eval(x), pg.eval(x))
+    assert not np.array_equal(pg4.eval(x), pg1.eval(x))
     lat = make_field({"kind": "lattice", "base": {"kind": "random_su", "seed": 3}, "grid": 8}, torus2)
     assert isinstance(lat, LatticeField) and lat.m == 8
     with pytest.raises(ValueError):

@@ -66,13 +66,6 @@ def test_gradient_pair_matches_derivative_formula(su2_field, wiggly_curve):
     assert abs(grad.pair(x, phi) - fiber_metric(dv, phi)) < 1e-12
 
 
-def test_gradient_at_nodes(su2_field, wiggly_curve):
-    grad = h0_gradient_transport(su2_field, wiggly_curve, step=1.0 / 256)
-    arr = grad.at_nodes()
-    assert arr.shape == (len(grad.ctx.nodes), 2, 2, 2)
-    assert np.all(np.isfinite(arr))
-
-
 # ---------------------------------------------------------------------------
 # kernels
 

@@ -7,17 +7,16 @@ inner-product oracles are hand-computed antiderivatives.
 import numpy as np
 import pytest
 
+from _oracles import h0_inner, h1_inner
 from gaugeflow.path import (
     Circle,
+    ConcatCurve,
     Line,
     PolyReparam,
     SineReparam,
     TrigCurve,
-    concat,
     curve_integral,
     gauss_legendre,
-    h0_inner,
-    h1_inner,
     make_curve,
     perturb,
     plateau,
@@ -148,7 +147,7 @@ def test_reparam_rejects_nonmonotone():
 def test_concat_halves_and_seam():
     a = Line([0.1, 0.2], [0.5, 0.3])
     b = Line([0.5, 0.3], [0.4, 0.8])
-    c = concat(a, b)
+    c = ConcatCurve(a, b)
     t = np.linspace(0.0, 0.5, 6)
     assert np.allclose(c.point(t), a.point(2 * t))
     t = np.linspace(0.5, 1.0, 6)
@@ -165,13 +164,13 @@ def test_concat_rejects_gap():
     a = Line([0.0, 0.0], [0.5, 0.5])
     b = Line([0.6, 0.5], [1.0, 1.0])
     with pytest.raises(ValueError):
-        concat(a, b)
+        ConcatCurve(a, b)
 
 
 def test_concat_nested_breakpoints():
     a = plateau(Line([0.0, 0.0], [0.5, 0.5]), 0.5)
     b = Line([0.5 * 0.5, 0.5 * 0.5], [1.0, 1.0])
-    c = concat(a, b)
+    c = ConcatCurve(a, b)
     assert c.breakpoints == (0.25, 0.5)
 
 

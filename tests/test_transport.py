@@ -14,13 +14,14 @@ ratio 16.02, kinked-curve ratio 16.00, gauge-covariance gap 3.4e-12.
 import numpy as np
 import pytest
 
-from gaugeflow.algebra import dagger, expm, group_defect, maxabs, random_group, random_lie
+from gaugeflow.algebra import (dagger, expm, group_defect, maxabs, random_group, random_lie,
+                               unitarize)
 from gaugeflow.experiments import rng_for
-from gaugeflow.field import GaugeMap, gauge_transform
+from gaugeflow.field import GaugeMap, TransformedField
 from gaugeflow.path import (
+    ConcatCurve,
     Line,
     SineReparam,
-    concat,
     perturb,
     random_field,
     random_vanishing_field,
@@ -90,7 +91,7 @@ def test_convergence_order_smooth(su2_field, wiggly_curve):
 
 def test_convergence_order_kinked(su2_field):
     """Breakpoint-aligned grids keep 4th order across a corner (measured 16.00)."""
-    curve = concat(Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8]))
+    curve = ConcatCurve(Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8]))
     ref = transport(su2_field, curve, step=1.0 / 4096)
     errs = [maxabs(transport(su2_field, curve, step=1.0 / m) - ref) for m in (128, 256)]
     ratio = errs[0] / errs[1]
@@ -157,7 +158,7 @@ def test_concat_transport(su2_field):
     """Transport along a concatenation is the product of the leg transports."""
     a = Line([0.1, 0.2], [0.5, 0.3])
     b = Line([0.5, 0.3], [0.4, 0.8])
-    u = transport(su2_field, concat(a, b), step=1.0 / 1024)
+    u = transport(su2_field, ConcatCurve(a, b), step=1.0 / 1024)
     ua = transport(su2_field, a, step=1.0 / 1024)
     ub = transport(su2_field, b, step=1.0 / 1024)
     assert maxabs(u - ub @ ua) < 1e-9
@@ -169,7 +170,7 @@ def test_gauge_covariance(su2_field, wiggly_curve):
         rng_for(7, "unit/gauge"), su2_field.torus, n=2, factors=2, modes=2, amplitude=0.6, kmax=1
     )
     u = transport(su2_field, wiggly_curve, step=1.0 / 1024)
-    v = transport(gauge_transform(su2_field, psi), wiggly_curve, step=1.0 / 1024)
+    v = transport(TransformedField(su2_field, psi), wiggly_curve, step=1.0 / 1024)
     p1 = psi.value(wiggly_curve.point(np.array(1.0)))
     p0 = psi.value(wiggly_curve.point(np.array(0.0)))
     assert maxabs(v - dagger(p1) @ u @ p0) < 1e-9
@@ -238,7 +239,7 @@ def test_transport_s_derivative_vs_fd(torus2, su2_field, wiggly_curve):
 
 def test_context_breakpoint_alignment(su2_field):
     """Integrator nodes contain every corner; each segment has an even count."""
-    curve = concat(Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8]))
+    curve = ConcatCurve(Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8]))
     ctx = TransportContext(su2_field, curve, step=1.0 / 64)
     assert np.any(np.isclose(ctx.nodes, 0.5))
     assert ctx.nodes[0] == 0.0 and ctx.nodes[-1] == 1.0
@@ -304,3 +305,29 @@ def test_transport_matches_context_endpoint_bitwise(su2_field, wiggly_curve):
         u = transport(su2_field, curve, t=t, s=s, step=1.0 / 512)
         ctx = TransportContext(su2_field, curve, step=1.0 / 512, lo=s, hi=t)
         assert np.array_equal(u, ctx.endpoint)
+
+
+def test_propagator_matches_context_bitwise(su2_field, wiggly_curve):
+    """The propagator of a curve's generator Z(t) = A_mu(gamma(t)) gammadot^mu(t),
+    unitarized, is the context's transport: both run one midpoint integrator."""
+    assert wiggly_curve.breakpoints == ()
+
+    def zfun(t):
+        a = su2_field.eval(wiggly_curve.point(t))
+        return np.einsum("...mij,...m->...ij", a, wiggly_curve.velocity(t))
+
+    step = 1.0 / 512
+    nodes, p = propagator(zfun, step=step)
+    ctx = TransportContext(su2_field, wiggly_curve, step=step)
+    assert np.array_equal(nodes, ctx.nodes)
+    assert np.array_equal(unitarize(p)[0], ctx.from_start)
+
+
+def test_package_root_hides_no_module():
+    """The package root re-exports nothing, so its submodules stay reachable."""
+    import types
+
+    from gaugeflow import transport as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.transport is transport
