@@ -8,14 +8,16 @@ Conventions:
   derivatives of transports live here.
 
 Everything broadcasts over leading axes, so a batch of M elements is an
-(M, N, N) array. The N = 2 exponential is a closed form (Pauli route) and
-is fully vectorized; N > 2 falls back to scaling-and-squaring Pade.
+(M, N, N) array. The N = 2 exponential is a closed form (Pauli route); for
+N > 2 it is one batched scaling-and-squaring Pade evaluation. Both are
+numpy only.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 
 def dagger(u):
@@ -69,18 +71,79 @@ def _expm2(x):
     return np.exp(half_tr)[..., None, None] * out
 
 
+# Pade degree m -> largest 1-norm for which scaling and squaring with it is
+# accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
+# 1179, Table 2.3).
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+
+
+def _pade_coefficients(m):
+    """Numerator coefficients b_0..b_m of the [m/m] Pade approximant of exp,
+    scaled to the integers (2m - k)! / (k! (m - k)!) so that b_m = 1."""
+    f = math.factorial
+    return [f(2 * m - k) // (f(k) * f(m - k)) for k in range(m + 1)]
+
+
+def _pade(a, m):
+    """Degree-m Pade approximant (V - U)^-1 (V + U) of exp over a batch a."""
+    b = _pade_coefficients(m)
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm_pade(x):
+    """Scaling and squaring over a flat (M, N, N) batch.
+
+    Each matrix gets the lowest degree whose bound covers its 1-norm; above
+    the degree-13 bound it is scaled by 2^-s to fit and squared s times.
+    """
+    norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
+    degrees, thetas = list(_PADE_THETA), list(_PADE_THETA.values())
+    group = np.minimum(np.searchsorted(thetas, norm), len(degrees) - 1)
+    squarings = np.ceil(np.log2(np.maximum(norm / thetas[-1], 1.0))).astype(int)
+    out = np.empty_like(x)
+    for i, m in enumerate(degrees):
+        sel = group == i
+        if np.any(sel):
+            out[sel] = _pade(x[sel] * 0.5 ** squarings[sel][:, None, None], m)
+    for k in range(int(np.max(squarings, initial=0))):
+        sel = squarings > k
+        out[sel] = out[sel] @ out[sel]
+    return out
+
+
 def expm(x):
     """Matrix exponential, vectorized over leading axes.
 
     N = 2 uses the closed form (exact special-unitary output for Lie
-    element input); other N loop over scaling-and-squaring Pade.
+    element input); other N one batched scaling-and-squaring Pade, which
+    takes any complex matrix.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1] == 2:
         return _expm2(x)
     flat = x.reshape((-1,) + x.shape[-2:])
-    out = np.stack([scipy.linalg.expm(m) for m in flat])
-    return out.reshape(x.shape)
+    return _expm_pade(flat).reshape(x.shape)
 
 
 # Newton iteration is quadratic, so two steps take a 1e-6 defect to roundoff.

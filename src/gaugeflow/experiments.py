@@ -322,7 +322,7 @@ def _validate_cross_fields(cfg):
     within n_modes, kernel curves within the curve list, flow checkpoints on the
     snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
-    h, rd = cfg["heatflow"], cfg["r_diagnostic"]
+    h, th, rd = cfg["heatflow"], cfg["theorem"], cfg["r_diagnostic"]
     ot, osp = h["order_time"], h["order_space"]
     points = {"heatflow/order_time/k": ot["k"], "heatflow/order_space/k": osp["k"],
               "r_diagnostic/line_p0": rd["line_p0"], "r_diagnostic/line_p1": rd["line_p1"]}
@@ -338,7 +338,8 @@ def _validate_cross_fields(cfg):
             raise ConfigError(f"config invalid at curves/{i}/axes: need two distinct "
                               f"indices in [0, {d}), got {axes}")
     steps = {"heatflow/ds": (h["ds"], h["grid"]), "heatflow/order_time/ds": (ot["ds"], ot["grid"]),
-             "heatflow/order_space/ds": (osp["ds"], max(osp["grids"]))}
+             "heatflow/order_space/ds": (osp["ds"], max(osp["grids"])),
+             "theorem/ds": (th["ds"], th["grid"]), "r_diagnostic/ds": (rd["ds"], rd["grid"])}
     for path, (ds, grid) in steps.items():
         if ds > cfl_bound(L / grid, d):
             raise ConfigError(f"config invalid at {path}: {ds:g} exceeds the stability bound "
@@ -356,7 +357,6 @@ def _validate_cross_fields(cfg):
         raise ConfigError(f"config invalid at kernels/curves: {cfg['kernels']['curves']} "
                           f"exceeds the {len(cfg['curves'])} configured curves")
     # a checkpoint reads the snapshots one save_every before and after it
-    th = cfg["theorem"]
     checkpoints = {f"theorem/checkpoint_steps/{i}": (c, th)
                    for i, c in enumerate(th["checkpoint_steps"])}
     checkpoints["r_diagnostic/checkpoint_step"] = (rd["checkpoint_step"], rd)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class Curve:
@@ -149,10 +148,7 @@ class ReparamCurve(Curve):
     def __init__(self, base, phi):
         super().__init__(base.d)
         self.base, self.phi = base, phi
-        self.breakpoints = tuple(
-            brentq(lambda t, b=b: phi.value(t) - b, 0.0, 1.0)
-            for b in base.breakpoints
-        )
+        self.breakpoints = tuple(float(t) for t in _invert_monotone(phi, base.breakpoints))
 
     def point(self, t):
         return self.base.point(self.phi.value(np.asarray(t, dtype=float)))
@@ -161,6 +157,23 @@ class ReparamCurve(Curve):
         t = np.asarray(t, dtype=float)
         u = self.phi.value(t)
         return self.base.velocity(u, side) * self.phi.deriv(t)[..., None]
+
+
+def _invert_monotone(phi, targets):
+    """t in [0, 1] with phi(t) = target for increasing phi, by bisection.
+
+    Each halving keeps phi(lo) < target <= phi(hi); 64 of them shrink the
+    bracket to 2^-64 or to adjacent floats, and the end whose phi lies closer
+    to the target is returned.
+    """
+    target = np.asarray(targets, dtype=float)
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = phi.value(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    closer = np.abs(phi.value(lo) - target) < np.abs(phi.value(hi) - target)
+    return np.where(closer, lo, hi)
 
 
 class ConcatCurve(Curve):

@@ -1,14 +1,18 @@
-"""Defect measures the tests hold the library's output to.
+"""Defect measures and readers the tests hold the library's output to.
 
 Nothing in the package needs them at run time: they check that a result
 lies in the set it claims (the Lie algebra), satisfies an identity the
-formulas must keep (Bianchi), or has the inner products a basis claims.
+formulas must keep (Bianchi), or has the inner products a basis claims,
+and they read back the fields the package saves.
 """
+
+import json
+import pathlib
 
 import numpy as np
 
 from gaugeflow.algebra import dagger, maxabs, trace
-from gaugeflow.field import cov_deriv_curvature
+from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
 from gaugeflow.path import gauss_legendre
 
 
@@ -43,3 +47,14 @@ def h1_inner(x, y, panels=256):
     val = np.einsum("td,td,t->", x.value(t), y.value(t), w)
     val += np.einsum("td,td,t->", x.deriv(t), y.deriv(t), w)
     return float(val)
+
+
+def load_field(base):
+    """Read a field written by `gaugeflow.field.save_field`."""
+    base = pathlib.Path(base)
+    header = json.loads(base.with_suffix(".json").read_text())
+    if header["kind"] == "lattice":
+        return LatticeField.load(base)
+    if header["kind"] == "analytic":
+        return AnalyticField.from_dict(header)
+    raise ValueError(f"unknown serialized field kind {header['kind']!r}")

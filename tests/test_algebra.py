@@ -99,12 +99,26 @@ def test_expm_matches_scipy_general_matrices():
         assert maxabs(got[i] - scipy.linalg.expm(m[i])) < 1e-12
 
 
-def test_expm_su3_fallback():
-    x = random_lie(RNG, 3, shape=(5,))
-    got = expm(x)
-    for i in range(5):
-        assert maxabs(got[i] - scipy.linalg.expm(x[i])) < 1e-12
-    assert group_defect(got) < 1e-12
+def test_expm_pade_matches_scipy():
+    """Batched Pade for N = 3, 4 vs a loop over scipy.linalg.expm.
+
+    Scales 1e-3, 0.5 and 3 select low degrees, high degrees and the
+    squaring path; the last batch mixes all of them in one call, so each
+    matrix must get its own degree and number of squarings. Lie input must
+    also give group elements.
+    """
+    for n in (3, 4):
+        batches = []
+        for scale in (1e-3, 0.5, 3.0):
+            x = random_lie(RNG, n, scale=scale, shape=(12,))
+            assert group_defect(expm(x)) < 1e-13
+            batches += [x, random_fiber(RNG, n, scale=scale, shape=(12,))]
+        batches.append(np.concatenate(batches[::-1]))
+        for batch in batches:
+            got = expm(batch.reshape((-1, 4, n, n))).reshape(batch.shape)
+            for i in range(len(batch)):
+                ref = scipy.linalg.expm(batch[i])
+                assert maxabs(got[i] - ref) < 1e-13 * max(1.0, maxabs(ref))
 
 
 def test_expm_small_argument_stable():

@@ -20,8 +20,9 @@ import numpy as np
 
 from _cli_env import cli_env
 from _reduced import REDUCED_CONFIG
-from gaugeflow import cli
-from gaugeflow.field import LatticeField, load_field
+from _oracles import load_field
+from gaugeflow import cli, heatflow
+from gaugeflow.field import LatticeField
 
 TRANSPORT_ONLY = {
     "schema": 1,
@@ -107,20 +108,25 @@ def test_failed_check_is_exit_1(tmp_path):
     assert "FAIL" in (tmp_path / "out" / "transport" / "summary.txt").read_text()
 
 
-def test_cfl_violation_is_exit_3(tmp_path):
-    """The theorem's flow step is bounded only by the runtime guard."""
+def test_cfl_violation_is_exit_3(tmp_path, monkeypatch, capsys):
+    """A flow step over the bound the flow itself checks aborts with exit 3.
+
+    Validation refuses every configured step above `cfl_bound`, so the
+    runtime guard is reached in process, with a bound the validated step
+    exceeds.
+    """
+    monkeypatch.setattr(heatflow, "cfl_bound", lambda spacing, d: 1e-12)
     cfg = write_config(tmp_path, REDUCED_CONFIG)
-    proc = run_cli(
-        ["verify-theorem", "--config", cfg.name, "--out", "out",
-         "--set", "theorem.ds=0.01"],
-        tmp_path,
-    )
-    assert proc.returncode == 3
-    assert "stability" in (proc.stderr + proc.stdout).lower()
+    code = cli.main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "stability" in capsys.readouterr().err.lower()
 
 
+# the theorem and R-diagnostic steps meet the d = 3 bounds of their grids
 D3 = {"torus": {"d": 3, "L": 1.0},
-      "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5]}}
+      "theorem": {"ds": 1e-5},
+      "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5],
+                       "ds": 1e-5}}
 D3_HEATFLOW = {"grid": 16, "steps": 4, "save_every": 2, "su2_grid": 8, "su2_steps": 4,
                "critical_steps": 2,
                "order_time": {"k": [2, 0, 0], "ds": 4e-4, "steps": 4},
@@ -141,6 +147,8 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [cfg.name, "--ds", "0", "--S", "0.1"],
         [cfg.name, "--S", "nan"],
         [cfg.name, "--set", "heatflow.ds=0.01"],
+        [cfg.name, "--set", "theorem.ds=0.01"],
+        [cfg.name, "--set", "r_diagnostic.ds=0.01"],
         [cfg.name, "--set", "torus.d=3"],
         [steep.name],
         [cfg.name, "--set", "r_diagnostic.window=[0.6,0.4]"],
@@ -226,6 +234,16 @@ def test_heatflow_outputs(tmp_path):
     assert np.max(np.abs(LatticeField.sample(initial, first.m).values - first.values)) < 1e-15
     # the flow moved things
     assert np.max(np.abs(last.values - first.values)) > 1e-6
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """The package runs on numpy alone; scipy is a test-only oracle."""
+    code = ("import sys, gaugeflow.cli; "
+            "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_subcommand_rejected(tmp_path):

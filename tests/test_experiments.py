@@ -78,6 +78,9 @@ BAD_SETTINGS = [
     ("kernels", '{"pairs": 12, "curves": 12, "fd_eps": 2e-4, "step": 5e-4}',
      "kernels/curves"),  # 10 curves
     ("heatflow.ds", "1" + "0" * 400, "heatflow/ds"),  # overflows a float
+    # each of these used to pass validation and abort in the flow (exit 3)
+    ("theorem.ds", "2e-5", "theorem/ds"),  # bound 1.53e-5 on 64^2
+    ("r_diagnostic.ds", "2e-5", "r_diagnostic/ds"),
 ]
 
 
@@ -121,7 +124,9 @@ D3_CONFIG = {
     "torus": {"d": 3, "L": 1.0},
     "heatflow": {"grid": 16, "order_time": {"k": [2, 0, 0], "ds": 4e-4, "steps": 20},
                  "order_space": {"k": [1, 0, 0], "ds": 1e-4}},
-    "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5]},
+    "theorem": {"ds": 1e-5},
+    "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5],
+                     "ds": 1e-5},
 }
 
 
@@ -144,6 +149,10 @@ def test_validate_cross_field_constraints():
                                    "order_space": {"k": [1, 0, 0]}}), "heatflow/ds"),
         (dict(D3_CONFIG, heatflow={"grid": 16, "order_time": {"k": [2, 0, 0]},
                                    "order_space": {"k": [1, 0, 0]}}), "heatflow/order_time/ds"),
+        # 1.25e-5 > 1.02e-5 on 64^3 for the theorem and R-diagnostic flows too
+        (dict(D3_CONFIG, theorem={"ds": 1.25e-5}), "theorem/ds"),
+        (dict(D3_CONFIG, r_diagnostic=dict(D3_CONFIG["r_diagnostic"], ds=1.25e-5)),
+         "r_diagnostic/ds"),
         ({"r_diagnostic": {"window": [0.6, 0.4]}}, "r_diagnostic/window"),
         ({"r_diagnostic": {"window": [-0.1, 0.5]}}, "r_diagnostic/window"),
         ({"cesaro": {"n_modes": 32}}, "cesaro/checkpoints/4"),  # default list ends at 64

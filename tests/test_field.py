@@ -6,12 +6,13 @@ The action oracle re-integrates the analytic curvature on an independent
 dense grid (96^2, well above the Nyquist rate of the kmax=2 test field).
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from _oracles import bianchi_residual, commutator, lie_defect
+from _oracles import bianchi_residual, commutator, lie_defect, load_field
 from gaugeflow.algebra import dagger, group_defect, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
@@ -25,7 +26,6 @@ from gaugeflow.field import (
     cov_div_curvature,
     curvature,
     lattice_curvature_grid,
-    load_field,
     make_field,
     save_field,
     stencil_d1,
@@ -320,6 +320,48 @@ def test_lattice_exact_at_nodes(torus2, su2_field):
     assert maxabs(lat.values - su2_field.eval(pts)) < 1e-15
     # spline interpolation reproduces the stored node values
     assert maxabs(lat.eval(pts) - lat.values) < 1e-12
+
+
+def _scipy_spline_read(lat, key, x):
+    """scipy.ndimage periodic cubic spline of one grid of `lat` at points x."""
+    from scipy.ndimage import map_coordinates, spline_filter
+
+    arr = lat._grid(key)
+    d = lat.torus.d
+    flat = arr.reshape(arr.shape[:d] + (-1,))
+    coords = (x.reshape(-1, d) / lat.a).T
+
+    def read(part):
+        coeff = spline_filter(np.ascontiguousarray(part), order=3, mode="grid-wrap")
+        return map_coordinates(coeff, coords, order=3, mode="grid-wrap", prefilter=False)
+
+    out = np.stack([read(c.real) + 1j * read(c.imag) for c in np.moveaxis(flat, -1, 0)], -1)
+    return out.reshape(x.shape[:-1] + arr.shape[d:])
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_lattice_spline_matches_scipy(d, n):
+    """FFT prefilter and 4^d-tap gather vs scipy.ndimage `spline_filter` and
+    `map_coordinates` (grid-wrap) for values, first and second derivatives,
+    at sites, at 0, at L, and outside [0, L)."""
+    torus = Torus(d, 1.0)
+    rng = np.random.default_rng(40 + 10 * d + n)
+    lat = LatticeField.sample(AnalyticField.random_su(rng, torus, n=n, amplitude=0.3), 12)
+    sites = np.arange(5)[:, None] * lat.a * np.ones(d)
+    edges = np.array([np.zeros(d), np.full(d, torus.L), np.full(d, -lat.a), np.full(d, 1.5)])
+    x = np.concatenate([sites, edges, rng.uniform(-1.0, 2.0, size=(21, d))]).reshape(3, 10, d)
+    read = functools.partial(_scipy_spline_read, lat, x=x)
+    refs = {
+        "eval": read("val"),
+        "partial_all": np.stack([read(("d", a)) for a in range(d)], axis=-4),
+        "second_all": np.stack(
+            [np.stack([read(("dd", min(a, b), max(a, b))) for b in range(d)], axis=-4)
+             for a in range(d)], axis=-5),
+    }
+    for name, ref in refs.items():
+        got = getattr(lat, name)(x)
+        assert got.shape == ref.shape, name
+        assert maxabs(got - ref) < 1e-14 * max(1.0, maxabs(ref)), name
 
 
 def test_lattice_interpolation_error(torus2, su2_field):

@@ -115,12 +115,25 @@ def test_reparam_chain_rule():
 
 
 def test_reparam_maps_breakpoints():
-    """A plateau corner at r must move to phi^{-1}(r) under reparametrization."""
+    """A plateau corner at r must move to phi^{-1}(r) under reparametrization,
+    to roundoff, including corners near the ends where phi flattens
+    (PolyReparam(1.0) has phi'(0) = phi'(1) = 0)."""
     base = plateau(TrigCurve.random(RNG, 2, modes=2), 0.37)
     phi = SineReparam(0.5)
     c = reparametrize(base, phi)
     (bp,) = c.breakpoints
-    assert abs(phi.value(bp) - 0.37) < 1e-10
+    assert abs(phi.value(bp) - 0.37) <= 1e-15
+    first = plateau(TrigCurve.random(RNG, 2, modes=2), 1e-3)
+    end = first.point(np.array(1.0))
+    second = plateau(Line(end, end + [0.3, -0.2]), 0.998)
+    base = ConcatCurve(first, second)  # corners at 0.0005, 0.5 and 0.999
+    assert len(base.breakpoints) == 3
+    for phi in (SineReparam(0.7), SineReparam(-0.9), PolyReparam(1.0), PolyReparam(-1.9)):
+        bps = reparametrize(base, phi).breakpoints
+        assert all(isinstance(b, float) for b in bps)
+        assert list(bps) == sorted(bps)
+        for b, target in zip(bps, base.breakpoints):
+            assert abs(phi.value(b) - target) <= 1e-15
 
 
 def test_reparam_endpoint_fixing():
