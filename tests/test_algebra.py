@@ -99,6 +99,15 @@ def test_expm_matches_scipy_general_matrices():
         assert maxabs(got[i] - scipy.linalg.expm(m[i])) < 1e-12
 
 
+def test_expm_su3_fallback():
+    """SU(3) exponential (the N >= 3 Pade path) vs scipy, and in the group."""
+    x = random_lie(RNG, 3, shape=(5,))
+    got = expm(x)
+    for i in range(5):
+        assert maxabs(got[i] - scipy.linalg.expm(x[i])) < 1e-12
+    assert group_defect(got) < 1e-12
+
+
 def test_expm_pade_matches_scipy():
     """Batched Pade for N = 3, 4 vs a loop over scipy.linalg.expm.
 
