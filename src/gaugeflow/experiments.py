@@ -115,7 +115,7 @@ DEFAULT_CONFIG = {
         "kmax": 1,
         "curves": 3,
         "grad_eps": 1e-4,
-        "hess_eps": 3e-4,
+        "hess_eps": 1e-3,
         "heat_s": 0.02,
         "cesaro_modes": 64,
     },
@@ -763,50 +763,9 @@ def run_levy(cfg, seed):
 
     # --- integral functionals of scalar fields ---
     fcfg = cfg["functional"]
-    f0 = ScalarFourier.random(rng_for(seed, "levy/functional"), torus,
-                              modes=fcfg["modes"], amplitude=fcfg["amplitude"],
-                              kmax=fcfg["kmax"])
+    f0 = _functional_scalar(fcfg, seed, torus)
     fn_curves = curves[: fcfg["curves"]]
-    geps, heps = fcfg["grad_eps"], fcfg["hess_eps"]
-    rng_f = rng_for(seed, "levy/functional/fields")
-
-    grad_fd = hess_fd = routes_gap = heat_res = lap_fd = 0.0
-    ces_fn = 0.0
-    for ci, curve in enumerate(fn_curves):
-        lf = lambda c: curve_integral(f0.value, c)
-        x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
-        paired = _functional_grad_pair(f0, curve, x)
-        fd1 = (lf(perturb(curve, x, geps)) - lf(perturb(curve, x, -geps))) / (2 * geps)
-        grad_fd = max(grad_fd, abs(paired - fd1) / max(abs(fd1), 1e-300))
-
-        hess_closed = _functional_hessian(f0, curve, x, x)
-        fd2 = (lf(perturb(curve, x, heps)) - 2.0 * lf(curve)
-               + lf(perturb(curve, x, -heps))) / (heps * heps)
-        hess_fd = max(hess_fd, abs(hess_closed - fd2) / max(abs(fd2), 1e-300))
-
-        lap_a = curve_integral(f0.laplacian, curve)
-        lap_b = curve_integral(lambda p: np.einsum("...aa->...", f0.hess(p)), curve)
-        routes_gap = max(routes_gap, abs(lap_a - lap_b) / (1.0 + abs(lap_a)))
-
-        def fd_lap(p, feps=3e-4):
-            # fourth-order central second differences, summed over axes
-            tot = 0.0
-            for ax in range(d):
-                e = np.zeros(d)
-                e[ax] = feps
-                tot += (-f0.value(p + 2 * e) + 16.0 * f0.value(p + e)
-                        - 30.0 * f0.value(p) + 16.0 * f0.value(p - e)
-                        - f0.value(p - 2 * e)) / (12.0 * feps * feps)
-            return tot
-
-        lap_fd_route = curve_integral(fd_lap, curve)
-        lap_fd = max(lap_fd, abs(lap_a - lap_fd_route) / max(abs(lap_a), 1e-300))
-
-        fs = f0.heat(fcfg["heat_s"])
-        dfs = f0.ds(fcfg["heat_s"])
-        lhs = curve_integral(dfs.value, curve)
-        rhs = curve_integral(fs.laplacian, curve)
-        heat_res = max(heat_res, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    gaps = _functional_gaps(f0, fn_curves, fcfg, seed)
 
     ces = cesaro_second_trace(
         lambda c: curve_integral(f0.value, c), fn_curves[0], d,
@@ -837,18 +796,75 @@ def run_levy(cfg, seed):
         _check("cesaro_error", worst_final, _tol(cfg, "cesaro_error")),
         _check("cesaro_slope_min", slope_lo, _tol(cfg, "cesaro_slope"), kind="range"),
         _check("cesaro_slope_max", slope_hi, _tol(cfg, "cesaro_slope"), kind="range"),
-        _check("functional_grad_fd", grad_fd, _tol(cfg, "functional_grad_fd")),
-        _check("functional_hessian_fd", hess_fd, _tol(cfg, "functional_hessian_fd")),
-        _check("functional_laplacian_routes", routes_gap,
-               _tol(cfg, "functional_laplacian_routes")),
-        _check("functional_laplacian_fd", lap_fd,
-               _tol(cfg, "functional_laplacian_fd")),
+        *(_check(name, gaps[name], _tol(cfg, name)) for name in
+          ("functional_grad_fd", "functional_hessian_fd", "functional_laplacian_routes",
+           "functional_laplacian_fd")),
         _check("functional_cesaro", ces_fn, _tol(cfg, "functional_cesaro")),
-        _check("heat_residual", heat_res, _tol(cfg, "heat_residual")),
+        _check("heat_residual", gaps["heat_residual"], _tol(cfg, "heat_residual")),
         _check("heat_single_mode", single_gap, _tol(cfg, "heat_single_mode")),
         _check("heat_constant", const_res, _tol(cfg, "heat_constant")),
     ]
     return _report("levy", seed, cfg, checks, tables=tables)
+
+
+def _functional_scalar(fcfg, seed, torus):
+    """The random scalar f of the curve functional checks."""
+    return ScalarFourier.random(rng_for(seed, "levy/functional"), torus, modes=fcfg["modes"],
+                                amplitude=fcfg["amplitude"], kmax=fcfg["kmax"])
+
+
+def _functional_gaps(f0, curves, fcfg, seed):
+    """Worst gaps over curves of the functional L_f(gamma) = int f0(gamma).
+
+    Closed-form gradient and Hessian along one random vanishing field per
+    curve against finite differences, the two routes to its Laplacian and
+    a finite-difference one, and the heat-evolution residual.
+    """
+    d = f0.torus.d
+    geps, heps = fcfg["grad_eps"], fcfg["hess_eps"]
+    rng_f = rng_for(seed, "levy/functional/fields")
+    grad_fd = hess_fd = routes_gap = heat_res = lap_fd = 0.0
+    for curve in curves:
+        lf = lambda c: curve_integral(f0.value, c)
+        x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
+        paired = _functional_grad_pair(f0, curve, x)
+        fd1 = (lf(perturb(curve, x, geps)) - lf(perturb(curve, x, -geps))) / (2 * geps)
+        grad_fd = max(grad_fd, abs(paired - fd1) / max(abs(fd1), 1e-300))
+
+        hess_closed = _functional_hessian(f0, curve, x, x)
+        # fourth-order five-point second difference along x
+        fd2 = (-lf(perturb(curve, x, 2 * heps)) + 16.0 * lf(perturb(curve, x, heps))
+               - 30.0 * lf(curve) + 16.0 * lf(perturb(curve, x, -heps))
+               - lf(perturb(curve, x, -2 * heps))) / (12.0 * heps * heps)
+        hess_fd = max(hess_fd, abs(hess_closed - fd2) / max(abs(fd2), 1e-300))
+
+        lap_a = curve_integral(f0.laplacian, curve)
+        lap_b = curve_integral(lambda p: np.einsum("...aa->...", f0.hess(p)), curve)
+        routes_gap = max(routes_gap, abs(lap_a - lap_b) / (1.0 + abs(lap_a)))
+
+        def fd_lap(p, feps=3e-4):
+            # fourth-order central second differences, summed over axes
+            tot = 0.0
+            for ax in range(d):
+                e = np.zeros(d)
+                e[ax] = feps
+                tot += (-f0.value(p + 2 * e) + 16.0 * f0.value(p + e)
+                        - 30.0 * f0.value(p) + 16.0 * f0.value(p - e)
+                        - f0.value(p - 2 * e)) / (12.0 * feps * feps)
+            return tot
+
+        lap_fd_route = curve_integral(fd_lap, curve)
+        lap_fd = max(lap_fd, abs(lap_a - lap_fd_route) / max(abs(lap_a), 1e-300))
+
+        fs = f0.heat(fcfg["heat_s"])
+        dfs = f0.ds(fcfg["heat_s"])
+        lhs = curve_integral(dfs.value, curve)
+        rhs = curve_integral(fs.laplacian, curve)
+        heat_res = max(heat_res, abs(lhs - rhs) / (1.0 + abs(rhs)))
+
+    return {"functional_grad_fd": grad_fd, "functional_hessian_fd": hess_fd,
+            "functional_laplacian_routes": routes_gap, "functional_laplacian_fd": lap_fd,
+            "heat_residual": heat_res}
 
 
 def _functional_grad_pair(f, curve, x_field, panels=256):

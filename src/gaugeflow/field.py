@@ -16,10 +16,15 @@ The interface is batched: `eval(x)` maps points (..., d) to (..., d, N, N),
 
 Derived local quantities (`curvature`, `cov_deriv_curvature`, ...) are free
 functions of the interface, so they work for every representation.
+
+Products of the small N x N matrices go through `_matmul`, broadcast over
+singleton derivative and direction axes; `np.einsum` is kept only for
+traces and scalar-weight sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 
@@ -462,28 +467,38 @@ class LatticeField(GaugeField):
 # gauge maps and transformed fields
 
 
+def _spread(t, missing, k):
+    """Order-k view of a derivative tensor t, singleton at the derivative axes `missing`."""
+    return np.expand_dims(t, tuple(i - k - 2 for i in missing))
+
+
+def _leibniz_order(u, v, k):
+    """Order-k derivative tensor of the pointwise matrix product uv.
+
+    u[j], v[j] have shape (..., d^j, N, N). The sum runs over the subsets S
+    of the k derivative axes: u[|S|] carries the axes in S, v the rest.
+    """
+    axes = range(k)
+    terms = (
+        _matmul(_spread(u[r], [i for i in axes if i not in sub], k), _spread(v[k - r], sub, k))
+        for r in range(k + 1)
+        for sub in itertools.combinations(axes, r)
+    )
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
 def _leibniz(u, v):
-    """Derivative tensors (order 0..3) of a pointwise matrix product."""
-    e = np.einsum
-    out0 = u[0] @ v[0]
-    out1 = e("...aij,...jk->...aik", u[1], v[0]) + e("...ij,...ajk->...aik", u[0], v[1])
-    out2 = (
-        e("...abij,...jk->...abik", u[2], v[0])
-        + e("...aij,...bjk->...abik", u[1], v[1])
-        + e("...bij,...ajk->...abik", u[1], v[1])
-        + e("...ij,...abjk->...abik", u[0], v[2])
-    )
-    out3 = (
-        e("...abcij,...jk->...abcik", u[3], v[0])
-        + e("...abij,...cjk->...abcik", u[2], v[1])
-        + e("...acij,...bjk->...abcik", u[2], v[1])
-        + e("...bcij,...ajk->...abcik", u[2], v[1])
-        + e("...aij,...bcjk->...abcik", u[1], v[2])
-        + e("...bij,...acjk->...abcik", u[1], v[2])
-        + e("...cij,...abjk->...abcik", u[1], v[2])
-        + e("...ij,...abcjk->...abcik", u[0], v[3])
-    )
-    return [out0, out1, out2, out3]
+    """Derivative tensors of uv through the highest order both u and v carry."""
+    return [_leibniz_order(u, v, k) for k in range(min(len(u), len(v)))]
+
+
+def _weigh(w, g):
+    """Scalar tensor w (..., d^k) times matrices g (..., N, N): (..., d^k, N, N)."""
+    k = w.ndim - g.ndim + 2
+    return w[..., None, None] * g.reshape(g.shape[:-2] + (1,) * k + g.shape[-2:])
 
 
 class GaugeMap:
@@ -507,45 +522,49 @@ class GaugeMap:
             fs.append((theta, t_dir))
         return cls(torus, n, fs)
 
-    def _factor_derivs(self, theta, t_dir, x):
-        th0 = theta.value(x)
-        th1 = theta.grad(x)
-        th2 = theta.hess(x)
-        th3 = theta.third(x)
-        f0 = expm(th0[..., None, None] * t_dir)
-        t2 = t_dir @ t_dir
-        t3 = t2 @ t_dir
-        e = np.einsum
-        f1 = e("...a,ij,...jk->...aik", th1, t_dir, f0)
-        f2 = e("...ab,ij,...jk->...abik", th2, t_dir, f0) + e(
-            "...a,...b,ij,...jk->...abik", th1, th1, t2, f0
-        )
-        f3 = (
-            e("...abc,ij,...jk->...abcik", th3, t_dir, f0)
-            + e("...ab,...c,ij,...jk->...abcik", th2, th1, t2, f0)
-            + e("...ac,...b,ij,...jk->...abcik", th2, th1, t2, f0)
-            + e("...bc,...a,ij,...jk->...abcik", th2, th1, t2, f0)
-            + e("...a,...b,...c,ij,...jk->...abcik", th1, th1, th1, t3, f0)
-        )
-        return [f0, f1, f2, f3]
+    def _factor_derivs(self, theta, t_dir, x, order):
+        """exp(theta T) and its derivative tensors through `order`.
+
+        T commutes with f0 = exp(theta T), so order k is a sum of scalar
+        outer products of theta's derivatives times g_p = T^p f0.
+        """
+        g = [expm(theta.value(x)[..., None, None] * t_dir)]
+        for _ in range(order):
+            g.append(_matmul(t_dir, g[-1]))
+        out = g[:1]
+        if order >= 1:
+            th1 = theta.grad(x)
+            out.append(_weigh(th1, g[1]))
+        if order >= 2:
+            th2 = theta.hess(x)
+            th11 = th1[..., :, None] * th1[..., None, :]
+            out.append(_weigh(th2, g[1]) + _weigh(th11, g[2]))
+        if order >= 3:
+            th21 = (th2[..., :, :, None] * th1[..., None, None, :]
+                    + th2[..., :, None, :] * th1[..., None, :, None]
+                    + th2[..., None, :, :] * th1[..., :, None, None])
+            out.append(_weigh(theta.third(x), g[1]) + _weigh(th21, g[2])
+                       + _weigh(th11[..., None] * th1[..., None, None, :], g[3]))
+        return out
 
     def derivs(self, x, order=1):
-        """psi and its derivative tensors [D0, D1, ..., D_order] at x."""
+        """psi and its derivative tensors [D0, D1, ..., D_order] at x, order <= 3.
+
+        Only the orders returned are built; entry k does not depend on `order`.
+        """
         x = np.asarray(x, dtype=float)
         tensors = None
         for theta, t_dir in self.factors:
-            ft = self._factor_derivs(theta, t_dir, x)
+            ft = self._factor_derivs(theta, t_dir, x, order)
             tensors = ft if tensors is None else _leibniz(tensors, ft)
         if tensors is None:
             d, n = self.torus.d, self.n
             eye = np.broadcast_to(np.eye(n, dtype=np.complex128), x.shape[:-1] + (n, n)).copy()
-            tensors = [
-                eye,
-                np.zeros(x.shape[:-1] + (d, n, n), dtype=np.complex128),
-                np.zeros(x.shape[:-1] + (d, d, n, n), dtype=np.complex128),
-                np.zeros(x.shape[:-1] + (d, d, d, n, n), dtype=np.complex128),
+            tensors = [eye] + [
+                np.zeros(x.shape[:-1] + (d,) * k + (n, n), dtype=np.complex128)
+                for k in range(1, order + 1)
             ]
-        return tensors[: order + 1]
+        return tensors
 
     def value(self, x):
         return self.derivs(x, order=0)[0]
@@ -564,57 +583,41 @@ class TransformedField(GaugeField):
         self.base, self.map = base, gauge_map
         self.torus, self.n = base.torus, base.n
 
-    def _tensors(self, x, order):
-        psi = self.map.derivs(x, order=order)
-        inv = [dagger(p) for p in psi]
-        return psi, inv
+    def _derivs(self, x, order):
+        """Order-`order` derivative tensor, shape (..., d^order, d, N, N).
+
+        With W_mu = A_mu psi + d_mu psi, the field is psi^-1 W_mu, so both
+        products go through the Leibniz rule. The direction axis mu is moved
+        ahead of the derivative axes, where the products broadcast over it.
+        """
+        x = np.asarray(x, dtype=float)
+        psi = self.map.derivs(x, order=order + 1)
+        base = (self.base.eval, self.base.partial_all, self.base.second_all)[: order + 1]
+        a = [np.moveaxis(fn(x), -3, -3 - k) for k, fn in enumerate(base)]
+        low = range(order + 1)
+        w = _leibniz(a, [np.expand_dims(psi[k], -3 - k) for k in low])
+        w = [w[k] + np.moveaxis(psi[k + 1], -3, -3 - k) for k in low]
+        inv = [np.expand_dims(dagger(psi[k]), -3 - k) for k in low]
+        return np.moveaxis(_leibniz_order(inv, w, order), -3 - order, -3)
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        psi, inv = self._tensors(x, 1)
-        a0 = self.base.eval(x)
-        e = np.einsum
-        conj = e("...ij,...mjk,...kl->...mil", inv[0], a0, psi[0])
-        return conj + e("...ij,...mjk->...mik", inv[0], psi[1])
+        return self._derivs(x, 0)
 
     def partial_all(self, x):
-        x = np.asarray(x, dtype=float)
-        psi, inv = self._tensors(x, 2)
-        a0 = self.base.eval(x)
-        a1 = self.base.partial_all(x)
-        e = np.einsum
-        out = e("...aij,...mjk,...kl->...amil", inv[1], a0, psi[0])
-        out += e("...ij,...amjk,...kl->...amil", inv[0], a1, psi[0])
-        out += e("...ij,...mjk,...akl->...amil", inv[0], a0, psi[1])
-        out += e("...aij,...mjk->...amik", inv[1], psi[1])
-        out += e("...ij,...amjk->...amik", inv[0], psi[2])
-        return out
+        return self._derivs(x, 1)
 
     def second_all(self, x):
-        x = np.asarray(x, dtype=float)
-        psi, inv = self._tensors(x, 3)
-        a0 = self.base.eval(x)
-        a1 = self.base.partial_all(x)
-        a2 = self.base.second_all(x)
-        e = np.einsum
-        out = e("...abij,...mjk,...kl->...abmil", inv[2], a0, psi[0])
-        out += e("...aij,...bmjk,...kl->...abmil", inv[1], a1, psi[0])
-        out += e("...bij,...amjk,...kl->...abmil", inv[1], a1, psi[0])
-        out += e("...aij,...mjk,...bkl->...abmil", inv[1], a0, psi[1])
-        out += e("...bij,...mjk,...akl->...abmil", inv[1], a0, psi[1])
-        out += e("...ij,...abmjk,...kl->...abmil", inv[0], a2, psi[0])
-        out += e("...ij,...amjk,...bkl->...abmil", inv[0], a1, psi[1])
-        out += e("...ij,...bmjk,...akl->...abmil", inv[0], a1, psi[1])
-        out += e("...ij,...mjk,...abkl->...abmil", inv[0], a0, psi[2])
-        out += e("...abij,...mjk->...abmik", inv[2], psi[1])
-        out += e("...aij,...bmjk->...abmik", inv[1], psi[2])
-        out += e("...bij,...amjk->...abmik", inv[1], psi[2])
-        out += e("...ij,...abmjk->...abmik", inv[0], psi[3])
-        return out
+        return self._derivs(x, 2)
 
 
 # ---------------------------------------------------------------------------
 # local differential-geometric quantities
+
+
+def _curvature(a0, p):
+    """F_mn from A (..., d, N, N) and its partials (..., d, d, N, N)."""
+    aa = _matmul(a0[..., :, None, :, :], a0[..., None, :, :, :])
+    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
 
 
 def curvature(field, x):
@@ -622,43 +625,45 @@ def curvature(field, x):
 
     Antisymmetry in (m, n) holds by construction of the return value.
     """
-    a0 = field.eval(x)
-    p = field.partial_all(x)
-    aa = np.einsum("...mij,...vjk->...mvik", a0, a0)
-    f = p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
-    return f
+    return _curvature(field.eval(x), field.partial_all(x))
 
 
 def cov_deriv_curvature(field, x):
     """nabla_l F_mn = d_l F_mn + [A_l, F_mn]; shape (..., d, d, d, N, N).
 
     Index order (l, m, n). The torus is flat, so the covariant derivative
-    has no Christoffel part.
+    has no Christoffel part. d_l [A_m, A_n] = X_lmn - X_lnm with
+    X_lmn = (d_l A_m) A_n + A_m d_l A_n.
     """
-    e = np.einsum
-    a0 = field.eval(x)
-    p = field.partial_all(x)
-    s = field.second_all(x)
-    f = curvature(field, x)
-    df = s - np.swapaxes(s, -4, -3)
-    df += e("...lmij,...vjk->...lmvik", p, a0) - e("...vij,...lmjk->...lmvik", a0, p)
-    df += e("...mij,...lvjk->...lmvik", a0, p) - e("...lvij,...mjk->...lmvik", p, a0)
-    df += e("...lij,...mvjk->...lmvik", a0, f) - e("...mvij,...ljk->...lmvik", f, a0)
-    return df
+    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    f = _curvature(a0, p)
+    y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
+    y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
+    al, fl = a0[..., :, None, None, :, :], f[..., None, :, :, :, :]
+    return y - np.swapaxes(y, -4, -3) + _matmul(al, fl) - _matmul(fl, al)
 
 
 def cov_div_curvature(field, x):
-    """(div F)_n = sum_m nabla_m F_mn; shape (..., d, N, N)."""
-    return np.einsum("...mmvij->...vij", cov_deriv_curvature(field, x))
+    """(div F)_n = sum_m nabla_m F_mn; shape (..., d, N, N).
+
+    Formed without nabla F:
+    div F_n = sum_m (d_m d_m A_n - d_n d_m A_m) + [sum_m d_m A_m, A_n]
+              + sum_m [A_m, d_m A_n + F_mn].
+    """
+    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    g = p + _curvature(a0, p)
+    div_a = np.einsum("...mmij->...ij", p)[..., None, :, :]
+    am = a0[..., :, None, :, :]
+    out = np.einsum("...mmnij->...nij", s) - np.einsum("...nmmij->...nij", s)
+    out += _matmul(div_a, a0) - _matmul(a0, div_a)
+    return out + np.sum(_matmul(am, g) - _matmul(g, am), axis=-4)
 
 
 def lattice_curvature_grid(field):
     """On-grid curvature of a LatticeField via 4th-order stencils."""
     d, a = field.torus.d, field.a
-    vals = field.values
-    p = np.stack([stencil_d1(vals, ax, a) for ax in range(d)], axis=-4)
-    aa = _matmul(vals[..., :, None, :, :], vals[..., None, :, :, :])
-    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+    p = np.stack([stencil_d1(field.values, ax, a) for ax in range(d)], axis=-4)
+    return _curvature(field.values, p)
 
 
 def _curvature_action(torus, f):

@@ -3,7 +3,9 @@
 Nothing in the package needs them at run time: they check that a result
 lies in the set it claims (the Lie algebra), satisfies an identity the
 formulas must keep (Bianchi), or has the inner products a basis claims,
-and they read back the fields the package saves.
+and they read back the fields the package saves. The `einsum_*` functions
+are the derivative-tensor kernels written term by term as explicit index
+contractions, the reference the broadcast-product kernels are held to.
 """
 
 import json
@@ -11,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from gaugeflow.algebra import dagger, maxabs, trace
+from gaugeflow.algebra import dagger, expm, maxabs, trace
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
 from gaugeflow.path import gauss_legendre
 
@@ -58,3 +60,113 @@ def load_field(base):
     if header["kind"] == "analytic":
         return AnalyticField.from_dict(header)
     raise ValueError(f"unknown serialized field kind {header['kind']!r}")
+
+
+# --- derivative tensors as explicit index contractions ----------------------
+
+
+def einsum_factor_derivs(theta, t_dir, x):
+    """exp(theta(x) T) and its derivative tensors through third order."""
+    th0 = theta.value(x)
+    th1 = theta.grad(x)
+    th2 = theta.hess(x)
+    th3 = theta.third(x)
+    f0 = expm(th0[..., None, None] * t_dir)
+    t2 = t_dir @ t_dir
+    t3 = t2 @ t_dir
+    e = np.einsum
+    f1 = e("...a,ij,...jk->...aik", th1, t_dir, f0)
+    f2 = e("...ab,ij,...jk->...abik", th2, t_dir, f0) + e(
+        "...a,...b,ij,...jk->...abik", th1, th1, t2, f0
+    )
+    f3 = (
+        e("...abc,ij,...jk->...abcik", th3, t_dir, f0)
+        + e("...ab,...c,ij,...jk->...abcik", th2, th1, t2, f0)
+        + e("...ac,...b,ij,...jk->...abcik", th2, th1, t2, f0)
+        + e("...bc,...a,ij,...jk->...abcik", th2, th1, t2, f0)
+        + e("...a,...b,...c,ij,...jk->...abcik", th1, th1, th1, t3, f0)
+    )
+    return [f0, f1, f2, f3]
+
+
+def einsum_leibniz(u, v):
+    """Derivative tensors (order 0..3) of a pointwise matrix product."""
+    e = np.einsum
+    out0 = u[0] @ v[0]
+    out1 = e("...aij,...jk->...aik", u[1], v[0]) + e("...ij,...ajk->...aik", u[0], v[1])
+    out2 = (
+        e("...abij,...jk->...abik", u[2], v[0])
+        + e("...aij,...bjk->...abik", u[1], v[1])
+        + e("...bij,...ajk->...abik", u[1], v[1])
+        + e("...ij,...abjk->...abik", u[0], v[2])
+    )
+    out3 = (
+        e("...abcij,...jk->...abcik", u[3], v[0])
+        + e("...abij,...cjk->...abcik", u[2], v[1])
+        + e("...acij,...bjk->...abcik", u[2], v[1])
+        + e("...bcij,...ajk->...abcik", u[2], v[1])
+        + e("...aij,...bcjk->...abcik", u[1], v[2])
+        + e("...bij,...acjk->...abcik", u[1], v[2])
+        + e("...cij,...abjk->...abcik", u[1], v[2])
+        + e("...ij,...abcjk->...abcik", u[0], v[3])
+    )
+    return [out0, out1, out2, out3]
+
+
+def einsum_gauge_map_derivs(gauge_map, x):
+    """psi and its derivative tensors [D0, D1, D2, D3] at x (at least one factor)."""
+    x = np.asarray(x, dtype=float)
+    tensors = None
+    for theta, t_dir in gauge_map.factors:
+        ft = einsum_factor_derivs(theta, t_dir, x)
+        tensors = ft if tensors is None else einsum_leibniz(tensors, ft)
+    return tensors
+
+
+def einsum_transformed(field, x):
+    """(eval, partial_all, second_all) of a TransformedField, term by term."""
+    x = np.asarray(x, dtype=float)
+    psi = einsum_gauge_map_derivs(field.map, x)
+    inv = [dagger(p) for p in psi]
+    a0 = field.base.eval(x)
+    a1 = field.base.partial_all(x)
+    a2 = field.base.second_all(x)
+    e = np.einsum
+    val = e("...ij,...mjk,...kl->...mil", inv[0], a0, psi[0])
+    val = val + e("...ij,...mjk->...mik", inv[0], psi[1])
+    p = e("...aij,...mjk,...kl->...amil", inv[1], a0, psi[0])
+    p += e("...ij,...amjk,...kl->...amil", inv[0], a1, psi[0])
+    p += e("...ij,...mjk,...akl->...amil", inv[0], a0, psi[1])
+    p += e("...aij,...mjk->...amik", inv[1], psi[1])
+    p += e("...ij,...amjk->...amik", inv[0], psi[2])
+    s = e("...abij,...mjk,...kl->...abmil", inv[2], a0, psi[0])
+    s += e("...aij,...bmjk,...kl->...abmil", inv[1], a1, psi[0])
+    s += e("...bij,...amjk,...kl->...abmil", inv[1], a1, psi[0])
+    s += e("...aij,...mjk,...bkl->...abmil", inv[1], a0, psi[1])
+    s += e("...bij,...mjk,...akl->...abmil", inv[1], a0, psi[1])
+    s += e("...ij,...abmjk,...kl->...abmil", inv[0], a2, psi[0])
+    s += e("...ij,...amjk,...bkl->...abmil", inv[0], a1, psi[1])
+    s += e("...ij,...bmjk,...akl->...abmil", inv[0], a1, psi[1])
+    s += e("...ij,...mjk,...abkl->...abmil", inv[0], a0, psi[2])
+    s += e("...abij,...mjk->...abmik", inv[2], psi[1])
+    s += e("...aij,...bmjk->...abmik", inv[1], psi[2])
+    s += e("...bij,...amjk->...abmik", inv[1], psi[2])
+    s += e("...ij,...abmjk->...abmik", inv[0], psi[3])
+    return val, p, s
+
+
+def einsum_curvature(a0, p):
+    """F_mn = d_m A_n - d_n A_m + [A_m, A_n] from A and its partials."""
+    aa = np.einsum("...mij,...vjk->...mvik", a0, a0)
+    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+
+
+def einsum_cov_deriv_curvature(a0, p, s):
+    """nabla_l F_mn = d_l F_mn + [A_l, F_mn] from A and its partials, index order (l, m, n)."""
+    e = np.einsum
+    f = einsum_curvature(a0, p)
+    df = s - np.swapaxes(s, -4, -3)
+    df += e("...lmij,...vjk->...lmvik", p, a0) - e("...vij,...lmjk->...lmvik", a0, p)
+    df += e("...mij,...lvjk->...lmvik", a0, p) - e("...lvij,...mjk->...lmvik", p, a0)
+    df += e("...lij,...mvjk->...lmvik", a0, f) - e("...mvij,...ljk->...lmvik", f, a0)
+    return df

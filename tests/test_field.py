@@ -12,7 +12,16 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import bianchi_residual, commutator, lie_defect, load_field
+from _oracles import (
+    bianchi_residual,
+    commutator,
+    einsum_cov_deriv_curvature,
+    einsum_curvature,
+    einsum_gauge_map_derivs,
+    einsum_transformed,
+    lie_defect,
+    load_field,
+)
 from gaugeflow.algebra import dagger, group_defect, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
@@ -300,6 +309,37 @@ def test_pure_gauge_is_flat(torus2):
     x = random_points(RNG, torus2, (6,))
     assert maxabs(curvature(fld, x)) < 1e-11
     assert abs(ym_action(fld, samples=48)) < 1e-11
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_kernels_match_einsum_oracles(d, n):
+    """Gauge-map, transformed-field and curvature tensors vs explicit contractions."""
+    torus = Torus(d, 1.0)
+    rng = rng_for(10 * d + n, "unit/einsum-oracle")
+    psi = GaugeMap.random(rng, torus, n=n, factors=3, modes=2, amplitude=0.6, kmax=1)
+    base = AnalyticField.random_su(rng, torus, n=n, modes=2, amplitude=0.3, kmax=2)
+    x = random_points(rng, torus, (5,))
+
+    def close(got, want):
+        assert maxabs(got - want) <= 1e-13 * maxabs(want)
+
+    full = psi.derivs(x, order=3)
+    for got, want in zip(full, einsum_gauge_map_derivs(psi, x), strict=True):
+        close(got, want)
+    for k in range(3):
+        for got, want in zip(psi.derivs(x, order=k), full[: k + 1], strict=True):
+            assert np.array_equal(got, want)
+
+    fld = TransformedField(base, psi)
+    want = einsum_transformed(fld, x)
+    for got, w in zip((fld.eval(x), fld.partial_all(x), fld.second_all(x)), want):
+        close(got, w)
+    plain = (base.eval(x), base.partial_all(x), base.second_all(x))
+    for field, (a0, p, s) in ((fld, want), (base, plain)):
+        df = einsum_cov_deriv_curvature(a0, p, s)
+        close(curvature(field, x), einsum_curvature(a0, p))
+        close(cov_deriv_curvature(field, x), df)
+        close(cov_div_curvature(field, x), np.einsum("...mmvij->...vij", df))
 
 
 def test_gauge_rank_mismatch():

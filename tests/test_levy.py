@@ -15,7 +15,15 @@ import pytest
 from scipy.integrate import simpson
 
 from gaugeflow.algebra import expm, fiber_metric, maxabs, random_lie
-from gaugeflow.experiments import _functional_grad_pair, rng_for
+from gaugeflow.experiments import (
+    DEFAULT_CONFIG,
+    _curves,
+    _functional_gaps,
+    _functional_grad_pair,
+    _functional_scalar,
+    _torus,
+    rng_for,
+)
 from gaugeflow.field import (
     AnalyticField,
     GaugeMap,
@@ -223,3 +231,27 @@ def test_functional_cesaro_matches_laplacian(torus2, wiggly_curve):
     assert errs[-1] < 0.1
     assert errs[0] > errs[1] > errs[2] > errs[3]
     assert set(res.partial) == {8, 16, 32, 64}
+
+
+def test_functional_checks_across_master_seeds():
+    """The curve-functional gaps of `levy` at master seeds 0-99, default config.
+
+    The Hessian check passes at 99 of them. Seed 89 reads 6.3e-6: its
+    curve-0 Hessian is -1.2e-3, against 11-26 on the other curves and
+    seeds, so the relative error divides an absolute 7e-9 by a near-zero
+    value. The route and heat gaps sit far below their tolerances at every
+    seed. The gradient check is not swept: its second-order difference
+    fails at 18 of these seeds.
+    """
+    cfg = DEFAULT_CONFIG
+    fcfg, tol = cfg["functional"], cfg["tolerances"]
+    curves = _curves(cfg, fcfg["curves"])
+    torus = _torus(cfg)
+    hess_fails = []
+    for seed in range(100):
+        gaps = _functional_gaps(_functional_scalar(fcfg, seed, torus), curves, fcfg, seed)
+        if gaps["functional_hessian_fd"] > tol["functional_hessian_fd"]:
+            hess_fails.append(seed)
+        for name in ("functional_laplacian_routes", "functional_laplacian_fd", "heat_residual"):
+            assert gaps[name] <= tol[name], (seed, name, gaps[name])
+    assert len(hess_fails) <= 1, hess_fails
