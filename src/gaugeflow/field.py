@@ -294,8 +294,9 @@ def stencil_d1(arr, axis, a):
     """4th-order central first derivative along a periodic site axis."""
     m = arr.shape[axis]
     # one copy padded by two periodic images per side; shifts are views of it
-    pad = np.moveaxis(np.take(arr, np.arange(-2, m + 2), axis, mode="wrap"), axis, 0)
-    f1, b1, f2, b2 = (np.moveaxis(pad[k:k + m], 0, axis) for k in (3, 1, 4, 0))
+    pad = np.take(arr, np.arange(-2, m + 2), axis, mode="wrap")
+    lead = (slice(None),) * (axis % arr.ndim)
+    f1, b1, f2, b2 = (pad[lead + (slice(k, k + m),)] for k in (3, 1, 4, 0))
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
 
 
@@ -628,6 +629,16 @@ def curvature(field, x):
     return _curvature(field.eval(x), field.partial_all(x))
 
 
+def _curvature_and_cov_deriv(field, x):
+    """F_mn and nabla_l F_mn at x from one evaluation of the field and its partials."""
+    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    f = _curvature(a0, p)
+    y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
+    y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
+    al, fl = a0[..., :, None, None, :, :], f[..., None, :, :, :, :]
+    return f, y - np.swapaxes(y, -4, -3) + _matmul(al, fl) - _matmul(fl, al)
+
+
 def cov_deriv_curvature(field, x):
     """nabla_l F_mn = d_l F_mn + [A_l, F_mn]; shape (..., d, d, d, N, N).
 
@@ -635,12 +646,7 @@ def cov_deriv_curvature(field, x):
     has no Christoffel part. d_l [A_m, A_n] = X_lmn - X_lnm with
     X_lmn = (d_l A_m) A_n + A_m d_l A_n.
     """
-    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
-    f = _curvature(a0, p)
-    y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
-    y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
-    al, fl = a0[..., :, None, None, :, :], f[..., None, :, :, :, :]
-    return y - np.swapaxes(y, -4, -3) + _matmul(al, fl) - _matmul(fl, al)
+    return _curvature_and_cov_deriv(field, x)[1]
 
 
 def cov_div_curvature(field, x):

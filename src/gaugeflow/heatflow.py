@@ -9,6 +9,15 @@ stability threshold and the run aborts rather than report garbage. The
 action guard and the next step's k1 share one curvature grid, so an RK4
 step builds four curvature grids, not five.
 
+Inside `flow` the connection is held as real coordinates in `su_basis(n)`,
+an array (d, K, *sites) with K = N^2 - 1. Every product in the flow is a
+commutator, taken from the structure constants of the basis (`_bracket`),
+and only the curvature components F_mn with m < n are formed. Matrices
+appear only at the `LatticeField` boundary: the initial field and a custom
+right side's values are converted in (`_to_coords`), snapshots and the
+values handed to a custom right side are converted out (`_from_coords`).
+`ym_rhs` converts in, runs the same kernel and converts out.
+
 For pairwise-commuting fields the flow is linear and `abelian_oracle`
 evolves the Fourier data in closed form: transverse mode components decay
 as exp(-(2 pi |k| / L)^2 s), longitudinal components are fixed points.
@@ -20,15 +29,18 @@ that).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
-from .algebra import maxabs
-from .field import (AnalyticField, LatticeField, _curvature_action, _matmul,
-                    lattice_curvature_grid, stencil_d1)
+from .algebra import maxabs, su_basis
+from .field import AnalyticField, LatticeField, stencil_d1
 
 
 MAX_ACTION_GROWTH = 1e-6
+# largest non-su(N) part, relative to the values' scale, read as roundoff
+LIE_TOL = 1e-12
 
 
 class CflViolation(RuntimeError):
@@ -50,18 +62,126 @@ def cfl_bound(spacing, d):
     return spacing * spacing / (8.0 * d)
 
 
-def _velocity(field, f=None):
-    """sum_mu D_mu F_{mu nu} on the grid; f is the curvature of `field` if known."""
-    f = lattice_curvature_grid(field) if f is None else f
-    div = sum(stencil_d1(f[..., mu, :, :, :], mu, field.a) for mu in range(field.torus.d))
-    av = field.values[..., :, None, :, :]
-    comm = np.sum(_matmul(av, f) - _matmul(f, av), axis=-4)
-    return div + comm
+@functools.cache
+def _basis_maps(n):
+    """Real matrices from interleaved (re, im) N x N entries to su_basis(n)
+    coordinates, (2 N^2, K), and back, (K, 2 N^2).
+
+    The basis is orthogonal with tr(T_a T_b) = -delta_ab / 2, so the
+    coordinates of X are x_a = -2 Re tr(T_a X) and X = sum_a x_a T_a.
+    """
+    t = su_basis(n)
+    k = len(t)
+    to_coords = -2.0 * np.swapaxes(t, -1, -2).reshape(k, -1)  # tr(T X) = sum T_ij X_ji
+    to_coords = np.stack([to_coords.real, -to_coords.imag], axis=-1).reshape(k, -1).T
+    return np.ascontiguousarray(to_coords), np.ascontiguousarray(t.reshape(k, -1).view(np.float64))
+
+
+@functools.cache
+def _structure(n):
+    """Pairs a < b with [T_a, T_b] != 0 and S (K, P): [T_a, T_b] = sum_c S[c, p] T_c."""
+    t = su_basis(n)
+    comm = t[:, None] @ t[None, :] - t[None, :] @ t[:, None]
+    f = -2.0 * np.real(np.einsum("cij,abji->abc", t, comm))
+    f[np.abs(f) < 1e-12] = 0.0
+    ia, ib = np.nonzero(np.triu(np.any(f != 0.0, axis=-1), 1))
+    return ia, ib, np.ascontiguousarray(f[ia, ib].T)
+
+
+def _to_coords(values):
+    """Matrices (*sites, d, N, N) -> su_basis coordinates (d, K, *sites).
+
+    Raises ValueError if the values have a non-su(N) (Hermitian or trace)
+    part beyond roundoff: LIE_TOL relative to their largest component.
+    """
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    *sites, d, n, _ = values.shape
+    to_coords, _ = _basis_maps(n)
+    flat = values.view(np.float64).reshape(-1, 2 * n * n)
+    x = (flat @ to_coords).reshape(-1, d, to_coords.shape[1])
+    x = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape((d, -1) + tuple(sites))
+    gap = _from_coords(x).view(np.float64).reshape(flat.shape)
+    gap -= flat
+    if _maxabs_real(gap) > LIE_TOL * _maxabs_real(flat):
+        raise ValueError("values have a non-su(N) part beyond roundoff")
+    return x
+
+
+def _maxabs_real(r):
+    """Largest |entry| of a real array, without an |r| temporary; NaN if any entry is."""
+    return max(np.max(r, initial=0.0), -np.min(r, initial=0.0))
+
+
+def _from_coords(x):
+    """su_basis coordinates (d, K, *sites) -> matrices (*sites, d, N, N)."""
+    d, k, *sites = x.shape
+    n = math.isqrt(k + 1)
+    _, from_coords = _basis_maps(n)
+    per_site = np.ascontiguousarray(np.moveaxis(x.reshape(d, k, -1), -1, 0))
+    out = per_site.reshape(-1, k) @ from_coords
+    return out.view(np.complex128).reshape(tuple(sites) + (d, n, n))
+
+
+# floats of pair products formed per block of sites in `_bracket`: small
+# enough to stay in cache (whole-grid products of su(3) at 64^2 took 4x longer)
+_BRACKET_FLOATS = 1 << 14
+
+
+def _bracket(x, y):
+    """[x, y] of coordinate stacks (B, K, *sites) from the structure constants.
+
+    [x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs p = (a, b)
+    of `_structure`, formed a block of sites at a time.
+    """
+    b, k = x.shape[:2]
+    ia, ib, s = _structure(math.isqrt(k + 1))
+    xf, yf = x.reshape(b, k, -1), y.reshape(b, k, -1)
+    out = np.empty_like(xf)
+    step = max(1, _BRACKET_FLOATS // (b * len(ia)))
+    for lo in range(0, xf.shape[-1], step):
+        xs, ys = xf[..., lo:lo + step], yf[..., lo:lo + step]
+        out[..., lo:lo + step] = s @ (xs[:, ia] * ys[:, ib] - xs[:, ib] * ys[:, ia])
+    return out.reshape(x.shape)
+
+
+@functools.cache
+def _direction_pairs(d):
+    """Index arrays (m, n) of the direction pairs m < n, in curvature order."""
+    return np.triu_indices(d, 1)
+
+
+def _curvature(x, a):
+    """F_mn for the direction pairs m < n of `_direction_pairs`: (P, K, *sites)."""
+    pm, pn = _direction_pairs(len(x))
+    f = np.stack([stencil_d1(x[n], 1 + m, a) - stencil_d1(x[m], 1 + n, a)
+                  for m, n in zip(pm, pn)])
+    return f + _bracket(x[pm], x[pn])
+
+
+def _velocity(x, a, f):
+    """sum_m D_m F_mn from coordinates x and their curvature f = _curvature(x, a)."""
+    pm, pn = _direction_pairs(len(x))
+    # [A_m, F_mn] feeds direction n and [A_n, F_nm] = -[A_n, F_mn] direction m
+    comm = _bracket(x[np.concatenate([pm, pn])], np.concatenate([f, f]))
+    out = np.zeros_like(x)
+    for p, (m, n) in enumerate(zip(pm, pn)):
+        out[n] += stencil_d1(f[p], 1 + m, a) + comm[p]
+        out[m] -= stencil_d1(f[p], 1 + n, a) + comm[len(pm) + p]
+    return out
+
+
+def _action(torus, f):
+    """1/2 sum_{m<n} |F_mn|^2 averaged over the sites, times the volume."""
+    return float(0.5 * np.vdot(f, f) / f[0, 0].size * torus.volume)
 
 
 def ym_rhs(field):
-    """Flow velocity sum_mu D_mu F_{mu nu} on the grid, as a LatticeField."""
-    return LatticeField(field.torus, _velocity(field))
+    """Flow velocity sum_mu D_mu F_mu nu on the grid, as a LatticeField.
+
+    Runs the flow's coordinate kernel between one conversion in and one out.
+    """
+    x = _to_coords(field.values)
+    return LatticeField(field.torus, _from_coords(_velocity(x, field.a, _curvature(x, field.a))))
 
 
 @dataclasses.dataclass
@@ -101,39 +221,46 @@ class FlowTrajectory:
 def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
     """Integrate the gradient flow from `field0` for `steps` RK4 steps.
 
-    rhs_fn(LatticeField) -> values array overrides the flow velocity (used
-    for driven variants); the action-monotonicity guard defaults to on for
-    the plain flow and off when a custom right side is supplied. The guard
-    aborts a step whose action exceeds the last by a factor 1 + MAX_ACTION_GROWTH.
+    The state is held as su_basis coordinates (d, K, *sites); snapshots are
+    converted back to (*sites, d, N, N) matrices. rhs_fn(LatticeField) ->
+    values array overrides the flow velocity (used for driven variants): it
+    is handed the state as matrices, and its values must lie in su(N), so a
+    non-su(N) part beyond roundoff (LIE_TOL relative to their largest component)
+    raises ValueError, as it does in `field0`. The action-monotonicity guard
+    defaults to on for the plain flow and off when a custom right side is
+    supplied. The guard aborts a step whose action exceeds the last by a
+    factor 1 + MAX_ACTION_GROWTH.
     """
     torus = field0.torus
     if not 0 < ds:
         raise ValueError(f"ds must be positive, got {ds!r}")
-    bound = cfl_bound(field0.a, torus.d)
+    a = field0.a
+    bound = cfl_bound(a, torus.d)
     if ds > bound:
         raise CflViolation(f"ds={ds:g} exceeds stability bound {bound:g}")
     if guard is None:
         guard = rhs_fn is None
-    # the plain flow's k1 reuses f, the curvature the action guard built at v
-    rhs = _velocity if rhs_fn is None else (lambda fld, f=None: rhs_fn(fld))
+    if rhs_fn is None:
+        # k1 reuses f, the curvature the action guard built at v
+        rhs = lambda v, f=None: _velocity(v, a, _curvature(v, a) if f is None else f)
+    else:
+        rhs = lambda v, f=None: _to_coords(rhs_fn(LatticeField(torus, _from_coords(v))))
 
-    v = np.array(field0.values, dtype=np.complex128, copy=True)
-    make = lambda vals: LatticeField(torus, vals)
-    f = lattice_curvature_grid(make(v))
-    action = _curvature_action(torus, f)
-    snapshots = [(0, v.copy())]
+    v = _to_coords(field0.values)
+    f = _curvature(v, a)
+    action = _action(torus, f)
+    snapshots = [(0, _from_coords(v))]
     table = []
     for i in range(1, steps + 1):
-        k1 = rhs(make(v), f)
-        table.append(
-            {"step": i - 1, "s": (i - 1) * ds, "action": action, "rhs_max": maxabs(k1)}
-        )
-        k2 = rhs(make(v + (0.5 * ds) * k1))
-        k3 = rhs(make(v + (0.5 * ds) * k2))
-        k4 = rhs(make(v + ds * k3))
+        k1 = rhs(v, f)
+        table.append({"step": i - 1, "s": (i - 1) * ds, "action": action,
+                      "rhs_max": maxabs(_from_coords(k1))})
+        k2 = rhs(v + (0.5 * ds) * k1)
+        k3 = rhs(v + (0.5 * ds) * k2)
+        k4 = rhs(v + ds * k3)
         v = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f = lattice_curvature_grid(make(v))
-        new_action = _curvature_action(torus, f)
+        f = _curvature(v, a)
+        new_action = _action(torus, f)
         # written so that a non-finite action also aborts
         if guard and not new_action <= action * (1.0 + MAX_ACTION_GROWTH) + 1e-300:
             raise BlowUp(
@@ -141,10 +268,9 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
             )
         action = new_action
         if i % save_every == 0 or i == steps:
-            snapshots.append((i, v.copy()))
-    table.append(
-        {"step": steps, "s": steps * ds, "action": action, "rhs_max": maxabs(rhs(make(v), f))}
-    )
+            snapshots.append((i, _from_coords(v)))
+    table.append({"step": steps, "s": steps * ds, "action": action,
+                  "rhs_max": maxabs(_from_coords(rhs(v, f)))})
     return FlowTrajectory(torus, ds, snapshots, table)
 
 

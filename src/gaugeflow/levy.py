@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from .algebra import dagger, fiber_metric, maxabs
-from .field import cov_deriv_curvature, cov_div_curvature, curvature
+from .field import _curvature_and_cov_deriv, cov_div_curvature, curvature
 from .path import perturb, sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport
 
@@ -106,8 +106,7 @@ def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
         pts = ctx.seg_points(seg)
         vel = ctx.seg_velocities(seg)
         uf, ut = ctx.from_start[seg.sl], ctx.to_end[seg.sl]
-        f = curvature(field, pts)
-        df = cov_deriv_curvature(field, pts)            # [a, b, c] = D_a F_bc
+        f, df = _curvature_and_cov_deriv(field, pts)    # df[a, b, c] = D_a F_bc
         g = np.einsum("tmvij,tv->tmij", f, vel)
         h1 = np.einsum("tabcij,tc->tabij", df, vel)     # D_a F_{b .} gammadot
         sym = h1 + np.swapaxes(h1, 1, 2)

@@ -31,6 +31,7 @@ from gaugeflow.field import (
     ScalarFourier,
     Torus,
     TransformedField,
+    _curvature_and_cov_deriv,
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
@@ -340,6 +341,10 @@ def test_kernels_match_einsum_oracles(d, n):
         close(curvature(field, x), einsum_curvature(a0, p))
         close(cov_deriv_curvature(field, x), df)
         close(cov_div_curvature(field, x), np.einsum("...mmvij->...vij", df))
+        # one evaluation serves both tensors, bit for bit
+        f_both, df_both = _curvature_and_cov_deriv(field, x)
+        assert np.array_equal(f_both, curvature(field, x))
+        assert np.array_equal(df_both, cov_deriv_curvature(field, x))
 
 
 def test_gauge_rank_mismatch():

@@ -12,8 +12,8 @@ oracle vs 32^2 lattice flow 1.3e-6.
 import numpy as np
 import pytest
 
-from gaugeflow.algebra import maxabs, su_basis
-from gaugeflow.experiments import rng_for
+from gaugeflow.algebra import maxabs, random_lie, su_basis
+from gaugeflow.experiments import _bump_values, rng_for
 from gaugeflow.field import (
     AnalyticField,
     LatticeField,
@@ -25,6 +25,9 @@ from gaugeflow.field import (
 from gaugeflow.heatflow import (
     BlowUp,
     CflViolation,
+    _bracket,
+    _from_coords,
+    _to_coords,
     abelian_oracle,
     cfl_bound,
     flow,
@@ -35,7 +38,7 @@ TORUS = Torus(2, 1.0)
 T_BASIS = su_basis(2)
 
 
-# --- einsum/np.roll reference kernels: the lattice flow's earlier bodies ----
+# --- einsum/np.roll reference kernels on matrices: the lattice flow's oracle ---
 
 
 def oracle_stencil(arr, axis, a):
@@ -262,9 +265,9 @@ def test_fd_ds_field_second_order():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernels_match_einsum_oracle(d, n, m):
-    """Padded stencil is bit-identical to np.roll; the unrolled products, the
-    divergence-only stencil and the F * F^T action match einsum to roundoff
-    (measured at most 2.7e-16 relative)."""
+    """Padded stencil is bit-identical to np.roll; the matrix curvature, the
+    F * F^T action and the su(N)-coordinate velocity of ym_rhs match einsum
+    to roundoff (measured at most 2.2e-16, 1.4e-16 and 1.7e-15 relative)."""
     torus = Torus(d, 1.0)
     fld = AnalyticField.random_su(rng_for(7, f"unit/kernels-{d}-{n}-{m}"), torus, n=n,
                                   modes=2, amplitude=0.3, kmax=2)
@@ -277,19 +280,81 @@ def test_kernels_match_einsum_oracle(d, n, m):
     assert abs(ym_action(lat) / oracle_action(lat) - 1.0) <= 1e-13
 
 
-def test_flow_curvature_reuse_matches_oracle_rhs():
-    """The plain flow takes k1 from the curvature the action guard built; a
-    custom right side recomputes it. Both trajectories agree to roundoff."""
-    fld = AnalyticField.random_su(rng_for(7, "unit/su-flow"), TORUS, modes=2,
+def su_flow_start(d, n):
+    """The seeded su(N) start field of the flow tests, on 16^2 or 8^3 sites."""
+    torus = Torus(d, 1.0)
+    m = 16 if d == 2 else 8
+    label = "unit/su-flow" if (d, n) == (2, 2) else f"unit/su-flow-{d}-{n}"
+    fld = AnalyticField.random_su(rng_for(7, label), torus, n=n, modes=2,
                                   amplitude=0.2, kmax=1)
-    lat = LatticeField.sample(fld, 16)
-    plain = flow(lat, 12, 1e-4, save_every=4)
-    ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=oracle_rhs, guard=True)
-    assert [s for s, _ in plain.snapshots] == [s for s, _ in ref.snapshots] == [0, 4, 8, 12]
-    for (_, got), (_, want) in zip(plain.snapshots, ref.snapshots):
+    return LatticeField.sample(fld, m)
+
+
+def assert_same_trajectory(got_traj, want_traj):
+    """Two 12-step flows saved every 4 steps agree to roundoff."""
+    steps = [0, 4, 8, 12]
+    assert [s for s, _ in got_traj.snapshots] == [s for s, _ in want_traj.snapshots] == steps
+    for (_, got), (_, want) in zip(got_traj.snapshots, want_traj.snapshots):
         assert rel_gap(got, want) <= 1e-13
-    assert len(plain.table) == len(ref.table) == 13
-    for got, want in zip(plain.table, ref.table):
+    assert len(got_traj.table) == len(want_traj.table) == 13
+    for got, want in zip(got_traj.table, want_traj.table):
         assert (got["step"], got["s"]) == (want["step"], want["s"])
         assert abs(got["action"] / want["action"] - 1.0) <= 1e-13
         assert abs(got["rhs_max"] / want["rhs_max"] - 1.0) <= 1e-13
+
+
+def test_flow_curvature_reuse_matches_oracle_rhs():
+    """The plain flow (su(N) coordinates, k1 from the curvature the action
+    guard built) and the flow driven by the einsum oracle on matrices agree
+    to roundoff, for d in {2, 3} and N in {2, 3}."""
+    for d in (2, 3):
+        for n in (2, 3):
+            lat = su_flow_start(d, n)
+            plain = flow(lat, 12, 1e-4, save_every=4)
+            ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=oracle_rhs, guard=True)
+            assert_same_trajectory(plain, ref)
+            end = LatticeField(lat.torus, plain.snapshots[-1][1])
+            for row, fld in ((plain.table[0], lat), (plain.table[-1], end)):
+                assert abs(row["action"] / oracle_action(fld) - 1.0) <= 1e-13
+
+
+def test_driven_flow_matches_oracle_rhs():
+    """The R-diagnostic's driven flow, ym_rhs plus a compact bump, against
+    the einsum oracle plus the same bump."""
+    lat = su_flow_start(2, 2)
+    bump = _bump_values(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
+    driven = flow(lat, 12, 1e-4, save_every=4, rhs_fn=lambda f: ym_rhs(f).values + bump)
+    ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=lambda f: oracle_rhs(f) + bump)
+    assert_same_trajectory(driven, ref)
+    assert rel_gap(driven.snapshots[-1][1], flow(lat, 12, 1e-4).snapshots[-1][1]) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coordinates_round_trip_and_bracket(n):
+    """su_basis coordinates reproduce Lie elements, the basis maps to unit
+    vectors, and the structure-constant bracket is the matrix commutator."""
+    rng = rng_for(7, f"unit/coords-{n}")
+    x = random_lie(rng, n, shape=(5, 4, 2))  # sites (5, 4), d = 2
+    y = random_lie(rng, n, shape=(5, 4, 2))
+    cx, cy = _to_coords(x), _to_coords(y)
+    assert cx.shape == (2, n * n - 1, 5, 4)
+    assert maxabs(_from_coords(cx) - x) <= 1e-15 * maxabs(x)
+    basis = su_basis(n)
+    assert maxabs(_to_coords(basis[:, None])[0] - np.eye(len(basis))) <= 1e-15  # d = 1
+    comm = x @ y - y @ x
+    assert maxabs(_from_coords(_bracket(cx, cy)) - comm) <= 1e-15 * maxabs(comm)
+
+
+def test_flow_refuses_values_outside_su_n():
+    """A custom right side (or a start field) with a non-su(N) part beyond
+    roundoff is refused, not projected; a roundoff-size part passes."""
+    lat = su_flow_start(2, 2)
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="su\\(N\\)"):
+        flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1j * eye)
+    with pytest.raises(ValueError, match="su\\(N\\)"):
+        flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1e-3 * np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="su\\(N\\)"):
+        flow(LatticeField(TORUS, lat.values + 0.1j * eye), 2, 1e-4)
+    traj = flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1e-15j * eye)
+    assert len(traj.table) == 3
