@@ -124,8 +124,6 @@ def _load_config(args):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     cfg = resolve_config(overrides)
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -170,7 +168,6 @@ def build_parser():
         "--set", action="append", metavar="KEY=VALUE",
         help="override one config entry by dotted path (value parsed as JSON)",
     )
-    common.add_argument("--threads", type=int, help="worker threads for curve loops")
 
     for name in ALL_ORDER:
         p = sub.add_parser(name, parents=[common])

@@ -4,7 +4,7 @@ Each experiment takes a validated config dict plus a master seed and
 returns a deterministic report: named residuals, the tolerance each is
 held to, and a pass flag. Experiments never share mutable state; every
 random draw comes from a stream derived from (seed, purpose-label), so
-reports bit-reproduce for a given (config, seed) regardless of threading.
+reports bit-reproduce for a given (config, seed).
 
 The checks come in dual-route pairs on purpose: each formula is compared
 against an independent route to the same number (finite differences of a
@@ -14,7 +14,6 @@ assembly), never against a reshuffling of its own implementation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import json
 import math
@@ -82,7 +81,7 @@ DEFAULT_CONFIG = {
     "schema": 1,
     "torus": {"d": 2, "L": 1.0},
     "gauge_rank": 2,
-    "threads": 1,
+    "threads": 1,  # one value only; kept because perfbench/workloads.py sends it
     "field": {"kind": "random_su", "seed": 7, "modes": 2, "amplitude": 0.2, "kmax": 2},
     "abelian_field": {"kind": "abelian", "seed": 19, "modes": 3, "amplitude": 0.2, "kmax": 1},
     "curves": [
@@ -210,7 +209,7 @@ _SIGNED = {"k", "p0", "p1", "center", "axes", "turns", "phase", "line_p0", "line
            "window", "cesaro_slope", "order_factor"}
 _LENGTH = {"checkpoints": (2, math.inf), "grids": (2, math.inf), "window": (2, 2),
            "cesaro_slope": (2, 2), "order_factor": (2, 2)}
-_CHOICES = {"schema": (1,), "d": (2, 3)}
+_CHOICES = {"schema": (1,), "d": (2, 3), "threads": (1,)}
 
 # Field and curve specs: kind -> (required keys, optional keys), each key with
 # a value of its type. A spec's family is the one that knows its default kind.
@@ -425,14 +424,6 @@ def _report(subcommand, seed, cfg, checks, tables=None, notes=None):
     }
 
 
-def _map(threads, fn, items):
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _torus(cfg):
     return Torus(cfg["torus"]["d"], cfg["torus"]["L"])
 
@@ -462,7 +453,6 @@ def run_transport(cfg, seed):
     a_field = _field(cfg)
     curves = _curves(cfg)
     step = cfg["transport"]["step"]
-    threads = cfg["threads"]
     rng = rng_for(seed, "transport/triples")
     triples = np.sort(rng.uniform(0.05, 0.95, size=(cfg["transport"]["triples"], 3)), axis=1)
 
@@ -481,7 +471,7 @@ def run_transport(cfg, seed):
         u_tr = transport(a_field, curve, t=t, s=r, step=step)
         return maxabs(u_ts @ u_sr - u_tr)
 
-    law = max(_map(threads, law_residual, enumerate(triples)))
+    law = max(law_residual(item) for item in enumerate(triples))
 
     def reparam_residual(idx):
         curve = curves[idx]
@@ -492,7 +482,7 @@ def run_transport(cfg, seed):
             worst = max(worst, maxabs(u - base))
         return worst
 
-    reparam = max(_map(threads, reparam_residual, range(len(curves))))
+    reparam = max(reparam_residual(idx) for idx in range(len(curves)))
 
     checks = [
         _check("unitarity", unitarity, _tol(cfg, "unitarity")),
@@ -575,7 +565,7 @@ def run_gradient(cfg, seed):
         fd = (up - um) / (2.0 * eps)
         return free, _rel(formula - fd, fd)
 
-    rows = _map(cfg["threads"], deriv_case, cases)
+    rows = [deriv_case(case) for case in cases]
     worst_all = max(r for _, r in rows)
     worst_free = max(r for f, r in rows if f)
 
@@ -659,7 +649,6 @@ def run_levy(cfg, seed):
     d, n = torus.d, cfg["gauge_rank"]
     a_field = _field(cfg)
     curves = _curves(cfg)
-    threads = cfg["threads"]
     tables = {}
 
     # --- kernel structure + Hessian vs FD (criterion: kernel decomposition)
@@ -696,7 +685,7 @@ def run_levy(cfg, seed):
               + u(perturb(perturb(curve, x, -keps), y, -keps))) / (4 * keps * keps)
         return _rel(bil - fd, fd)
 
-    hess_worst = max(_map(threads, hessian_case, pair_plan))
+    hess_worst = max(hessian_case(item) for item in pair_plan)
 
     # --- Levy Laplacian: kernel route vs closed form over curves ---
     lstep = cfg["laplacian"]["step"]
@@ -706,8 +695,8 @@ def run_levy(cfg, seed):
                                        check=True, check_tol=np.inf)
         return ci, lap
 
-    lap_rows = _map(threads, laplacian_case,
-                    range(min(cfg["laplacian"]["curves"], len(curves))))
+    lap_rows = [laplacian_case(ci)
+                for ci in range(min(cfg["laplacian"]["curves"], len(curves)))]
     route_gap = max(lap.mismatch for _, lap in lap_rows)
     laps = {ci: lap for ci, lap in lap_rows}
 
@@ -745,7 +734,7 @@ def run_levy(cfg, seed):
                          "err_rel": err / scale})
         return rows
 
-    all_rows = _map(threads, cesaro_case, range(min(ccfg["curves"], len(curves))))
+    all_rows = [cesaro_case(ci) for ci in range(min(ccfg["curves"], len(curves)))]
     worst_final = 0.0
     slopes = []
     for rows in all_rows:
@@ -1023,7 +1012,6 @@ def run_theorem(cfg, seed):
     n = cfg["gauge_rank"]
     tcfg = cfg["theorem"]
     step = tcfg["step"]
-    threads = cfg["threads"]
 
     su2 = make_field(tcfg["field"], torus=torus, n=n)
     lat0 = LatticeField.sample(su2, tcfg["grid"])
@@ -1033,7 +1021,6 @@ def run_theorem(cfg, seed):
     checkpoints = list(tcfg["checkpoint_steps"])
     ds = tcfg["ds"]
 
-    # shared per-checkpoint data, built before any threading
     fields = {}
     for cstep in checkpoints:
         s = cstep * ds
@@ -1041,9 +1028,6 @@ def run_theorem(cfg, seed):
         vel = traj.ds_field(s)
         up_f = traj.field((cstep + tcfg["save_every"]) * ds)
         dn_f = traj.field((cstep - tcfg["save_every"]) * ds)
-        probe = np.zeros((1, torus.d))
-        for f in (fld, vel, up_f, dn_f):
-            f.second_all(probe)  # pre-build interpolation tables
         fields[cstep] = (fld, vel, up_f, dn_f)
 
     delta = tcfg["save_every"] * ds
@@ -1067,7 +1051,7 @@ def run_theorem(cfg, seed):
             "fd_rel": maxabs(route_ii - lap.value) / scale,
         }
 
-    rows = _map(threads, combo_row, combos)
+    rows = [combo_row(item) for item in combos]
     forward = max(r["forward_rel"] for r in rows)
     fd = max(r["fd_rel"] for r in rows)
 
@@ -1152,9 +1136,6 @@ def run_r_diagnostic(cfg, seed):
     def r_profile(trajectory, with_def_route):
         fld = trajectory.field(s_mid)
         vel_fd, _ = trajectory.fd_ds_field(s_mid)
-        probe = np.zeros((1, torus.d))
-        fld.second_all(probe)
-        vel_fd.eval(probe)
         ctx = TransportContext(fld, curve, step=step)
 
         from .field import cov_div_curvature

@@ -1,25 +1,27 @@
 """Parallel transport along curves and its functional derivatives.
 
 One integrator serves every product-integral here. For dP/dt = -Z(t) P,
-P(c) = Id, `_midpoint_factors` splits [c, d] at given edges into segments
-with even step counts and builds the exponential midpoint factors
+P(c) = Id, `_magnus_factors` splits [c, d] at given edges into segments
+with even step counts and builds, for each step [t, t + h], the
+fourth-order Magnus factor with two Gauss-Legendre points (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
+Phil. Trans. R. Soc. A 357 (1999)):
 
-    expm(-h Z(t + h/2))
+    expm(Omega),  Omega = -(h/2)(Z1 + Z2) - (sqrt(3)/12) h^2 [Z1, Z2],
+    Z1, Z2 = Z(t + (1/2 -+ sqrt(3)/6) h).
 
-at step h and at h/2. Products of the factors, combined by one Richardson
-level (4 fine - coarse) / 3, give P at the nodes (`_richardson_scan`) or at
-d alone (`_richardson_endpoint`, M products instead of a scan over all M
-prefixes). Halving h cuts the error by at least 2^3.
+Products of the factors give P at the nodes (`prefix_products`) or at d
+alone (`_endpoint_product`, M products instead of a scan over all M
+prefixes). Halving h cuts the error by 2^4.
 
 The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
 gammadot^mu(t), with the curve breakpoints (plateau corners, seams) as
-edges, so piecewise-smooth curves integrate at full order. Each factor is
-exactly special-unitary, and the extrapolated values are projected back
-onto the group, which restores unitarity to roundoff without touching the
-order. A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes
-of one curve; every integral formula in this package is a quadrature over
-those nodes. `transport()` unitarizes only the endpoint. `propagator` takes
-any matrix-valued Z on one segment and applies no unitarization.
+edges, so piecewise-smooth curves integrate at full order. For
+anti-Hermitian traceless Z each Omega is in su(N), so each factor and
+every product of them is special-unitary up to roundoff, with no
+projection. A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on
+the nodes of one curve; every integral formula in this package is a
+quadrature over those nodes. `propagator` takes any matrix-valued Z.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .algebra import dagger, expm, unitarize
+from .algebra import dagger, expm
 from .field import curvature
 
 DEFAULT_STEP = 1.0 / 4096
@@ -84,25 +86,14 @@ def _endpoint_product(mats):
     return mats[0]
 
 
-def _richardson_endpoint(coarse, fine):
-    """The extrapolated product (4 fine - coarse) / 3 at the last node only."""
-    return (4.0 * _endpoint_product(fine) - _endpoint_product(coarse)) / 3.0
-
-
-def _richardson_scan(coarse, fine):
-    """The extrapolated product (4 fine - coarse) / 3 at every node."""
-    return (4.0 * prefix_products(fine)[::2] - prefix_products(coarse)) / 3.0
-
-
-def _midpoint_factors(zfun, edges, step):
-    """Nodes, segments and midpoint factors of dP/dt = -Z(t) P between `edges`.
+def _magnus_factors(zfun, edges, step):
+    """Nodes, segments and Magnus-4 factors of dP/dt = -Z(t) P between `edges`.
 
     Each interval between consecutive edges is one segment with an even step
-    count. Returns (nodes, segments, coarse, fine): `coarse` holds the factors
-    expm(-h Z(mid)) of the node grid and `fine` those of the grid at half the
-    step.
+    count. Returns (nodes, segments, factors): factor k carries P from node k
+    to node k + 1.
     """
-    nodes, segments, coarse, fine = [], [], ([], []), ([], [])
+    nodes, segments, starts, hs = [], [], [], []
     start = 0
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         nst = _even_steps(b - a, step)
@@ -112,30 +103,35 @@ def _midpoint_factors(zfun, edges, step):
         nodes.append(ts if i == 0 else ts[1:])
         segments.append(Segment(i, slice(start, start + nst + 1), ts, h))
         start += nst
-        for (mids, hs), k in ((coarse, 1), (fine, 2)):
-            mids.append(a + (np.arange(k * nst) + 0.5) * (h / k))
-            hs.append(np.full(k * nst, h / k))
+        starts.append(ts[:-1])
+        hs.append(np.full(nst, h))
 
-    def factors(mids, hs):
-        z = np.asarray(zfun(np.concatenate(mids)))
-        return expm(-np.concatenate(hs)[:, None, None] * z)
-
-    return np.concatenate(nodes), segments, factors(*coarse), factors(*fine)
+    t0, h = np.concatenate(starts), np.concatenate(hs)
+    offset = math.sqrt(3.0) / 6.0
+    z = np.asarray(zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h])))
+    z1, z2 = np.split(z, 2)
+    h = h[:, None, None]
+    omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * (z1 @ z2 - z2 @ z1)
+    return np.concatenate(nodes), segments, expm(omega)
 
 
 def _curve_factors(field, curve, step, lo, hi):
-    """`_midpoint_factors` of Z(t) = A_mu(gamma(t)) gammadot^mu(t) on [lo, hi],
+    """`_magnus_factors` of Z(t) = A_mu(gamma(t)) gammadot^mu(t) on [lo, hi],
     with the curve's breakpoints inside (lo, hi) as segment edges."""
 
     def zfun(t):
         return np.einsum("...mij,...m->...ij", field.eval(curve.point(t)), curve.velocity(t))
 
     edges = [lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi]
-    return _midpoint_factors(zfun, edges, step)
+    return _magnus_factors(zfun, edges, step)
 
 
 class TransportContext:
     """Cached transports along one curve for one gauge field.
+
+    `from_start` is the product scan of the fourth-order Magnus factors
+    (Blanes, Casas, Oteo & Ros 2009; see the module docstring), one factor
+    per node interval; it is special-unitary to roundoff with no projection.
 
     Attributes:
         nodes: (M+1,) integrator node parameters covering [lo, hi].
@@ -153,9 +149,9 @@ class TransportContext:
         self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
 
-        self.nodes, self._segments, coarse, fine = _curve_factors(
+        self.nodes, self._segments, factors = _curve_factors(
             field, curve, step, self.lo, self.hi)
-        self.from_start = unitarize(_richardson_scan(coarse, fine))[0]
+        self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
         self.to_end = self.endpoint @ dagger(self.from_start)
         self._points = None
@@ -235,32 +231,37 @@ class TransportContext:
 
 
 def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
-    """Parallel transport U_{t,s} along the curve, an (N, N) group element."""
+    """Parallel transport U_{t,s} along the curve, an (N, N) group element.
+
+    The product of the Magnus-4 factors on [s, t], reduced without the node
+    scan; equal bit for bit to `TransportContext(..., lo=s, hi=t).endpoint`.
+    """
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("need 0 <= s <= t <= 1")
     if s == t:
         return np.eye(field.n, dtype=np.complex128)
     if not step > 0:
         raise ValueError("step must be positive")
-    _, _, coarse, fine = _curve_factors(field, curve, step, float(s), float(t))
-    return unitarize(_richardson_endpoint(coarse, fine))[0]
+    _, _, factors = _curve_factors(field, curve, step, float(s), float(t))
+    return _endpoint_product(factors)
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """Solve dP/dt = -Z(t) P on [c, d], P(c) = Id, for matrix-valued Z.
 
-    Z need not be anti-Hermitian; no unitarization is applied. Returns
-    (nodes, P at nodes) with the same midpoint + Richardson scheme as
-    `transport`.
+    Z need not be anti-Hermitian. Returns (nodes, P at nodes) from the
+    fourth-order Magnus factors with two Gauss-Legendre points per step
+    (Blanes, Casas, Oteo & Ros 2009; Iserles & Norsett 1999) and their
+    product scan, the scheme of `TransportContext`.
     """
-    nodes, _, coarse, fine = _midpoint_factors(zfun, [c, d], step)
-    return nodes, _richardson_scan(coarse, fine)
+    nodes, _, factors = _magnus_factors(zfun, [c, d], step)
+    return nodes, prefix_products(factors)
 
 
 def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
-    _, _, coarse, fine = _midpoint_factors(zfun, [c, d], step)
-    return _richardson_endpoint(coarse, fine)
+    _, _, factors = _magnus_factors(zfun, [c, d], step)
+    return _endpoint_product(factors)
 
 
 def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):

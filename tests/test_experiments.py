@@ -72,6 +72,7 @@ BAD_SETTINGS = [
     ("field.kind", "zero", "field/seed"),  # not a key of a zero field
     ("tolerances.no_such_check", "1e-6", "tolerances/no_such_check"),
     ("tolerances.order_factor", "[12.8]", "tolerances/order_factor"),
+    ("threads", "2", "threads"),  # the only value is 1: curve loops run serially
     # each of these used to crash with an internal error (exit 4)
     ("theorem.checkpoint_steps", "[100]", "theorem/checkpoint_steps/0"),  # save_every 40
     ("r_diagnostic.checkpoint_step", "240", "r_diagnostic/checkpoint_step"),  # = steps
@@ -243,13 +244,6 @@ def test_seed_changes_report_values():
     v42 = [c["value"] for c in rep42["checks"]]
     v43 = [c["value"] for c in rep43["checks"]]
     assert v42 != v43  # the random triples moved
-
-
-def test_threads_do_not_change_results():
-    """Worker-thread parallelism must leave every reported number unchanged."""
-    rep1, _ = run_experiment("transport", resolve_config(SMALL), 42)
-    rep3, _ = run_experiment("transport", resolve_config({**SMALL, "threads": 3}), 42)
-    assert rep1["checks"] == rep3["checks"]
 
 
 def test_flow_derivative_identity_second_order():
