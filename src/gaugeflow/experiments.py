@@ -31,6 +31,7 @@ from .field import (
     ScalarFourier,
     Torus,
     TransformedField,
+    cov_div_curvature,
     make_field,
 )
 from .heatflow import abelian_oracle, cfl_bound, flow, ym_rhs
@@ -113,7 +114,7 @@ DEFAULT_CONFIG = {
         "amplitude": 1.0,
         "kmax": 1,
         "curves": 3,
-        "grad_eps": 1e-4,
+        "grad_eps": 1e-3,
         "hess_eps": 1e-3,
         "heat_s": 0.02,
         "cesaro_modes": 64,
@@ -667,9 +668,8 @@ def run_levy(cfg, seed):
     for ci in sorted({ci for ci, _, _ in pair_plan}):
         kern = second_kernels(a_field, curves[ci], step=kstep)
         kernel_cache[ci] = kern
-        for seg_l, seg_s in zip(kern.levy_seg, kern.singular_seg):
-            kl_sym = max(kl_sym, maxabs(seg_l - np.swapaxes(seg_l, 1, 2)))
-            ks_anti = max(ks_anti, maxabs(seg_s + np.swapaxes(seg_s, 1, 2)))
+        kl_sym = max(kl_sym, maxabs(kern.levy - np.swapaxes(kern.levy, 1, 2)))
+        ks_anti = max(ks_anti, maxabs(kern.singular + np.swapaxes(kern.singular, 1, 2)))
 
     def hessian_case(item):
         ci, x, y = item
@@ -817,7 +817,10 @@ def _functional_gaps(f0, curves, fcfg, seed):
         lf = lambda c: curve_integral(f0.value, c)
         x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
         paired = _functional_grad_pair(f0, curve, x)
-        fd1 = (lf(perturb(curve, x, geps)) - lf(perturb(curve, x, -geps))) / (2 * geps)
+        # fourth-order five-point first difference along x
+        fd1 = (-lf(perturb(curve, x, 2 * geps)) + 8.0 * lf(perturb(curve, x, geps))
+               - 8.0 * lf(perturb(curve, x, -geps))
+               + lf(perturb(curve, x, -2 * geps))) / (12.0 * geps)
         grad_fd = max(grad_fd, abs(paired - fd1) / max(abs(fd1), 1e-300))
 
         hess_closed = _functional_hessian(f0, curve, x, x)
@@ -1138,25 +1141,11 @@ def run_r_diagnostic(cfg, seed):
         vel_fd, _ = trajectory.fd_ds_field(s_mid)
         ctx = TransportContext(fld, curve, step=step)
 
-        from .field import cov_div_curvature
-
-        def integrand(seg):
-            pts = ctx.seg_points(seg)
-            v = ctx.seg_velocities(seg)
-            gap = vel_fd.eval(pts) - cov_div_curvature(fld, pts)
-            c = np.einsum("tmij,tm->tij", gap, v)
-            return ctx.to_end[seg.sl] @ c @ ctx.from_start[seg.sl]
-
-        # R(r) by the integral formula, at the requested r grid
-        nodes_per_unit = len(ctx.nodes) - 1
-        r_int = []
-        for r in r_values:
-            node_index = int(round(r * nodes_per_unit))
-            val = ctx.integrate_prefix(integrand, node_index)
-            # the formula integrates against U_{1,t}; to_end transports to
-            # the curve end, so the prefix already carries U_{1,t} factors
-            r_int.append(np.asarray(val, dtype=np.complex128)
-                         if np.ndim(val) else np.zeros((n, n), np.complex128))
+        # R(r) by the integral formula: to_end transports to the curve end,
+        # so each prefix already carries the U_{1,t} factors
+        gap = vel_fd.eval(ctx.points) - cov_div_curvature(fld, ctx.points)
+        values = ctx.conjugate(np.einsum("tmij,tm->tij", gap, ctx.velocities))
+        r_int = [ctx.integrate(values, upto=r) for r in r_values]
 
         r_def = []
         if with_def_route:

@@ -24,7 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import dagger, fiber_metric, maxabs
+from .algebra import fiber_metric, maxabs
 from .field import _curvature_and_cov_deriv, cov_div_curvature, curvature
 from .path import perturb, sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport
@@ -39,36 +39,24 @@ from .transport import DEFAULT_STEP, TransportContext, transport
 class GradientField:
     """H^0 gradient of the transport along one curve.
 
-    seg_values[k] holds J^m(t) = -U_{1,t} F^m_n gammadot^n U_{t,0} sampled
-    on segment k's nodes, shape (npts, d, N, N). Velocities are one-sided
-    at segment junctions, so kinked curves keep full quadrature order.
+    values holds J^m(t) = -U_{1,t} F^m_n gammadot^n U_{t,0} on the context's
+    nodes `ctx.ts`, shape (K, d, N, N).
     """
 
     ctx: TransportContext
-    seg_values: list
+    values: np.ndarray
 
     def pair(self, x_field, phi):
         """H^0 inner product <grad U, X phi> = int sum_m <J^m, phi> X^m dt."""
-
-        def integrand(seg):
-            fm = fiber_metric(self.seg_values[seg.index], phi)  # (t, d)
-            xv = x_field.value(seg.ts)
-            return np.einsum("tm,tm->t", fm, xv)
-
-        return float(self.ctx.integrate(integrand))
+        fm = fiber_metric(self.values, phi)  # (t, d)
+        return float(self.ctx.integrate(np.einsum("tm,tm->t", fm, x_field.value(self.ctx.ts))))
 
 
 def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    values = []
-    for seg in ctx.segments():
-        f = curvature(field, ctx.seg_points(seg))
-        vel = ctx.seg_velocities(seg)
-        g = np.einsum("tmvij,tv->tmij", f, vel)
-        values.append(-np.einsum("tij,tmjk,tkl->tmil",
-                                 ctx.to_end[seg.sl], g, ctx.from_start[seg.sl]))
-    return GradientField(ctx, values)
+    g = np.einsum("tmvij,tv->tmij", curvature(field, ctx.points), ctx.velocities)
+    return GradientField(ctx, -ctx.conjugate(g))
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +76,27 @@ class KernelTriple:
                   + int K_L,ab X^a Y^b dt
                   + 1/2 int K_S,ab (X'^a Y^b + Y'^a X^b) dt
 
-    with OX(t) = sum_a out[t, a] X^a(t), IY(s) = sum_b in[s, b] Y^b(s).
+    with OX(t) = sum_a out[t, a] X^a(t), IY(s) = sum_b inner[s, b] Y^b(s). Every
+    kernel is sampled on the context's nodes `ctx.ts`.
     """
 
     ctx: TransportContext
-    levy_seg: list      # (npts, d, d, N, N) per segment
-    singular_seg: list  # (npts, d, d, N, N)
-    out_seg: list       # (npts, d, N, N)
-    in_seg: list        # (npts, d, N, N)
+    levy: np.ndarray      # (K, d, d, N, N)
+    singular: np.ndarray  # (K, d, d, N, N)
+    out: np.ndarray       # (K, d, N, N)
+    inner: np.ndarray     # (K, d, N, N)
 
 
 def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    levy_seg, singular_seg, out_seg, in_seg = [], [], [], []
-    for seg in ctx.segments():
-        pts = ctx.seg_points(seg)
-        vel = ctx.seg_velocities(seg)
-        uf, ut = ctx.from_start[seg.sl], ctx.to_end[seg.sl]
-        f, df = _curvature_and_cov_deriv(field, pts)    # df[a, b, c] = D_a F_bc
-        g = np.einsum("tmvij,tv->tmij", f, vel)
-        h1 = np.einsum("tabcij,tc->tabij", df, vel)     # D_a F_{b .} gammadot
-        sym = h1 + np.swapaxes(h1, 1, 2)
-        levy_seg.append(-0.5 * np.einsum("tij,tabjk,tkl->tabil", ut, sym, uf))
-        singular_seg.append(np.einsum("tij,tabjk,tkl->tabil", ut, f, uf))
-        out_seg.append(np.einsum("tij,tmjk,tkl->tmil", ut, g, uf))
-        in_seg.append(np.einsum("tij,tmjk,tkl->tmil", dagger(uf), g, uf))
-    return KernelTriple(ctx, levy_seg, singular_seg, out_seg, in_seg)
+    vel = ctx.velocities
+    f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
+    g = np.einsum("tmvij,tv->tmij", f, vel)
+    h1 = np.einsum("tabcij,tc->tabij", df, vel)          # D_a F_{b .} gammadot
+    sym = h1 + np.swapaxes(h1, 1, 2)
+    return KernelTriple(ctx, -0.5 * ctx.conjugate(sym), ctx.conjugate(f),
+                        ctx.conjugate(g), ctx.conjugate(g, to_start=True))
 
 
 def levy_divergence(kernels):
@@ -124,10 +106,7 @@ def levy_divergence(kernels):
     the double-time and singular kernels contribute nothing to the Cesaro
     mean (their sine-series coefficients are summable and average out).
     """
-    ctx = kernels.ctx
-    return ctx.integrate(
-        lambda seg: np.einsum("taaij->tij", kernels.levy_seg[seg.index])
-    )
+    return kernels.ctx.integrate(np.einsum("taaij->tij", kernels.levy))
 
 
 def assemble_bilinear(kernels, x_field, y_field):
@@ -137,33 +116,19 @@ def assemble_bilinear(kernels, x_field, y_field):
     Returns an (N, N) matrix; symmetric in X <-> Y by construction.
     """
     ctx = kernels.ctx
+    xv, yv = x_field.value(ctx.ts), y_field.value(ctx.ts)
+    dx, dy = x_field.deriv(ctx.ts), y_field.deriv(ctx.ts)
 
-    def volterra(xf, yf):
-        ciy = ctx.cumulative(
-            lambda seg: np.einsum("tmij,tm->tij",
-                                  kernels.in_seg[seg.index], yf.value(seg.ts))
-        )
+    def volterra(xv, yv):
+        ciy = ctx.cumulative(np.einsum("tmij,tm->tij", kernels.inner, yv))
+        return ctx.integrate(np.einsum("tmij,tm->tij", kernels.out, xv) @ ciy)
 
-        def outer(seg):
-            ox = np.einsum("tmij,tm->tij",
-                           kernels.out_seg[seg.index], xf.value(seg.ts))
-            return ox @ ciy[seg.sl]
-
-        return ctx.integrate(outer)
-
-    def levy_part(seg):
-        xv, yv = x_field.value(seg.ts), y_field.value(seg.ts)
-        return np.einsum("tabij,ta,tb->tij", kernels.levy_seg[seg.index], xv, yv)
-
-    def singular_part(seg):
-        xv, yv = x_field.value(seg.ts), y_field.value(seg.ts)
-        dx, dy = x_field.deriv(seg.ts), y_field.deriv(seg.ts)
-        ks = kernels.singular_seg[seg.index]
-        return 0.5 * (np.einsum("tabij,ta,tb->tij", ks, dx, yv)
+    ks = kernels.singular
+    singular = 0.5 * (np.einsum("tabij,ta,tb->tij", ks, dx, yv)
                       + np.einsum("tabij,ta,tb->tij", ks, dy, xv))
-
-    return (volterra(x_field, y_field) + volterra(y_field, x_field)
-            + ctx.integrate(levy_part) + ctx.integrate(singular_part))
+    return (volterra(xv, yv) + volterra(yv, xv)
+            + ctx.integrate(np.einsum("tabij,ta,tb->tij", kernels.levy, xv, yv))
+            + ctx.integrate(singular))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +155,8 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
 
-    def integrand(seg):
-        div = cov_div_curvature(field, ctx.seg_points(seg))
-        c = np.einsum("tvij,tv->tij", div, ctx.seg_velocities(seg))
-        return -(ctx.to_end[seg.sl] @ c @ ctx.from_start[seg.sl])
-
-    closed = ctx.integrate(integrand)
+    c = np.einsum("tvij,tv->tij", cov_div_curvature(field, ctx.points), ctx.velocities)
+    closed = ctx.integrate(-ctx.conjugate(c))
     if not check:
         return LevyLaplacian(closed, closed, 0.0)
     kernel_value = levy_divergence(second_kernels(field, curve, ctx=ctx))

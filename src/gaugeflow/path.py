@@ -3,8 +3,7 @@
 Curves live in the universal cover R^d; field evaluation wraps them onto
 the torus. Every curve exposes exact `point` and `velocity` maps that
 broadcast over arrays of parameters, plus `breakpoints`: interior
-parameters where the velocity jumps (plateau corners, concatenation
-seams). Integrators align their grids with these so piecewise-smooth
+parameters where the velocity jumps (plateau corners). Integrators align their grids with these so piecewise-smooth
 curves lose no order.
 
 `velocity(t, side)` takes one-sided limits at breakpoints: side=+1 is the
@@ -174,34 +173,6 @@ def _invert_monotone(phi, targets):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     closer = np.abs(phi.value(lo) - target) < np.abs(phi.value(hi) - target)
     return np.where(closer, lo, hi)
-
-
-class ConcatCurve(Curve):
-    """First curve on [0, 1/2], second on [1/2, 1]; endpoints must meet."""
-
-    def __init__(self, first, second, tol=1e-12):
-        gap = np.max(np.abs(first.point(np.array(1.0)) - second.point(np.array(0.0))))
-        if gap > tol:
-            raise ValueError(f"concatenation endpoint gap {gap:.3e}")
-        super().__init__(first.d)
-        self.first, self.second = first, second
-        bps = tuple(0.5 * b for b in first.breakpoints)
-        bps += (0.5,)
-        bps += tuple(0.5 + 0.5 * b for b in second.breakpoints)
-        self.breakpoints = bps
-
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        lo = self.first.point(np.clip(2.0 * t, 0.0, 1.0))
-        hi = self.second.point(np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t <= 0.5)[..., None], lo, hi)
-
-    def velocity(self, t, side=1):
-        t = np.asarray(t, dtype=float)
-        in_first = (t < 0.5) | ((t == 0.5) & (side < 0))
-        lo = self.first.velocity(np.clip(2.0 * t, 0.0, 1.0), side)
-        hi = self.second.velocity(np.clip(2.0 * t - 1.0, 0.0, 1.0), side)
-        return 2.0 * np.where(in_first[..., None], lo, hi)
 
 
 class SineReparam:

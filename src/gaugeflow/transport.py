@@ -19,14 +19,23 @@ gammadot^mu(t), with the curve breakpoints (plateau corners, seams) as
 edges, so piecewise-smooth curves integrate at full order. For
 anti-Hermitian traceless Z each Omega is in su(N), so each factor and
 every product of them is special-unitary up to roundoff, with no
-projection. A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on
-the nodes of one curve; every integral formula in this package is a
-quadrature over those nodes. `propagator` takes any matrix-valued Z.
+projection. `propagator` takes any matrix-valued Z.
+
+A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes of
+one curve, and every integral formula in this package is a quadrature
+over those nodes. Its quadrature layout `ts` lists each segment's nodes in
+turn, so a junction node appears twice: once as the last node of the
+segment before it, carrying the velocity limit from below, and once as
+the first node of the segment after it, carrying the limit from above.
+Integrands are arrays sampled on `ts`; `weights` are composite Simpson
+weights per segment, so `integrate` is one weighted sum and kinked curves
+keep full order. `cumulative` is a trapezoid sum whose step across a
+junction has zero width. This module alone knows the layout.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -64,14 +73,6 @@ def _even_steps(length, step):
     return n + (n % 2)
 
 
-@dataclasses.dataclass
-class Segment:
-    index: int
-    sl: slice          # node indices in the global arrays
-    ts: np.ndarray     # (npts,)
-    h: float
-
-
 def _endpoint_product(mats):
     """mats[-1] @ ... @ mats[0] by pairwise reduction in M products.
 
@@ -90,29 +91,26 @@ def _magnus_factors(zfun, edges, step):
     """Nodes, segments and Magnus-4 factors of dP/dt = -Z(t) P between `edges`.
 
     Each interval between consecutive edges is one segment with an even step
-    count. Returns (nodes, segments, factors): factor k carries P from node k
-    to node k + 1.
+    count. Returns (nodes, segments, factors): `segments` lists each
+    segment's (nodes, step), and factor k carries P from node k to node k + 1.
     """
-    nodes, segments, starts, hs = [], [], [], []
-    start = 0
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+    segments = []
+    for a, b in zip(edges[:-1], edges[1:]):
         nst = _even_steps(b - a, step)
         h = (b - a) / nst
         ts = a + np.arange(nst + 1) * h
         ts[-1] = b
-        nodes.append(ts if i == 0 else ts[1:])
-        segments.append(Segment(i, slice(start, start + nst + 1), ts, h))
-        start += nst
-        starts.append(ts[:-1])
-        hs.append(np.full(nst, h))
+        segments.append((ts, h))
 
-    t0, h = np.concatenate(starts), np.concatenate(hs)
+    nodes = np.concatenate([segments[0][0], *(ts[1:] for ts, _ in segments[1:])])
+    t0 = np.concatenate([ts[:-1] for ts, _ in segments])
+    h = np.concatenate([np.full(len(ts) - 1, h) for ts, h in segments])
     offset = math.sqrt(3.0) / 6.0
     z = np.asarray(zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h])))
     z1, z2 = np.split(z, 2)
     h = h[:, None, None]
     omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * (z1 @ z2 - z2 @ z1)
-    return np.concatenate(nodes), segments, expm(omega)
+    return nodes, segments, expm(omega)
 
 
 def _curve_factors(field, curve, step, lo, hi):
@@ -132,12 +130,17 @@ class TransportContext:
     `from_start` is the product scan of the fourth-order Magnus factors
     (Blanes, Casas, Oteo & Ros 2009; see the module docstring), one factor
     per node interval; it is special-unitary to roundoff with no projection.
+    Integrands are arrays sampled on the quadrature layout `ts` (module
+    docstring), shape (K, ...).
 
     Attributes:
         nodes: (M+1,) integrator node parameters covering [lo, hi].
         from_start: (M+1, N, N), U_{t_i, lo}.
         to_end: (M+1, N, N), U_{hi, t_i}.
         endpoint: U_{hi, lo}.
+        ts: (K,) quadrature nodes, each segment's nodes in turn.
+        weights: (K,) composite Simpson weights of each segment.
+        points, velocities: (K, d) curve points and one-sided velocities at `ts`.
     """
 
     def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0):
@@ -149,85 +152,74 @@ class TransportContext:
         self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
 
-        self.nodes, self._segments, factors = _curve_factors(
-            field, curve, step, self.lo, self.hi)
+        self.nodes, segments, factors = _curve_factors(field, curve, step, self.lo, self.hi)
         self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
         self.to_end = self.endpoint @ dagger(self.from_start)
-        self._points = None
 
-    # --- node data ---
+        sizes = [len(ts) for ts, _ in segments]
+        self._steps = np.array([h for _, h in segments])
+        self._ends = np.cumsum(sizes) - 1  # last layout index of each segment
+        self.ts = np.concatenate([ts for ts, _ in segments])
+        self.weights = np.concatenate([simpson_weights(len(ts), h) for ts, h in segments])
+        # node index of each layout entry: each earlier segment added one duplicate
+        self._node = np.arange(len(self.ts)) - np.repeat(np.arange(len(sizes)), sizes)
+        self._widths = np.repeat(self._steps, sizes)[:-1]
+        self._widths[self._ends[:-1]] = 0.0
 
-    @property
+    @functools.cached_property
     def points(self):
-        if self._points is None:
-            self._points = self.curve.point(self.nodes)
-        return self._points
+        return self.curve.point(self.ts)
 
-    def segments(self):
-        return self._segments
-
-    def seg_points(self, seg):
-        return self.points[seg.sl]
-
-    def seg_velocities(self, seg):
-        """Velocities on a segment; one-sided limit at its final node."""
-        v = self.curve.velocity(seg.ts, side=1)
-        v[-1] = self.curve.velocity(np.asarray(seg.ts[-1]), side=-1)
+    @functools.cached_property
+    def velocities(self):
+        v = self.curve.velocity(self.ts, side=1)
+        v[self._ends] = self.curve.velocity(self.ts[self._ends], side=-1)
         return v
 
-    # --- quadrature over the cached nodes ---
+    @functools.cached_property
+    def _frames(self):
+        return self.to_end[self._node], self.from_start[self._node]
 
-    def integrate(self, seg_values):
-        """Composite Simpson of a per-segment integrand.
+    def conjugate(self, c, to_start=False):
+        """U_{hi,t} c(t) U_{t,lo} at every node of `ts`, for c of shape (K, ..., N, N).
 
-        seg_values(seg) returns the integrand sampled on seg.ts, shape
-        (npts, ...).
+        With to_start, U_{lo,t} c(t) U_{t,lo} = U_{t,lo}^-1 c(t) U_{t,lo}.
         """
-        total = None
-        for seg in self._segments:
-            vals = np.asarray(seg_values(seg))
-            w = simpson_weights(len(seg.ts), seg.h)
-            part = np.einsum("t,t...->...", w, vals)
-            total = part if total is None else total + part
-        return total
+        to_end, from_start = self._frames
+        left = dagger(from_start) if to_start else to_end
+        # matmul and einsum round differently; reports are pinned bit for bit,
+        # so one matrix per node takes matmul and direction axes take einsum
+        if c.ndim == 3:
+            return left @ c @ from_start
+        return np.einsum("tij,t...jk,tkl->t...il", left, c, from_start)
 
-    def cumulative(self, seg_values):
-        """Trapezoid cumulative integral at every node, shape (M+1, ...)."""
-        pieces, carry = [], None
-        for seg in self._segments:
-            vals = np.asarray(seg_values(seg))
-            inc = 0.5 * seg.h * (vals[1:] + vals[:-1])
-            cum = np.cumsum(inc, axis=0)
-            zero = np.zeros_like(vals[:1])
-            cum = np.concatenate([zero, cum], axis=0)
-            if carry is not None:
-                cum = cum + carry
-                cum = cum[1:]  # junction node already emitted by previous segment
-            pieces.append(cum)
-            carry = cum[-1]
-        return np.concatenate(pieces, axis=0)
+    def integrate(self, values, upto=None):
+        """Composite Simpson integral over [lo, hi] of values sampled on `ts`.
 
-    def integrate_prefix(self, seg_values, node_index):
-        """Simpson integral over [lo, nodes[node_index]]."""
-        total = 0.0
-        for seg in self._segments:
-            if seg.sl.stop - 1 <= node_index:
-                vals = np.asarray(seg_values(seg))
-                w = simpson_weights(len(seg.ts), seg.h)
-                total = total + np.einsum("t,t...->...", w, vals)
-                if seg.sl.stop - 1 == node_index:
-                    return total
-            else:
-                local = node_index - seg.sl.start
-                if local <= 0:
-                    return total
-                if local % 2 == 1:
-                    raise ValueError("prefix must end on an even node of its segment")
-                vals = np.asarray(seg_values(seg))[: local + 1]
-                w = simpson_weights(local + 1, seg.h)
-                return total + np.einsum("t,t...->...", w, vals)
-        return total
+        With `upto`, the integral over [lo, upto] instead. `upto` is taken to
+        the nearest node, which must lie an even number of steps into its
+        segment.
+        """
+        w = self.weights if upto is None else self._prefix_weights(upto)
+        return np.einsum("t,t...->...", w, values[: len(w)])
+
+    def _prefix_weights(self, upto):
+        k = int(np.argmin(np.abs(self.ts - upto)))  # a junction gives its first copy
+        seg = int(np.searchsorted(self._ends, k))
+        first = self._ends[seg - 1] + 1 if seg else 0
+        local = k - first
+        if local % 2:
+            raise ValueError("prefix must end on an even node of its segment")
+        w = self.weights[: k + 1].copy()
+        w[first:] = simpson_weights(local + 1, self._steps[seg]) if local else 0.0
+        return w
+
+    def cumulative(self, values):
+        """Trapezoid integral from lo to every node of `ts`, shape (K, ...)."""
+        widths = self._widths.reshape((-1,) + (1,) * (values.ndim - 1))
+        steps = 0.5 * widths * (values[1:] + values[:-1])
+        return np.concatenate([np.zeros_like(values[:1]), np.cumsum(steps, axis=0)])
 
 
 def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
@@ -286,16 +278,9 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-
-    def bulk(seg):
-        pts = ctx.seg_points(seg)
-        vel = ctx.seg_velocities(seg)
-        f = curvature(field, pts)
-        xv = x_field.value(seg.ts)
-        t = np.einsum("tmvij,tm,tv->tij", f, xv, vel)
-        return -(ctx.to_end[seg.sl] @ t @ ctx.from_start[seg.sl])
-
-    out = ctx.integrate(bulk)
+    t = np.einsum("tmvij,tm,tv->tij", curvature(field, ctx.points),
+                  x_field.value(ctx.ts), ctx.velocities)
+    out = ctx.integrate(-ctx.conjugate(t))
     t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
     a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))
     a0 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t0)), x_field.value(t0))
@@ -312,11 +297,5 @@ def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-
-    def integrand(seg):
-        dsa = ds_field.eval(ctx.seg_points(seg))
-        vel = ctx.seg_velocities(seg)
-        c = np.einsum("tmij,tm->tij", dsa, vel)
-        return -(ctx.to_end[seg.sl] @ c @ ctx.from_start[seg.sl])
-
-    return ctx.integrate(integrand)
+    c = np.einsum("tmij,tm->tij", ds_field.eval(ctx.points), ctx.velocities)
+    return ctx.integrate(-ctx.conjugate(c))

@@ -3,7 +3,8 @@
 Nothing in the package needs them at run time: they check that a result
 lies in the set it claims (the Lie algebra), satisfies an identity the
 formulas must keep (Bianchi), or has the inner products a basis claims,
-and they read back the fields the package saves. The `einsum_*` functions
+and they read back the fields the package saves. `ConcatCurve` builds the
+kinked curves that the breakpoint tests integrate across. The `einsum_*` functions
 are the derivative-tensor kernels written term by term as explicit index
 contractions, the reference the broadcast-product kernels are held to.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from gaugeflow.algebra import dagger, expm, maxabs, trace
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
-from gaugeflow.path import gauss_legendre
+from gaugeflow.path import Curve, gauss_legendre
 
 
 def commutator(x, y):
@@ -49,6 +50,34 @@ def h1_inner(x, y, panels=256):
     val = np.einsum("td,td,t->", x.value(t), y.value(t), w)
     val += np.einsum("td,td,t->", x.deriv(t), y.deriv(t), w)
     return float(val)
+
+
+class ConcatCurve(Curve):
+    """First curve on [0, 1/2], second on [1/2, 1]; endpoints must meet."""
+
+    def __init__(self, first, second, tol=1e-12):
+        gap = np.max(np.abs(first.point(np.array(1.0)) - second.point(np.array(0.0))))
+        if gap > tol:
+            raise ValueError(f"concatenation endpoint gap {gap:.3e}")
+        super().__init__(first.d)
+        self.first, self.second = first, second
+        bps = tuple(0.5 * b for b in first.breakpoints)
+        bps += (0.5,)
+        bps += tuple(0.5 + 0.5 * b for b in second.breakpoints)
+        self.breakpoints = bps
+
+    def point(self, t):
+        t = np.asarray(t, dtype=float)
+        lo = self.first.point(np.clip(2.0 * t, 0.0, 1.0))
+        hi = self.second.point(np.clip(2.0 * t - 1.0, 0.0, 1.0))
+        return np.where((t <= 0.5)[..., None], lo, hi)
+
+    def velocity(self, t, side=1):
+        t = np.asarray(t, dtype=float)
+        in_first = (t < 0.5) | ((t == 0.5) & (side < 0))
+        lo = self.first.velocity(np.clip(2.0 * t, 0.0, 1.0), side)
+        hi = self.second.velocity(np.clip(2.0 * t - 1.0, 0.0, 1.0), side)
+        return 2.0 * np.where(in_first[..., None], lo, hi)
 
 
 def load_field(base):

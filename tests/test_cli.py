@@ -246,6 +246,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_benchmark_wrappers_find_their_targets(tmp_path):
+    """The benchmark's span recorder still finds every function it wraps.
+
+    `perfbench/spans.py` wraps gaugeflow functions by module and name, and a
+    module-level name that is gone raises there. Run in a subprocess because
+    the wrapping replaces functions process-wide; perfbench is only read.
+    """
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys, gaugeflow.cli; sys.path.insert(0, sys.argv[1]); import spans; "
+            "spans.instrument(spans.Recorder())")
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench)], cwd=tmp_path,
+                          env=cli_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unknown_subcommand_rejected(tmp_path):
     proc = run_cli(["no-such-subcommand"], tmp_path)
     assert proc.returncode == 2

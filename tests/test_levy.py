@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from gaugeflow.algebra import expm, fiber_metric, maxabs, random_lie
+from gaugeflow.algebra import dagger, expm, fiber_metric, maxabs, random_lie
 from gaugeflow.experiments import (
     DEFAULT_CONFIG,
     _curves,
@@ -39,7 +39,7 @@ from gaugeflow.levy import (
     levy_laplacian_transport,
     second_kernels,
 )
-from gaugeflow.path import Line, curve_integral, perturb, random_vanishing_field
+from gaugeflow.path import Line, curve_integral, perturb, plateau, random_vanishing_field
 from gaugeflow.transport import TransportContext, transport, transport_derivative
 
 STEP = 1.0 / 1024
@@ -82,9 +82,9 @@ def test_kernel_symmetries(su2_field, wiggly_curve):
     """First-order kernel symmetric in its direction pair, singular kernel
     antisymmetric (it is a conjugated curvature)."""
     k = second_kernels(su2_field, wiggly_curve, step=STEP)
-    for seg_l, seg_s in zip(k.levy_seg, k.singular_seg):
-        assert maxabs(seg_l - np.swapaxes(seg_l, 1, 2)) < 1e-12
-        assert maxabs(seg_s + np.swapaxes(seg_s, 1, 2)) < 1e-12
+    assert k.levy.shape == k.singular.shape == (len(k.ctx.ts), 2, 2, 2, 2)
+    assert maxabs(k.levy - np.swapaxes(k.levy, 1, 2)) < 1e-12
+    assert maxabs(k.singular + np.swapaxes(k.singular, 1, 2)) < 1e-12
 
 
 def test_bilinear_symmetric(su2_field, wiggly_curve):
@@ -95,21 +95,25 @@ def test_bilinear_symmetric(su2_field, wiggly_curve):
     assert maxabs(assemble_bilinear(k, x, y) - assemble_bilinear(k, y, x)) < 1e-12
 
 
-def test_bilinear_vs_fd(su2_field, wiggly_curve):
+@pytest.mark.parametrize("plateau_r", [None, 0.6], ids=["smooth", "plateau"])
+def test_bilinear_vs_fd(su2_field, wiggly_curve, plateau_r):
     """Kernel-assembled D^2 U(X, Y) vs the 4-point mixed finite difference.
 
     eps = 2e-4 balances the eps^2 truncation against roundoff; the measured
-    gap at step 1/2048 is 2.5e-5, so 1e-4 has a 4x margin.
+    gap at step 1/2048 is 3.61e-5 on the smooth curve and 3.55e-5 on the
+    plateau curve, whose junction at 0.6 the Volterra part integrates
+    across, so 1e-4 has a 2.7x margin.
     """
+    curve = wiggly_curve if plateau_r is None else plateau(wiggly_curve, plateau_r)
     step = 1.0 / 2048
-    k = second_kernels(su2_field, wiggly_curve, step=step)
+    k = second_kernels(su2_field, curve, step=step)
     rng = np.random.default_rng(67)
     x = random_vanishing_field(rng, 2, modes=3)
     y = random_vanishing_field(rng, 2, modes=3)
     got = assemble_bilinear(k, x, y)
     eps = 2e-4
     u = lambda cx, cy: transport(
-        su2_field, perturb(perturb(wiggly_curve, x, cx * eps), y, cy * eps), step=step
+        su2_field, perturb(perturb(curve, x, cx * eps), y, cy * eps), step=step
     )
     fd = (u(1, 1) - u(1, -1) - u(-1, 1) + u(-1, -1)) / (4 * eps * eps)
     assert maxabs(got - fd) < 1e-4
@@ -141,6 +145,24 @@ def test_laplacian_pure_gauge_vanishes(torus2, wiggly_curve):
     flat = TransformedField(AnalyticField.zero(torus2, 2), psi)
     lap = levy_laplacian_transport(flat, wiggly_curve, step=STEP)
     assert maxabs(lap.value) < 1e-12
+
+
+@pytest.mark.parametrize("plateau_r", [None, 0.6], ids=["smooth", "plateau"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_laplacian_gauge_covariance(su2_field, wiggly_curve, plateau_r, seed):
+    """Lap U^psi = psi(gamma(1))^-1 (Lap U) psi(gamma(0)) for the transformed field.
+
+    Both sides run the route check (closed form against the kernel
+    divergence). The measured relative gap is at most 4.2e-12.
+    """
+    curve = wiggly_curve if plateau_r is None else plateau(wiggly_curve, plateau_r)
+    psi = GaugeMap.random(np.random.default_rng(seed), su2_field.torus, n=2, factors=2,
+                          modes=2, amplitude=0.6, kmax=1)
+    lap = levy_laplacian_transport(su2_field, curve, step=STEP).value
+    lap_psi = levy_laplacian_transport(TransformedField(su2_field, psi), curve, step=STEP).value
+    p1 = psi.value(curve.point(np.array(1.0)))
+    p0 = psi.value(curve.point(np.array(0.0)))
+    assert maxabs(lap_psi - dagger(p1) @ lap @ p0) / maxabs(lap) < 1e-8
 
 
 def test_laplacian_abelian_series_oracle(torus2, abelian_field, wiggly_curve):
@@ -239,19 +261,23 @@ def test_functional_checks_across_master_seeds():
     The Hessian check passes at 99 of them. Seed 89 reads 6.3e-6: its
     curve-0 Hessian is -1.2e-3, against 11-26 on the other curves and
     seeds, so the relative error divides an absolute 7e-9 by a near-zero
-    value. The route and heat gaps sit far below their tolerances at every
-    seed. The gradient check is not swept: its second-order difference
-    fails at 18 of these seeds.
+    value. The gradient check, a five-point fourth-order difference at
+    grad_eps 1e-3, also passes at 99. Seed 16 reads 1.27e-6: its curve-1
+    gap is 7.7e-7, 4.8e-8 and 3.0e-9 at h = 2e-3, 1e-3 and 5e-4, the h^4
+    truncation, divided by a gradient of -0.038 against 7.1 and -12.3 on the
+    other curves. The route and heat gaps sit far below their tolerances at
+    every seed.
     """
     cfg = DEFAULT_CONFIG
     fcfg, tol = cfg["functional"], cfg["tolerances"]
     curves = _curves(cfg, fcfg["curves"])
     torus = _torus(cfg)
-    hess_fails = []
+    fails = {"functional_grad_fd": [], "functional_hessian_fd": []}
     for seed in range(100):
         gaps = _functional_gaps(_functional_scalar(fcfg, seed, torus), curves, fcfg, seed)
-        if gaps["functional_hessian_fd"] > tol["functional_hessian_fd"]:
-            hess_fails.append(seed)
+        for name, seeds in fails.items():
+            if gaps[name] > tol[name]:
+                seeds.append(seed)
         for name in ("functional_laplacian_routes", "functional_laplacian_fd", "heat_residual"):
             assert gaps[name] <= tol[name], (seed, name, gaps[name])
-    assert len(hess_fails) <= 1, hess_fails
+    assert all(len(seeds) <= 1 for seeds in fails.values()), fails

@@ -7,10 +7,9 @@ inner-product oracles are hand-computed antiderivatives.
 import numpy as np
 import pytest
 
-from _oracles import h0_inner, h1_inner
+from _oracles import ConcatCurve, h0_inner, h1_inner
 from gaugeflow.path import (
     Circle,
-    ConcatCurve,
     Line,
     PolyReparam,
     SineReparam,

@@ -15,14 +15,15 @@ kinked-curve ratio 16.00, gauge-covariance gap 3.4e-12.
 import numpy as np
 import pytest
 
+from _oracles import ConcatCurve
 from gaugeflow.algebra import dagger, expm, group_defect, maxabs, random_group, random_lie
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import AnalyticField, GaugeMap, TransformedField
 from gaugeflow.path import (
-    ConcatCurve,
     Line,
     SineReparam,
     perturb,
+    plateau,
     random_field,
     random_vanishing_field,
     reparametrize,
@@ -201,21 +202,25 @@ def test_duhamel_vs_fd():
     assert maxabs(got - (up - dn) / (2 * eps)) < 1e-7
 
 
-def test_transport_derivative_vs_fd(su2_field, wiggly_curve):
+@pytest.mark.parametrize("plateau_r", [None, 0.6], ids=["smooth", "plateau"])
+def test_transport_derivative_vs_fd(su2_field, wiggly_curve, plateau_r):
     """Curve-variation derivative vs FD of transports along perturbed curves.
 
     One interior (vanishing-end) variation and one with free endpoints, so
     both the bulk curvature term and the endpoint connection terms are hit.
+    The plateau curve has a junction at 0.6 with zero velocity after it.
+    Measured: 5.7e-9 and 2.1e-8 (smooth), 4.4e-9 and 2.4e-8 (plateau).
     """
+    curve = wiggly_curve if plateau_r is None else plateau(wiggly_curve, plateau_r)
     eps = 1e-5
     fields = [
         random_vanishing_field(np.random.default_rng(21), 2, modes=3),
         random_field(np.random.default_rng(22), 2, modes=3),
     ]
     for x in fields:
-        got = transport_derivative(su2_field, wiggly_curve, x, step=1.0 / 1024)
-        up = transport(su2_field, perturb(wiggly_curve, x, +eps), step=1.0 / 1024)
-        dn = transport(su2_field, perturb(wiggly_curve, x, -eps), step=1.0 / 1024)
+        got = transport_derivative(su2_field, curve, x, step=1.0 / 1024)
+        up = transport(su2_field, perturb(curve, x, +eps), step=1.0 / 1024)
+        dn = transport(su2_field, perturb(curve, x, -eps), step=1.0 / 1024)
         assert maxabs(got - (up - dn) / (2 * eps)) < 1e-6
 
 
@@ -241,31 +246,57 @@ def test_transport_s_derivative_vs_fd(torus2, su2_field, wiggly_curve):
 
 
 def test_context_breakpoint_alignment(su2_field):
-    """Integrator nodes contain every corner; each segment has an even count."""
-    curve = ConcatCurve(Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8]))
+    """Integrator nodes contain every corner; each segment has an even count.
+
+    The quadrature layout lists the corner twice, once per side, each copy
+    with that side's velocity.
+    """
+    first, second = Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8])
+    curve = ConcatCurve(first, second)
     ctx = TransportContext(su2_field, curve, step=1.0 / 64)
     assert np.any(np.isclose(ctx.nodes, 0.5))
     assert ctx.nodes[0] == 0.0 and ctx.nodes[-1] == 1.0
     assert np.all(np.diff(ctx.nodes) > 0)
-    for seg in ctx.segments():
-        assert (len(seg.ts) - 1) % 2 == 0
+    (corner,) = np.flatnonzero(ctx.ts == 0.5)[:1]
+    assert ctx.ts[corner + 1] == 0.5 and len(ctx.ts) == len(ctx.nodes) + 1
+    assert corner % 2 == 0 and (len(ctx.ts) - corner - 2) % 2 == 0
+    assert np.allclose(ctx.velocities[corner], 2.0 * (first.p1 - first.p0))
+    assert np.allclose(ctx.velocities[corner + 1], 2.0 * (second.p1 - second.p0))
+    assert np.allclose(ctx.points, curve.point(ctx.ts))
 
 
 def test_context_quadrature(su2_field, wiggly_curve):
-    """integrate/cumulative/integrate_prefix vs the antiderivative of sin(2 pi t)."""
+    """integrate and cumulative vs the antiderivative of the integrand.
+
+    On the smooth curve the integrand is sin(2 pi t). On a kinked curve it is
+    the speed |gammadot|, which jumps at the corner, so the integrals are the
+    arc length and only the one-sided values on each side keep them exact.
+    """
     ctx = TransportContext(su2_field, wiggly_curve, step=1.0 / 1024)
-    fn = lambda seg: np.sin(2 * np.pi * seg.ts)
+    fn = np.sin(2 * np.pi * ctx.ts)
     anti = lambda t: (1.0 - np.cos(2 * np.pi * t)) / (2 * np.pi)
     assert abs(ctx.integrate(fn)) < 1e-10
     cum = ctx.cumulative(fn)
-    assert cum.shape == ctx.nodes.shape
-    assert np.max(np.abs(cum - anti(ctx.nodes))) < 1e-6
-    i = len(ctx.nodes) // 2
-    i -= i % 2  # even node
-    assert abs(ctx.integrate_prefix(fn, i) - anti(ctx.nodes[i])) < 1e-10
-    assert ctx.integrate_prefix(fn, 0) == 0.0
+    assert cum.shape == ctx.ts.shape
+    assert np.max(np.abs(cum - anti(ctx.ts))) < 1e-6
+    half = ctx.ts[len(ctx.ts) // 2 - (len(ctx.ts) // 2) % 2]  # an even node
+    assert abs(ctx.integrate(fn, upto=half) - anti(half)) < 1e-10
+    assert ctx.integrate(fn, upto=0.0) == 0.0
     with pytest.raises(ValueError):
-        ctx.integrate_prefix(fn, 1)
+        ctx.integrate(fn, upto=ctx.ts[1])
+
+    first, second = Line([0.1, 0.2], [0.5, 0.3]), Line([0.5, 0.3], [0.4, 0.8])
+    kinked = TransportContext(su2_field, ConcatCurve(first, second), step=1.0 / 64)
+    speed = np.linalg.norm(kinked.velocities, axis=-1)
+    s1 = np.linalg.norm(first.p1 - first.p0)
+    s2 = np.linalg.norm(second.p1 - second.p0)
+    arc = np.where(kinked.ts <= 0.5, 2 * s1 * kinked.ts, s1 + 2 * s2 * (kinked.ts - 0.5))
+    assert abs(kinked.integrate(speed) - (s1 + s2)) < 1e-14
+    assert abs(kinked.integrate(speed, upto=0.5) - s1) < 1e-14
+    cum = kinked.cumulative(speed)
+    assert np.max(np.abs(cum - arc)) < 1e-14
+    (corner,) = np.flatnonzero(kinked.ts == 0.5)[:1]
+    assert cum[corner] == cum[corner + 1]
 
 
 def test_simpson_weights():
