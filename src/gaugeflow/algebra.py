@@ -25,6 +25,15 @@ def dagger(u):
     return np.conjugate(np.swapaxes(u, -1, -2))
 
 
+def _matmul(a, b):
+    """Broadcast product of trailing small matrices, unrolled over the inner
+    index: for stacks of 2x2 and 3x3 matrices several times faster than `@`."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
 
@@ -94,19 +103,19 @@ def _pade(a, m):
     """Degree-m Pade approximant (V - U)^-1 (V + U) of exp over a batch a."""
     b = _pade_coefficients(m)
     eye = np.eye(a.shape[-1])
-    a2 = a @ a
+    a2 = _matmul(a, a)
     if m < 13:
         powers = [eye, a2]
         while len(powers) <= m // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+            powers.append(_matmul(powers[-1], a2))
+        u = _matmul(a, sum(b[2 * j + 1] * p for j, p in enumerate(powers)))
         v = sum(b[2 * j] * p for j, p in enumerate(powers))
     else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        a4 = _matmul(a2, a2)
+        a6 = _matmul(a4, a2)
+        u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                    + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     return np.linalg.solve(v - u, v + u)
 
@@ -128,7 +137,7 @@ def _expm_pade(x):
             out[sel] = _pade(x[sel] * 0.5 ** squarings[sel][:, None, None], m)
     for k in range(int(np.max(squarings, initial=0))):
         sel = squarings > k
-        out[sel] = out[sel] @ out[sel]
+        out[sel] = _matmul(out[sel], out[sel])
     return out
 
 

@@ -17,9 +17,9 @@ The interface is batched: `eval(x)` maps points (..., d) to (..., d, N, N),
 Derived local quantities (`curvature`, `cov_deriv_curvature`, ...) are free
 functions of the interface, so they work for every representation.
 
-Products of the small N x N matrices go through `_matmul`, broadcast over
-singleton derivative and direction axes; `np.einsum` is kept only for
-traces and scalar-weight sums.
+Products of the small N x N matrices go through `algebra._matmul`,
+broadcast over singleton derivative and direction axes; `np.einsum` is
+kept only for traces and scalar-weight sums.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pathlib
 
 import numpy as np
 
-from .algebra import dagger, expm, random_lie
+from .algebra import _matmul, dagger, expm, random_lie
 
 
 class Torus:
@@ -298,14 +298,6 @@ def stencil_d1(arr, axis, a):
     lead = (slice(None),) * (axis % arr.ndim)
     f1, b1, f2, b2 = (pad[lead + (slice(k, k + m),)] for k in (3, 1, 4, 0))
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
-
-
-def _matmul(a, b):
-    """Broadcast product of trailing small matrices, unrolled over the inner index."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
-    return out
 
 
 def spline_filter(values, d):

@@ -10,9 +10,10 @@ Phil. Trans. R. Soc. A 357 (1999)):
     expm(Omega),  Omega = -(h/2)(Z1 + Z2) - (sqrt(3)/12) h^2 [Z1, Z2],
     Z1, Z2 = Z(t + (1/2 -+ sqrt(3)/6) h).
 
-Products of the factors give P at the nodes (`prefix_products`) or at d
-alone (`_endpoint_product`, M products instead of a scan over all M
-prefixes). Halving h cuts the error by 2^4.
+Products of the factors give P at the nodes (`prefix_products`, a
+work-efficient scan in about 2M products) or at d alone
+(`_endpoint_product`, its up-sweep, M products). Every product of N x N
+stacks here is `algebra._matmul`. Halving h cuts the error by 2^4.
 
 The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
 gammadot^mu(t), with the curve breakpoints (plateau corners, seams) as
@@ -40,22 +41,41 @@ import math
 
 import numpy as np
 
-from .algebra import dagger, expm
+from .algebra import _matmul, dagger, expm
 from .field import curvature
 
 DEFAULT_STEP = 1.0 / 4096
 
 
+def _pair_levels(mats):
+    """Levels of the pairwise reduction of mats down to one matrix; pairs are
+    right-aligned, so with an odd count the earliest factor carries over."""
+    levels = [mats]
+    while len(mats) > 1:
+        odd = len(mats) % 2
+        pairs = _matmul(mats[odd + 1 :: 2], mats[odd::2])
+        mats = np.concatenate([mats[:1], pairs]) if odd else pairs
+        levels.append(mats)
+    return levels
+
+
 def prefix_products(mats):
-    """P[i] = mats[i-1] @ ... @ mats[0], P[0] = Id; log-depth scan."""
-    m, n = mats.shape[0], mats.shape[-1]
-    out = mats.copy()
-    offset = 1
-    while offset < m:
-        out[offset:] = out[offset:] @ out[:-offset]
-        offset *= 2
-    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype), (1, n, n))
-    return np.concatenate([eye, out], axis=0)
+    """P[i] = mats[i-1] @ ... @ mats[0], P[0] = Id; a work-efficient scan
+    (Blelloch 1990, CMU-CS-90-190) in about 2M products and O(log M) steps.
+
+    The up-sweep is `_pair_levels`; going down, each level takes every other
+    prefix from the level above and fills in the rest by one product each.
+    """
+    levels = _pair_levels(mats)
+    p = np.concatenate([np.eye(mats.shape[-1], dtype=mats.dtype)[None], levels[-1]])
+    for a in reversed(levels[:-1]):
+        odd = len(a) % 2
+        q = np.empty((len(a) + 1,) + a.shape[1:], dtype=a.dtype)
+        q[0] = p[0]
+        q[odd::2] = p[odd:]
+        q[odd + 1 :: 2] = _matmul(a[odd::2], q[odd:-1:2])
+        p = q
+    return p
 
 
 def simpson_weights(npts, h):
@@ -74,17 +94,8 @@ def _even_steps(length, step):
 
 
 def _endpoint_product(mats):
-    """mats[-1] @ ... @ mats[0] by pairwise reduction in M products.
-
-    Pairs are right-aligned (the earliest factor carries over when the count
-    is odd), which is the bracketing of the last row of `prefix_products`,
-    so the two agree bit for bit.
-    """
-    while len(mats) > 1:
-        odd = len(mats) % 2
-        pairs = mats[odd + 1 :: 2] @ mats[odd::2]
-        mats = np.concatenate([mats[:1], pairs]) if odd else pairs
-    return mats[0]
+    """mats[-1] @ ... @ mats[0]: the up-sweep of `prefix_products`, bit for bit."""
+    return _pair_levels(mats)[-1][0]
 
 
 def _magnus_factors(zfun, edges, step):
@@ -109,7 +120,8 @@ def _magnus_factors(zfun, edges, step):
     z = np.asarray(zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h])))
     z1, z2 = np.split(z, 2)
     h = h[:, None, None]
-    omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * (z1 @ z2 - z2 @ z1)
+    comm = _matmul(z1, z2) - _matmul(z2, z1)
+    omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * comm
     return nodes, segments, expm(omega)
 
 
@@ -118,7 +130,8 @@ def _curve_factors(field, curve, step, lo, hi):
     with the curve's breakpoints inside (lo, hi) as segment edges."""
 
     def zfun(t):
-        return np.einsum("...mij,...m->...ij", field.eval(curve.point(t)), curve.velocity(t))
+        a, v = field.eval(curve.point(t)), curve.velocity(t)
+        return sum(a[..., m, :, :] * v[..., m, None, None] for m in range(v.shape[-1]))
 
     edges = [lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi]
     return _magnus_factors(zfun, edges, step)
@@ -155,7 +168,7 @@ class TransportContext:
         self.nodes, segments, factors = _curve_factors(field, curve, step, self.lo, self.hi)
         self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
-        self.to_end = self.endpoint @ dagger(self.from_start)
+        self.to_end = _matmul(self.endpoint, dagger(self.from_start))
 
         sizes = [len(ts) for ts, _ in segments]
         self._steps = np.array([h for _, h in segments])
@@ -177,22 +190,14 @@ class TransportContext:
         v[self._ends] = self.curve.velocity(self.ts[self._ends], side=-1)
         return v
 
-    @functools.cached_property
-    def _frames(self):
-        return self.to_end[self._node], self.from_start[self._node]
-
     def conjugate(self, c, to_start=False):
         """U_{hi,t} c(t) U_{t,lo} at every node of `ts`, for c of shape (K, ..., N, N).
 
         With to_start, U_{lo,t} c(t) U_{t,lo} = U_{t,lo}^-1 c(t) U_{t,lo}.
         """
-        to_end, from_start = self._frames
-        left = dagger(from_start) if to_start else to_end
-        # matmul and einsum round differently; reports are pinned bit for bit,
-        # so one matrix per node takes matmul and direction axes take einsum
-        if c.ndim == 3:
-            return left @ c @ from_start
-        return np.einsum("tij,t...jk,tkl->t...il", left, c, from_start)
+        node = (self._node,) + (None,) * (c.ndim - 3)
+        left = dagger(self.from_start[node]) if to_start else self.to_end[node]
+        return _matmul(_matmul(left, c), self.from_start[node])
 
     def integrate(self, values, upto=None):
         """Composite Simpson integral over [lo, hi] of values sampled on `ts`.
@@ -263,10 +268,10 @@ def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """
     nodes, p = propagator(zfun, c, d, step)
     pinv = np.linalg.inv(p)
-    integrand = pinv @ np.asarray(dzfun(nodes)) @ p
+    integrand = _matmul(_matmul(pinv, np.asarray(dzfun(nodes))), p)
     w = simpson_weights(len(nodes), (d - c) / (len(nodes) - 1))
     integral = np.einsum("t,tij->ij", w, integrand)
-    return -p[-1] @ integral
+    return -_matmul(p[-1], integral)
 
 
 def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
@@ -284,7 +289,7 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
     t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
     a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))
     a0 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t0)), x_field.value(t0))
-    return out - a1 @ ctx.endpoint + ctx.endpoint @ a0
+    return out - _matmul(a1, ctx.endpoint) + _matmul(ctx.endpoint, a0)
 
 
 def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):

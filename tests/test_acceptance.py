@@ -6,11 +6,11 @@ guarantee at its stated tolerance and print exactly one PASS/FAIL line
 (visible with ``pytest -s tests/test_acceptance.py``).
 
 Margins measured on the reference machine, seed 42, full defaults:
-unitarity 6.7e-16, group_law 1.1e-13, reparametrization 1.5e-12,
-duhamel_fd 2.2e-9, first_derivative_fd 3.2e-8, riesz_pairing 2.2e-7,
-hessian_fd 2.6e-5, kl/ks symmetry ~1e-16, kernel_vs_closed 2.4e-16,
+unitarity 8.2e-15, group_law 8.5e-14, reparametrization 1.2e-12,
+duhamel_fd 8.6e-10, first_derivative_fd 3.2e-8, riesz_pairing 2.1e-7,
+hessian_fd 2.5e-5, kl/ks symmetry ~1e-16, kernel_vs_closed 4.9e-16,
 cesaro_error 0.031 at n=64 (slopes 0.97..1.04), functional grad/hess
-3.0e-7 / 5.9e-7, heat_residual 2.0e-16, abelian_flow 1.7e-7,
+1.2e-9 / 9.3e-11, heat_residual 2.0e-16, abelian_flow 1.7e-7,
 order factors 16.6 (time) / 15.2 (space), forward_consistency 4.2e-7,
 fd_consistency 2.6e-4, r_exact_flow 1.6e-6, localization ratio ~3.4e3.
 """

@@ -6,10 +6,12 @@ python loop over the batch.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from _oracles import commutator, lie_defect
 from gaugeflow.algebra import (
+    _matmul,
     dagger,
     expm,
     fiber_metric,
@@ -38,6 +40,19 @@ def test_commutator_bilinear_antisymmetric():
             + commutator(z, commutator(x, y))
         )
         assert maxabs(jac) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matmul_matches_operator(n):
+    """The unrolled product equals `@` over broadcast shapes, to 1e-15 relative
+    to |a| |b| entrywise (the rounding bound of an n-term complex dot product)."""
+    rng = np.random.default_rng(n)
+    for sa, sb in [((), ()), ((64,), ()), ((9, 1, 5), (7, 1)), ((1, 33), (40, 1)),
+                   ((3,), (5, 3))]:
+        a, b = random_fiber(rng, n, shape=sa), random_fiber(rng, n, shape=sb)
+        want, got = a @ b, _matmul(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / (np.abs(a) @ np.abs(b))) < 1e-15
 
 
 def test_dagger_and_trace_batched():

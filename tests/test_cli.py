@@ -122,7 +122,8 @@ def test_cfl_violation_is_exit_3(tmp_path, monkeypatch, capsys):
     assert "stability" in capsys.readouterr().err.lower()
 
 
-# the theorem and R-diagnostic steps meet the d = 3 bounds of their grids
+# consistent at d = 3: 3-vectors throughout, and the theorem and R-diagnostic
+# steps meet the d = 3 bounds of their grids
 D3 = {"torus": {"d": 3, "L": 1.0},
       "theorem": {"ds": 1e-5},
       "r_diagnostic": {"line_p0": [0.15, 0.35, 0.5], "line_p1": [0.55, 0.65, 0.5],
@@ -136,10 +137,12 @@ D3_HEATFLOW = {"grid": 16, "steps": 4, "save_every": 2, "su2_grid": 8, "su2_step
 def test_bad_heatflow_inputs_are_exit_2(tmp_path):
     """Flags, point lengths and flow steps are all checked before any numerics."""
     cfg = write_config(tmp_path, REDUCED_CONFIG)
-    # 3-vectors throughout, but the reduced order_time.ds exceeds the 8^3 bound
+    # d = 3 is refused at torus.d before the reduced order_time.ds, which exceeds
+    # the 8^3 bound, is checked
     d3_steep = dict(REDUCED_CONFIG, **D3, heatflow=dict(D3_HEATFLOW, order_time={
         "k": [2, 0, 0]}))
     steep = write_config(tmp_path, d3_steep, "steep.json")
+    d3_cases = [[cfg.name, "--set", "torus.d=3"], [steep.name]]
     cases = [
         [cfg.name, "--ds=-1e-5"],
         [cfg.name, "--save-every", "0"],
@@ -149,8 +152,7 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [cfg.name, "--set", "heatflow.ds=0.01"],
         [cfg.name, "--set", "theorem.ds=0.01"],
         [cfg.name, "--set", "r_diagnostic.ds=0.01"],
-        [cfg.name, "--set", "torus.d=3"],
-        [steep.name],
+        *d3_cases,
         [cfg.name, "--set", "r_diagnostic.window=[0.6,0.4]"],
         [cfg.name, "--set", "cesaro.checkpoints=[4,16]"],
         [cfg.name, "--set", "heatflow.ds=NaN"],
@@ -160,6 +162,7 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("config error:"), (args, proc.stderr)
+        assert ("torus/d" in proc.stderr) == (args in d3_cases), (args, proc.stderr)
     assert not (tmp_path / "out").exists()
 
 
@@ -175,12 +178,13 @@ def test_internal_error_is_exit_4(tmp_path, monkeypatch, capsys):
 
 
 def test_heatflow_runs_at_d3(tmp_path):
+    """d = 3 is refused at validation (exit 2), even in a config consistent at d = 3:
+    no d = 3 configuration measured passes the checks tuned at d = 2."""
     cfg = write_config(tmp_path, dict(REDUCED_CONFIG, **D3, heatflow=D3_HEATFLOW))
     proc = run_cli(["heatflow", "--config", cfg.name, "--out", "out"], tmp_path)
-    assert proc.returncode in (0, 1), proc.stderr
-    assert "Traceback" not in proc.stderr
-    report = json.loads((tmp_path / "out" / "heatflow" / "heatflow.report.json").read_text())
-    assert report["config"]["torus"]["d"] == 3
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: config invalid at torus/d:"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_override_reflected_in_report(tmp_path):

@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 from _oracles import ConcatCurve
-from gaugeflow.algebra import dagger, expm, group_defect, maxabs, random_group, random_lie
+from gaugeflow.algebra import (
+    dagger,
+    expm,
+    group_defect,
+    maxabs,
+    random_fiber,
+    random_group,
+    random_lie,
+)
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import AnalyticField, GaugeMap, TransformedField
 from gaugeflow.path import (
@@ -312,13 +320,20 @@ def test_simpson_weights():
 
 
 def test_prefix_products_matches_loop():
-    mats = np.asarray(np.random.default_rng(3).standard_normal((9, 2, 2)), dtype=complex)
-    got = prefix_products(mats.copy())
-    acc = np.eye(2, dtype=complex)
-    assert maxabs(got[0] - acc) == 0.0
-    for i in range(9):
-        acc = mats[i] @ acc
-        assert maxabs(got[i + 1] - acc) < 1e-12
+    """Every prefix of the scan against a left-to-right product loop, over the
+    factor counts where the up-sweep's odd and even levels interleave."""
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        mats = random_group(rng, n, scale=0.1, shape=(8193,))
+        loop = [np.eye(n, dtype=complex)]
+        for a in mats:
+            loop.append(a @ loop[-1])
+        loop = np.array(loop)
+        for m in [*range(71), 8191, 8192, 8193]:
+            got = prefix_products(mats[:m])
+            assert got.shape == (m + 1, n, n)
+            assert maxabs(got[0] - loop[0]) == 0.0
+            assert maxabs(got - loop[: m + 1]) < 1e-12, (n, m)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -328,6 +343,18 @@ def test_endpoint_product_matches_scan_bitwise(n):
     for m in [*range(1, 70), 8191, 8192, 8193, 12345, 16384]:
         mats = random_group(rng, n, scale=0.1, shape=(m,))
         assert np.array_equal(_endpoint_product(mats), prefix_products(mats)[-1]), m
+
+
+def test_conjugate_direction_axes_match_per_slice_bitwise(su2_field, wiggly_curve):
+    """A (K, d, d, N, N) stack conjugates as the (K, N, N) route on each slice."""
+    ctx = TransportContext(su2_field, plateau(wiggly_curve, 0.375), step=1.0 / 256)
+    c = random_fiber(RNG, 2, shape=(len(ctx.ts), 2, 2))
+    for to_start in (False, True):
+        got = ctx.conjugate(c, to_start=to_start)
+        for a in range(2):
+            for b in range(2):
+                want = ctx.conjugate(np.ascontiguousarray(c[:, a, b]), to_start=to_start)
+                assert np.array_equal(got[:, a, b], want), (to_start, a, b)
 
 
 def test_transport_matches_context_endpoint_bitwise(su2_field, wiggly_curve):
