@@ -11,10 +11,16 @@ Everything broadcasts over leading axes, so a batch of M elements is an
 (M, N, N) array. The N = 2 exponential is a closed form (Pauli route); for
 N > 2 it is one batched scaling-and-squaring Pade evaluation. Both are
 numpy only.
+
+A Lie element is also held as its real coordinates in `su_basis(n)`, a
+trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
+`_structure` gives the bracket and `exp_lie` the exponential in these
+coordinates. The maps are built on first use for each N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -214,6 +220,89 @@ def su_basis(n):
         m[k, k] = -1.0j * k
         basis.append(m / np.sqrt(2.0 * k * (k + 1)))
     return np.stack(basis)
+
+
+# largest non-su(N) part, relative to the values' scale, read as roundoff
+LIE_TOL = 1e-12
+
+
+@functools.cache
+def _basis_maps(n):
+    """Real matrices from interleaved (re, im) N x N entries to su_basis(n)
+    coordinates, (2 N^2, K), and back, (K, 2 N^2).
+
+    The basis is orthogonal with tr(T_a T_b) = -delta_ab / 2, so the
+    coordinates of X are x_a = -2 Re tr(T_a X) and X = sum_a x_a T_a.
+    """
+    t = su_basis(n)
+    k = len(t)
+    to_coords = -2.0 * np.swapaxes(t, -1, -2).reshape(k, -1)  # tr(T X) = sum T_ij X_ji
+    to_coords = np.stack([to_coords.real, -to_coords.imag], axis=-1).reshape(k, -1).T
+    return np.ascontiguousarray(to_coords), np.ascontiguousarray(t.reshape(k, -1).view(np.float64))
+
+
+@functools.cache
+def _structure(n):
+    """Pairs a < b with [T_a, T_b] != 0 and S (K, P): [T_a, T_b] = sum_c S[c, p] T_c."""
+    t = su_basis(n)
+    comm = t[:, None] @ t[None, :] - t[None, :] @ t[:, None]
+    f = -2.0 * np.real(np.einsum("cij,abji->abc", t, comm))
+    f[np.abs(f) < 1e-12] = 0.0
+    ia, ib = np.nonzero(np.triu(np.any(f != 0.0, axis=-1), 1))
+    return ia, ib, np.ascontiguousarray(f[ia, ib].T)
+
+
+def _maxabs_real(r):
+    """Largest |entry| of a real array, without an |r| temporary; NaN if any entry is."""
+    return max(np.max(r, initial=0.0), -np.min(r, initial=0.0))
+
+
+def lie_coords(m, check=False):
+    """su_basis coordinates (..., K) of matrices (..., N, N).
+
+    The orthogonal projection onto su(N). With `check`, raises ValueError if
+    m has a non-su(N) (Hermitian or trace) part beyond roundoff: LIE_TOL
+    relative to its largest component.
+    """
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    n = m.shape[-1]
+    to_coords, _ = _basis_maps(n)
+    flat = m.view(np.float64).reshape(-1, 2 * n * n)
+    x = flat @ to_coords
+    if check:
+        gap = lie_matrix(x).view(np.float64).reshape(flat.shape)
+        gap -= flat
+        if _maxabs_real(gap) > LIE_TOL * _maxabs_real(flat):
+            raise ValueError("values have a non-su(N) part beyond roundoff")
+    return x.reshape(m.shape[:-2] + x.shape[-1:])
+
+
+def lie_matrix(x):
+    """su(N) matrices (..., N, N) of su_basis coordinates (..., K)."""
+    k = x.shape[-1]
+    n = math.isqrt(k + 1)
+    _, from_coords = _basis_maps(n)
+    out = np.ascontiguousarray(x, dtype=float).reshape(-1, k) @ from_coords
+    return out.view(np.complex128).reshape(x.shape[:-1] + (n, n))
+
+
+def exp_lie(x):
+    """exp of the su(N) elements with su_basis coordinates x (..., K): (..., N, N).
+
+    N > 2 takes the Pade `expm`. N = 2 is the closed form exp(X) =
+    cos(r) Id + (sin(r) / r) X with r = |x| / 2, as X^2 = -r^2 Id in su(2).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 3:
+        return expm(lie_matrix(x))
+    r = 0.5 * np.sqrt(np.sum(x * x, axis=-1))
+    # sin(r) / r, and 0 where r = 0, which leaves exactly Id at x = 0
+    half = (0.5 * np.sin(r) / np.where(r > 0.0, r, 1.0))[..., None] * x
+    c = np.cos(r)
+    # X = -(i/2) x . sigma; entries interleaved (re, im)
+    out = np.stack([c, -half[..., 2], -half[..., 1], -half[..., 0],
+                    half[..., 1], -half[..., 0], c, half[..., 2]], axis=-1)
+    return out.view(np.complex128).reshape(x.shape[:-1] + (2, 2))
 
 
 def random_lie(rng, n, scale=1.0, shape=()):

@@ -24,13 +24,14 @@ kept only for traces and scalar-weight sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import pathlib
 
 import numpy as np
 
-from .algebra import _matmul, dagger, expm, random_lie
+from .algebra import _matmul, dagger, expm, lie_coords, random_lie
 
 
 class Torus:
@@ -61,12 +62,15 @@ class Torus:
 def _trig(x, w, phases, order):
     """d^order/da^order of cos a (phase 0) or sin a (phase 1) at a = x . w_m, shape (..., M)."""
     ang = np.asarray(x, dtype=float) @ w.T
-    iscos = phases == 0
+    iscos, issin = phases == 0, phases != 0
     # cos -> -sin -> -cos -> sin and sin -> cos -> -sin -> -cos
+    out = np.empty_like(ang)
     if order % 2:
-        out = np.where(iscos, -np.sin(ang), np.cos(ang))
+        out[..., iscos] = -np.sin(ang[..., iscos])
+        out[..., issin] = np.cos(ang[..., issin])
     else:
-        out = np.where(iscos, np.cos(ang), np.sin(ang))
+        out[..., iscos] = np.cos(ang[..., iscos])
+        out[..., issin] = np.sin(ang[..., issin])
     return -out if order >= 2 else out
 
 
@@ -143,13 +147,18 @@ class ScalarFourier:
 
 
 class GaugeField:
-    """Interface: torus, n, eval, partial_all, second_all."""
+    """Interface: torus, n, eval, partial_all, second_all; `generator` derives from eval."""
 
     torus: Torus
     n: int
 
     def eval(self, x):
         raise NotImplementedError
+
+    def generator(self, x, v):
+        """su_basis coordinates (..., K) of A_mu(x) v^mu for x, v of shape (..., d)."""
+        a = self.eval(x)
+        return lie_coords(sum(a[..., m, :, :] * v[..., m, None, None] for m in range(v.shape[-1])))
 
     def partial_all(self, x):
         raise NotImplementedError
@@ -230,6 +239,15 @@ class AnalyticField(GaugeField):
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return self._sum_modes(_trig(x, self._w, self.phases, 0), x.shape)
+
+    @functools.cached_property
+    def _coeff_coords(self):
+        return lie_coords(self.coeffs)  # (M, K)
+
+    def generator(self, x, v):
+        """One real product: sum_m trig_m(x) v^{mu_m} c_m with c_m the coefficient coordinates."""
+        weights = _trig(x, self._w, self.phases, 0) * np.asarray(v, dtype=float)[..., self.mus]
+        return weights @ self._coeff_coords
 
     def partial_all(self, x):
         x = np.asarray(x, dtype=float)

@@ -10,12 +10,14 @@ action guard and the next step's k1 share one curvature grid, so an RK4
 step builds four curvature grids, not five.
 
 Inside `flow` the connection is held as real coordinates in `su_basis(n)`,
-an array (d, K, *sites) with K = N^2 - 1. Every product in the flow is a
-commutator, taken from the structure constants of the basis (`_bracket`),
-and only the curvature components F_mn with m < n are formed. Matrices
-appear only at the `LatticeField` boundary: the initial field and a custom
-right side's values are converted in (`_to_coords`), snapshots and the
-values handed to a custom right side are converted out (`_from_coords`).
+an array (d, K, *sites) with K = N^2 - 1. The coordinate maps
+(`lie_coords`, `lie_matrix`) and the structure constants (`_structure`)
+come from `algebra`. Every product in the flow is a commutator, taken from
+the structure constants (`_bracket`), and only the curvature components
+F_mn with m < n are formed. Matrices appear only at the `LatticeField`
+boundary: the initial field and a custom right side's values are converted
+in (`_to_coords`), snapshots and the values handed to a custom right side
+are converted out (`_from_coords`).
 `ym_rhs` converts in, runs the same kernel and converts out.
 
 For pairwise-commuting fields the flow is linear and `abelian_oracle`
@@ -34,13 +36,11 @@ import math
 
 import numpy as np
 
-from .algebra import maxabs, su_basis
+from .algebra import _structure, lie_coords, lie_matrix, maxabs
 from .field import AnalyticField, LatticeField, stencil_d1
 
 
 MAX_ACTION_GROWTH = 1e-6
-# largest non-su(N) part, relative to the values' scale, read as roundoff
-LIE_TOL = 1e-12
 
 
 class CflViolation(RuntimeError):
@@ -62,64 +62,23 @@ def cfl_bound(spacing, d):
     return spacing * spacing / (8.0 * d)
 
 
-@functools.cache
-def _basis_maps(n):
-    """Real matrices from interleaved (re, im) N x N entries to su_basis(n)
-    coordinates, (2 N^2, K), and back, (K, 2 N^2).
-
-    The basis is orthogonal with tr(T_a T_b) = -delta_ab / 2, so the
-    coordinates of X are x_a = -2 Re tr(T_a X) and X = sum_a x_a T_a.
-    """
-    t = su_basis(n)
-    k = len(t)
-    to_coords = -2.0 * np.swapaxes(t, -1, -2).reshape(k, -1)  # tr(T X) = sum T_ij X_ji
-    to_coords = np.stack([to_coords.real, -to_coords.imag], axis=-1).reshape(k, -1).T
-    return np.ascontiguousarray(to_coords), np.ascontiguousarray(t.reshape(k, -1).view(np.float64))
-
-
-@functools.cache
-def _structure(n):
-    """Pairs a < b with [T_a, T_b] != 0 and S (K, P): [T_a, T_b] = sum_c S[c, p] T_c."""
-    t = su_basis(n)
-    comm = t[:, None] @ t[None, :] - t[None, :] @ t[:, None]
-    f = -2.0 * np.real(np.einsum("cij,abji->abc", t, comm))
-    f[np.abs(f) < 1e-12] = 0.0
-    ia, ib = np.nonzero(np.triu(np.any(f != 0.0, axis=-1), 1))
-    return ia, ib, np.ascontiguousarray(f[ia, ib].T)
-
-
 def _to_coords(values):
     """Matrices (*sites, d, N, N) -> su_basis coordinates (d, K, *sites).
 
     Raises ValueError if the values have a non-su(N) (Hermitian or trace)
-    part beyond roundoff: LIE_TOL relative to their largest component.
+    part beyond roundoff (`algebra.LIE_TOL` relative to their largest component).
     """
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    *sites, d, n, _ = values.shape
-    to_coords, _ = _basis_maps(n)
-    flat = values.view(np.float64).reshape(-1, 2 * n * n)
-    x = (flat @ to_coords).reshape(-1, d, to_coords.shape[1])
-    x = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape((d, -1) + tuple(sites))
-    gap = _from_coords(x).view(np.float64).reshape(flat.shape)
-    gap -= flat
-    if _maxabs_real(gap) > LIE_TOL * _maxabs_real(flat):
-        raise ValueError("values have a non-su(N) part beyond roundoff")
-    return x
-
-
-def _maxabs_real(r):
-    """Largest |entry| of a real array, without an |r| temporary; NaN if any entry is."""
-    return max(np.max(r, initial=0.0), -np.min(r, initial=0.0))
+    x = lie_coords(values, check=True)
+    *sites, d, k = x.shape
+    x = np.ascontiguousarray(np.moveaxis(x.reshape(-1, d, k), 0, -1))
+    return x.reshape((d, k) + tuple(sites))
 
 
 def _from_coords(x):
     """su_basis coordinates (d, K, *sites) -> matrices (*sites, d, N, N)."""
     d, k, *sites = x.shape
-    n = math.isqrt(k + 1)
-    _, from_coords = _basis_maps(n)
-    per_site = np.ascontiguousarray(np.moveaxis(x.reshape(d, k, -1), -1, 0))
-    out = per_site.reshape(-1, k) @ from_coords
-    return out.view(np.complex128).reshape(tuple(sites) + (d, n, n))
+    out = lie_matrix(np.moveaxis(x.reshape(d, k, -1), -1, 0))
+    return out.reshape(tuple(sites) + out.shape[1:])
 
 
 # floats of pair products formed per block of sites in `_bracket`: small
@@ -225,11 +184,11 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
     converted back to (*sites, d, N, N) matrices. rhs_fn(LatticeField) ->
     values array overrides the flow velocity (used for driven variants): it
     is handed the state as matrices, and its values must lie in su(N), so a
-    non-su(N) part beyond roundoff (LIE_TOL relative to their largest component)
-    raises ValueError, as it does in `field0`. The action-monotonicity guard
-    defaults to on for the plain flow and off when a custom right side is
-    supplied. The guard aborts a step whose action exceeds the last by a
-    factor 1 + MAX_ACTION_GROWTH.
+    non-su(N) part beyond roundoff (`algebra.LIE_TOL` relative to their
+    largest component) raises ValueError, as it does in `field0`. The
+    action-monotonicity guard defaults to on for the plain flow and off when
+    a custom right side is supplied. The guard aborts a step whose action
+    exceeds the last by a factor 1 + MAX_ACTION_GROWTH.
     """
     torus = field0.torus
     if not 0 < ds:

@@ -1,26 +1,31 @@
 """Parallel transport along curves and its functional derivatives.
 
 One integrator serves every product-integral here. For dP/dt = -Z(t) P,
-P(c) = Id, `_magnus_factors` splits [c, d] at given edges into segments
-with even step counts and builds, for each step [t, t + h], the
-fourth-order Magnus factor with two Gauss-Legendre points (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
-Phil. Trans. R. Soc. A 357 (1999)):
+P(c) = Id, with Z(t) in su(N), `_magnus_factors` splits [c, d] at given
+edges into segments with even step counts and builds, for each step
+[t, t + h], the fourth-order Magnus factor with two Gauss-Legendre points
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488;
+Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)):
 
-    expm(Omega),  Omega = -(h/2)(Z1 + Z2) - (sqrt(3)/12) h^2 [Z1, Z2],
+    exp(Omega),  Omega = -(h/2)(Z1 + Z2) - (sqrt(3)/12) h^2 [Z1, Z2],
     Z1, Z2 = Z(t + (1/2 -+ sqrt(3)/6) h).
 
-Products of the factors give P at the nodes (`prefix_products`, a
-work-efficient scan in about 2M products) or at d alone
-(`_endpoint_product`, its up-sweep, M products). Every product of N x N
-stacks here is `algebra._matmul`. Halving h cuts the error by 2^4.
+Z, Omega and the bracket are real su_basis coordinates (K = N^2 - 1 per
+point): the bracket comes from the structure constants
+(`algebra._structure`) and the factor from `algebra.exp_lie`, a closed
+form at N = 2 that gives exactly Id where Omega = 0. Products of the
+factors give P at the nodes (`prefix_products`, a work-efficient scan in
+about 2M products) or at d alone (`_endpoint_product`, its up-sweep, M
+products). Every product of N x N stacks here is `algebra._matmul`.
+Halving h cuts the error by 2^4.
 
 The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
-gammadot^mu(t), with the curve breakpoints (plateau corners, seams) as
-edges, so piecewise-smooth curves integrate at full order. For
-anti-Hermitian traceless Z each Omega is in su(N), so each factor and
-every product of them is special-unitary up to roundoff, with no
-projection. `propagator` takes any matrix-valued Z.
+gammadot^mu(t), whose coordinates the field gives directly
+(`GaugeField.generator`), with the curve breakpoints (plateau corners,
+seams) as edges, so piecewise-smooth curves integrate at full order. Each
+Omega is in su(N), so each factor and every product of them is
+special-unitary up to roundoff, with no projection. `propagator` takes a
+matrix-valued Z and refuses one with a non-su(N) part beyond roundoff.
 
 A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes of
 one curve, and every integral formula in this package is a quadrature
@@ -41,7 +46,7 @@ import math
 
 import numpy as np
 
-from .algebra import _matmul, dagger, expm
+from .algebra import _matmul, _structure, dagger, exp_lie, lie_coords
 from .field import curvature
 
 DEFAULT_STEP = 1.0 / 4096
@@ -101,7 +106,8 @@ def _endpoint_product(mats):
 def _magnus_factors(zfun, edges, step):
     """Nodes, segments and Magnus-4 factors of dP/dt = -Z(t) P between `edges`.
 
-    Each interval between consecutive edges is one segment with an even step
+    zfun maps parameters (T,) to the su_basis coordinates (T, K) of Z. Each
+    interval between consecutive edges is one segment with an even step
     count. Returns (nodes, segments, factors): `segments` lists each
     segment's (nodes, step), and factor k carries P from node k to node k + 1.
     """
@@ -117,12 +123,18 @@ def _magnus_factors(zfun, edges, step):
     t0 = np.concatenate([ts[:-1] for ts, _ in segments])
     h = np.concatenate([np.full(len(ts) - 1, h) for ts, h in segments])
     offset = math.sqrt(3.0) / 6.0
-    z = np.asarray(zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h])))
+    z = zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h]))
     z1, z2 = np.split(z, 2)
-    h = h[:, None, None]
-    comm = _matmul(z1, z2) - _matmul(z2, z1)
+    ia, ib, s = _structure(math.isqrt(z.shape[-1] + 1))
+    comm = (z1[:, ia] * z2[:, ib] - z1[:, ib] * z2[:, ia]) @ s.T
+    h = h[:, None]
     omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * comm
-    return nodes, segments, expm(omega)
+    return nodes, segments, exp_lie(omega)
+
+
+def _lie_zfun(zfun):
+    """su(N) coordinates of a matrix-valued Z; ValueError on a non-su(N) part."""
+    return lambda t: lie_coords(zfun(t), check=True)
 
 
 def _curve_factors(field, curve, step, lo, hi):
@@ -130,8 +142,7 @@ def _curve_factors(field, curve, step, lo, hi):
     with the curve's breakpoints inside (lo, hi) as segment edges."""
 
     def zfun(t):
-        a, v = field.eval(curve.point(t)), curve.velocity(t)
-        return sum(a[..., m, :, :] * v[..., m, None, None] for m in range(v.shape[-1]))
+        return field.generator(curve.point(t), curve.velocity(t))
 
     edges = [lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi]
     return _magnus_factors(zfun, edges, step)
@@ -244,20 +255,22 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
-    """Solve dP/dt = -Z(t) P on [c, d], P(c) = Id, for matrix-valued Z.
+    """Solve dP/dt = -Z(t) P on [c, d], P(c) = Id, for Z(t) in su(N).
 
-    Z need not be anti-Hermitian. Returns (nodes, P at nodes) from the
-    fourth-order Magnus factors with two Gauss-Legendre points per step
-    (Blanes, Casas, Oteo & Ros 2009; Iserles & Norsett 1999) and their
-    product scan, the scheme of `TransportContext`.
+    zfun maps parameters (T,) to matrices (T, N, N); a non-su(N) part beyond
+    roundoff (`algebra.LIE_TOL` relative to the largest entry) raises
+    ValueError. Returns (nodes, P at nodes) from the fourth-order Magnus
+    factors with two Gauss-Legendre points per step (Blanes, Casas, Oteo &
+    Ros 2009; Iserles & Norsett 1999) and their product scan, the scheme of
+    `TransportContext`.
     """
-    nodes, _, factors = _magnus_factors(zfun, [c, d], step)
+    nodes, _, factors = _magnus_factors(_lie_zfun(zfun), [c, d], step)
     return nodes, prefix_products(factors)
 
 
 def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
-    _, _, factors = _magnus_factors(zfun, [c, d], step)
+    _, _, factors = _magnus_factors(_lie_zfun(zfun), [c, d], step)
     return _endpoint_product(factors)
 
 
@@ -265,6 +278,8 @@ def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """Directional derivative of P(Z; d) along a perturbation dZ:
 
         <DP(Z; d), dZ> = -P(d) integral_c^d P(t)^-1 dZ(t) P(t) dt.
+
+    Z must lie in su(N), as in `propagator`; dZ may be any matrix.
     """
     nodes, p = propagator(zfun, c, d, step)
     pinv = np.linalg.inv(p)

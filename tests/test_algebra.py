@@ -12,10 +12,14 @@ import scipy.linalg
 from _oracles import commutator, lie_defect
 from gaugeflow.algebra import (
     _matmul,
+    _structure,
     dagger,
+    exp_lie,
     expm,
     fiber_metric,
     group_defect,
+    lie_coords,
+    lie_matrix,
     maxabs,
     project_lie,
     random_fiber,
@@ -151,6 +155,56 @@ def test_expm_small_argument_stable():
     got = expm(x)
     ref = np.eye(2) + x + 0.5 * x @ x
     assert maxabs(got - ref) < 1e-20
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exp_lie_matches_scipy(n):
+    """exp_lie of su_basis coordinates vs scipy.linalg.expm of their matrices.
+
+    x = 0 gives exactly Id (N = 2 closed form and Pade alike); |x| ~ 1e-9,
+    O(1) and O(3) coordinates agree to 1e-14 and land in the group.
+    """
+    k = n * n - 1
+    assert np.array_equal(exp_lie(np.zeros((4, k))), np.broadcast_to(np.eye(n), (4, n, n)))
+    for scale in (1e-9, 0.3, 3.0):
+        x = scale * RNG.standard_normal((20, k))
+        got = exp_lie(x)
+        assert got.shape == (20, n, n)
+        for i in range(20):
+            assert maxabs(got[i] - scipy.linalg.expm(lie_matrix(x[i]))) < 1e-14
+        assert group_defect(got) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lie_coordinates(n):
+    """lie_matrix is sum_a x_a T_a; lie_coords inverts it (exactly at N = 2,
+    where every entry is one coordinate times 1/2) and projects any matrix
+    onto su(N); with check, a non-su(N) part beyond LIE_TOL raises."""
+    k = n * n - 1
+    x = RNG.standard_normal((7, 5, k))
+    m = lie_matrix(x)
+    assert m.shape == (7, 5, n, n)
+    assert maxabs(m - np.einsum("...a,aij->...ij", x, su_basis(n))) < 1e-15
+    assert maxabs(lie_coords(m, check=True) - x) < 1e-14
+    if n == 2:
+        x = RNG.standard_normal((100_000, 3))
+        assert np.array_equal(lie_coords(lie_matrix(x)), x)
+    f = random_fiber(RNG, n, shape=(6,))
+    assert maxabs(lie_matrix(lie_coords(f)) - project_lie(f)) < 1e-14
+    assert lie_coords(np.zeros((0, n, n))).shape == (0, k)
+    for bad in (np.eye(n), random_fiber(RNG, n)):
+        with pytest.raises(ValueError, match="non-su"):
+            lie_coords(m[0, 0] + 1e-6 * bad, check=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_structure_constants_give_the_commutator(n):
+    """[x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs of `_structure`."""
+    k = n * n - 1
+    ia, ib, s = _structure(n)
+    x, y = RNG.standard_normal((2, 10, k))
+    bracket = (x[:, ia] * y[:, ib] - x[:, ib] * y[:, ia]) @ s.T
+    assert maxabs(lie_matrix(bracket) - commutator(lie_matrix(x), lie_matrix(y))) < 1e-14
 
 
 def test_unitarize_newton():

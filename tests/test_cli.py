@@ -187,6 +187,23 @@ def test_heatflow_runs_at_d3(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_su3_end_to_end_at_reduced_sizes(tmp_path):
+    """N = 3 runs to exit 0 at the reduced sizes of `tests/_reduced.py`.
+
+    `transport`, `verify-duhamel`, `verify-gradient`, `heatflow` and
+    `verify-theorem` pass (about 2 s in process). At these sizes the other
+    two fail, and no tolerance is moved to hide it: `levy` reads
+    `cesaro_slope` 1.63 from its two checkpoints against [0.7, 1.3], and
+    `r-diagnostic` reads `r_exact_flow` 2.9e-5 > 1e-5 at grid 32. Both pass
+    at full defaults (`all --set gauge_rank=3`).
+    """
+    cfg = write_config(tmp_path, dict(REDUCED_CONFIG, gauge_rank=3))
+    for name in ("transport", "verify-duhamel", "verify-gradient", "heatflow", "verify-theorem"):
+        assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0, name
+        report = json.loads((tmp_path / "out" / name / f"{name}.report.json").read_text())
+        assert report["config"]["gauge_rank"] == 3
+
+
 def test_set_override_reflected_in_report(tmp_path):
     cfg = write_config(tmp_path, TRANSPORT_ONLY)
     proc = run_cli(

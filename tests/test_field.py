@@ -30,8 +30,10 @@ from gaugeflow.field import (
     LatticeField,
     ScalarFourier,
     Torus,
+    GaugeField,
     TransformedField,
     _curvature_and_cov_deriv,
+    _trig,
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
@@ -160,6 +162,39 @@ def test_random_abelian_commutes(torus2):
     for i in range(len(fld.coeffs)):
         for j in range(len(fld.coeffs)):
             assert maxabs(commutator(fld.coeffs[i], fld.coeffs[j])) < 1e-14
+
+
+def test_trig_matches_where_formula_bitwise():
+    """`_trig` takes cos only of cos modes and sin only of sin modes, and
+    gives the same bits as taking both everywhere and selecting."""
+    torus = Torus(2, 1.0)
+    fld = AnalyticField.random_su(RNG, torus, n=2, modes=5, kmax=3)
+    x = random_points(RNG, torus, (40, 3))
+    ang = x @ fld._w.T
+    iscos = fld.phases == 0
+    assert 0 < np.sum(iscos) < len(iscos)
+    for order in range(4):
+        if order % 2:
+            want = np.where(iscos, -np.sin(ang), np.cos(ang))
+        else:
+            want = np.where(iscos, np.cos(ang), np.sin(ang))
+        want = -want if order >= 2 else want
+        assert np.array_equal(_trig(x, fld._w, fld.phases, order), want), order
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_analytic_generator_matches_default(torus2, n):
+    """AnalyticField's one real product for the coordinates of A_mu(x) v^mu
+    agrees with the interface default (eval, contract, convert) to 1e-15."""
+    fld = AnalyticField.random_su(RNG, torus2, n=n, modes=3, amplitude=0.5, kmax=2)
+    x = random_points(RNG, torus2, (9, 4))
+    v = RNG.standard_normal((9, 4, 2))
+    got = fld.generator(x, v)
+    want = GaugeField.generator(fld, x, v)
+    assert got.shape == want.shape == (9, 4, n * n - 1)
+    assert maxabs(got - want) <= 1e-15 * maxabs(want)
+    zero = AnalyticField.zero(torus2, n)
+    assert np.array_equal(zero.generator(x, v), np.zeros((9, 4, n * n - 1)))
 
 
 def test_analytic_round_trip(torus2, su2_field):

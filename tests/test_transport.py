@@ -20,6 +20,7 @@ from gaugeflow.algebra import (
     dagger,
     expm,
     group_defect,
+    lie_matrix,
     maxabs,
     random_fiber,
     random_group,
@@ -210,6 +211,30 @@ def test_duhamel_vs_fd():
     assert maxabs(got - (up - dn) / (2 * eps)) < 1e-7
 
 
+def test_propagators_refuse_non_lie_generators():
+    """Z must lie in su(N): a Hermitian or trace part beyond roundoff raises,
+    one at roundoff (1e-15 relative) is taken as its su(N) part."""
+    z0 = random_lie(RNG, 2)
+
+    def zfun_with(extra):
+        def zfun(t):
+            return np.multiply.outer(np.cos(np.asarray(t, dtype=float)), z0 + extra)
+        return zfun
+
+    calls = (
+        lambda zf: propagator(zf, step=1.0 / 64),
+        lambda zf: propagator_endpoint(zf, step=1.0 / 64),
+        lambda zf: duhamel_derivative(zf, zf, step=1.0 / 64),
+    )
+    for bad in (1e-6 * np.eye(2), 1e-6 * (z0 @ dagger(z0))):
+        for call in calls:
+            with pytest.raises(ValueError, match="non-su"):
+                call(zfun_with(bad))
+    tiny = 1e-15 * maxabs(z0) * np.eye(2)
+    assert np.array_equal(propagator_endpoint(zfun_with(tiny), step=1.0 / 64),
+                          propagator_endpoint(zfun_with(0.0), step=1.0 / 64))
+
+
 @pytest.mark.parametrize("plateau_r", [None, 0.6], ids=["smooth", "plateau"])
 def test_transport_derivative_vs_fd(su2_field, wiggly_curve, plateau_r):
     """Curve-variation derivative vs FD of transports along perturbed curves.
@@ -374,8 +399,7 @@ def test_propagator_matches_context_bitwise(su2_field, wiggly_curve):
     assert wiggly_curve.breakpoints == ()
 
     def zfun(t):
-        a = su2_field.eval(wiggly_curve.point(t))
-        return np.einsum("...mij,...m->...ij", a, wiggly_curve.velocity(t))
+        return lie_matrix(su2_field.generator(wiggly_curve.point(t), wiggly_curve.velocity(t)))
 
     step = 1.0 / 512
     nodes, p = propagator(zfun, step=step)
