@@ -8,14 +8,15 @@ Conventions:
   derivatives of transports live here.
 
 Everything broadcasts over leading axes, so a batch of M elements is an
-(M, N, N) array. The N = 2 exponential is a closed form (Pauli route); for
-N > 2 it is one batched scaling-and-squaring Pade evaluation. Both are
-numpy only.
+(M, N, N) array. `expm` takes any complex matrices, for every N, through one
+batched scaling-and-squaring Pade evaluation (numpy only).
 
 A Lie element is also held as its real coordinates in `su_basis(n)`, a
 trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
 `_structure` gives the bracket and `exp_lie` the exponential in these
-coordinates. The maps are built on first use for each N.
+coordinates (a closed form at N = 2, the only one in the package). Every
+su(N) element the package builds from real data goes through these maps,
+which are built on first use for each N.
 """
 
 from __future__ import annotations
@@ -65,27 +66,6 @@ def project_lie(m):
     return a - tr[..., None, None] * np.eye(n)
 
 
-def _sinhc(s):
-    # sinh(s)/s, stable near 0
-    small = np.abs(s) < 1e-5
-    safe = np.where(small, 1.0, s)
-    out = np.sinh(safe) / safe
-    s2 = s * s
-    return np.where(small, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, out)
-
-
-def _expm2(x):
-    # closed form for 2x2: split off the trace, use m0^2 = -det(m0) I
-    half_tr = 0.5 * trace(x)
-    m0 = x - half_tr[..., None, None] * np.eye(2)
-    det0 = m0[..., 0, 0] * m0[..., 1, 1] - m0[..., 0, 1] * m0[..., 1, 0]
-    s = np.sqrt(-det0.astype(np.complex128))
-    cosh = np.cosh(s)[..., None, None]
-    shc = _sinhc(s)[..., None, None]
-    out = cosh * np.eye(2) + shc * m0
-    return np.exp(half_tr)[..., None, None] * out
-
-
 # Pade degree m -> largest 1-norm for which scaling and squaring with it is
 # accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
 # 1179, Table 2.3).
@@ -126,12 +106,15 @@ def _pade(a, m):
     return np.linalg.solve(v - u, v + u)
 
 
-def _expm_pade(x):
-    """Scaling and squaring over a flat (M, N, N) batch.
+def expm(x):
+    """Matrix exponential of any complex matrices (..., N, N), for every N.
 
-    Each matrix gets the lowest degree whose bound covers its 1-norm; above
-    the degree-13 bound it is scaled by 2^-s to fit and squared s times.
+    One batched scaling and squaring: each matrix gets the lowest Pade
+    degree whose bound covers its 1-norm; above the degree-13 bound it is
+    scaled by 2^-s to fit and squared s times.
     """
+    x = np.asarray(x, dtype=np.complex128)
+    shape, x = x.shape, x.reshape((-1,) + x.shape[-2:])
     norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
     degrees, thetas = list(_PADE_THETA), list(_PADE_THETA.values())
     group = np.minimum(np.searchsorted(thetas, norm), len(degrees) - 1)
@@ -144,21 +127,7 @@ def _expm_pade(x):
     for k in range(int(np.max(squarings, initial=0))):
         sel = squarings > k
         out[sel] = _matmul(out[sel], out[sel])
-    return out
-
-
-def expm(x):
-    """Matrix exponential, vectorized over leading axes.
-
-    N = 2 uses the closed form (exact special-unitary output for Lie
-    element input); other N one batched scaling-and-squaring Pade, which
-    takes any complex matrix.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-1] == 2:
-        return _expm2(x)
-    flat = x.reshape((-1,) + x.shape[-2:])
-    return _expm_pade(flat).reshape(x.shape)
+    return out.reshape(shape)
 
 
 # Newton iteration is quadratic, so two steps take a 1e-6 defect to roundoff.

@@ -723,12 +723,11 @@ def run_levy(cfg, seed):
         est = cesaro_levy_estimate(
             a_field, curves[ci], n_modes=ccfg["n_modes"], eps=ccfg["eps"],
             step=ccfg["step"], checkpoints=tuple(ccfg["checkpoints"]))
-        scale = maxabs(ref.value)
         rows = []
         for k in sorted(est.partial):
-            err = maxabs(est.partial[k] - ref.value)
-            rows.append({"curve": ci, "n": k, "err_abs": err,
-                         "err_rel": err / scale})
+            diff = est.partial[k] - ref.value
+            rows.append({"curve": ci, "n": k, "err_abs": maxabs(diff),
+                         "err_rel": _rel(diff, ref.value)})
         return rows
 
     all_rows = [cesaro_case(ci) for ci in range(min(ccfg["curves"], len(curves)))]
@@ -739,7 +738,8 @@ def run_levy(cfg, seed):
         worst_final = max(worst_final, rows[-1]["err_rel"])
         ns = np.array([r["n"] for r in rows], dtype=float)
         errs = np.array([r["err_abs"] for r in rows], dtype=float)
-        slopes.append(-np.polyfit(np.log(ns), np.log(errs), 1)[0])
+        # an exact (zero) error reads as no decay, which the slope check refuses
+        slopes.append(-np.polyfit(np.log(ns), np.log(np.maximum(errs, 1e-300)), 1)[0])
     tables["cesaro"] = {
         "columns": ["n", "err_abs", "err_rel"],
         "rows": [[r["n"], r["err_abs"], r["err_rel"]] for r in cesaro_rows],
@@ -1043,10 +1043,9 @@ def run_theorem(cfg, seed):
         u_up = transport(up_f, curve, step=step)
         u_dn = transport(dn_f, curve, step=step)
         route_ii = (u_up - u_dn) / (2.0 * delta)
-        scale = maxabs(lap.value)
-        forward_abs = maxabs(route_i - lap.value)
-        return [ci, cstep, forward_abs / scale, maxabs(route_ii - lap.value) / scale,
-                forward_abs, scale]
+        return [ci, cstep, _rel(route_i - lap.value, lap.value),
+                _rel(route_ii - lap.value, lap.value), maxabs(route_i - lap.value),
+                maxabs(lap.value)]
 
     rows = [combo_row(item) for item in combos]
     forward = max(r[2] for r in rows)

@@ -5,7 +5,10 @@ elements A_mu(x) (connection coefficients in a fixed trivialization; the
 torus is flat, so there are no Christoffel terms anywhere). Three
 representations share one interface:
 
-* `AnalyticField`: finite Fourier series with exact derivatives.
+* `AnalyticField`: finite Fourier series with exact derivatives. Its
+  coefficients must lie in su(N) (ValueError otherwise); they are held as
+  su_basis coordinates, so each evaluation is one real product of trig
+  weights with a coordinate table and one `algebra.lie_matrix`.
 * `LatticeField`: values on an m^d grid; derivatives by 4th-order central
   stencils, off-grid evaluation by periodic cubic spline interpolation.
 * `TransformedField`: the gauge transform of another field by a gauge map,
@@ -24,14 +27,13 @@ kept only for traces and scalar-weight sums.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import pathlib
 
 import numpy as np
 
-from .algebra import _matmul, dagger, expm, lie_coords, random_lie
+from .algebra import _matmul, dagger, exp_lie, lie_coords, lie_matrix, random_lie
 
 
 class Torus:
@@ -168,7 +170,11 @@ class GaugeField:
 
 
 class AnalyticField(GaugeField):
-    """Finite Fourier series A_mu(x) = sum_m C_m trig(2 pi k_m.x / L)."""
+    """Finite Fourier series A_mu(x) = sum_m C_m trig(2 pi k_m.x / L).
+
+    Mode m carries its coefficient C_m in direction mu_m only. A C_m outside
+    su(N) beyond roundoff raises ValueError.
+    """
 
     def __init__(self, torus, n, kvecs=None, mus=None, coeffs=None, phases=None):
         self.torus, self.n = torus, int(n)
@@ -185,6 +191,12 @@ class AnalyticField(GaugeField):
         )
         self.phases = np.zeros(m, dtype=int) if phases is None else np.asarray(phases, dtype=int)
         self._w = 2.0 * np.pi * self.kvecs / torus.L
+        self._coords = lie_coords(self.coeffs, check=True)  # (M, K)
+        k = self._coords.shape[1]
+        # (M, d K): row m holds C_m's coordinates in the slot of direction mu_m
+        slots = np.zeros((m, d, k))
+        slots[np.arange(m), self.mus] = self._coords
+        self._slots = slots.reshape(m, d * k)
 
     @classmethod
     def zero(cls, torus, n=2):
@@ -213,7 +225,7 @@ class AnalyticField(GaugeField):
         t_dir = random_lie(rng, n)
         t_dir = t_dir / np.max(np.abs(t_dir))
         kvecs, mus, coeffs, phases = [], [], [], []
-        for _ in range(modes):
+        while len(kvecs) < modes:
             k = rng.integers(-kmax, kmax + 1, size=torus.d)
             if not np.any(k):
                 continue
@@ -224,55 +236,27 @@ class AnalyticField(GaugeField):
             coeffs.append(scale * t_dir)
         return cls(torus, n, np.array(kvecs), np.array(mus), np.stack(coeffs), np.array(phases))
 
-    def _sum_modes(self, weights, x_shape):
-        # weights: (..., M) real; scatter mode sums into the mu slots
-        d, n = self.torus.d, self.n
-        out = np.zeros(x_shape[:-1] + (d, n, n), dtype=np.complex128)
-        for mu in range(d):
-            sel = self.mus == mu
-            if np.any(sel):
-                out[..., mu, :, :] = np.einsum(
-                    "...m,mij->...ij", weights[..., sel], self.coeffs[sel]
-                )
-        return out
+    def _mode_sum(self, weights):
+        """sum_m weights[..., m] C_m in the mu_m slot: (..., d, N, N) for real weights (..., M)."""
+        out = weights @ self._slots
+        return lie_matrix(out.reshape(out.shape[:-1] + (self.torus.d, self._coords.shape[1])))
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._sum_modes(_trig(x, self._w, self.phases, 0), x.shape)
-
-    @functools.cached_property
-    def _coeff_coords(self):
-        return lie_coords(self.coeffs)  # (M, K)
+        return self._mode_sum(_trig(x, self._w, self.phases, 0))
 
     def generator(self, x, v):
         """One real product: sum_m trig_m(x) v^{mu_m} c_m with c_m the coefficient coordinates."""
         weights = _trig(x, self._w, self.phases, 0) * np.asarray(v, dtype=float)[..., self.mus]
-        return weights @ self._coeff_coords
+        return weights @ self._coords
 
     def partial_all(self, x):
-        x = np.asarray(x, dtype=float)
-        d = self.torus.d
-        t1 = _trig(x, self._w, self.phases, 1)
-        return np.stack(
-            [self._sum_modes(t1 * self._w[:, a], x.shape) for a in range(d)], axis=-4
-        )
+        w = self._w.T  # (d, M)
+        return self._mode_sum(_trig(x, self._w, self.phases, 1)[..., None, :] * w)
 
     def second_all(self, x):
-        x = np.asarray(x, dtype=float)
-        d = self.torus.d
-        t2 = _trig(x, self._w, self.phases, 2)
-        rows = []
-        for a in range(d):
-            rows.append(
-                np.stack(
-                    [
-                        self._sum_modes(t2 * self._w[:, a] * self._w[:, b], x.shape)
-                        for b in range(d)
-                    ],
-                    axis=-4,
-                )
-            )
-        return np.stack(rows, axis=-5)
+        w = self._w.T
+        return self._mode_sum(_trig(x, self._w, self.phases, 2)[..., None, None, :]
+                              * w[:, None] * w)
 
     @property
     def kmax(self):
@@ -539,7 +523,7 @@ class GaugeMap:
         T commutes with f0 = exp(theta T), so order k is a sum of scalar
         outer products of theta's derivatives times g_p = T^p f0.
         """
-        g = [expm(theta.value(x)[..., None, None] * t_dir)]
+        g = [exp_lie(theta.value(x)[..., None] * lie_coords(t_dir))]
         for _ in range(order):
             g.append(_matmul(t_dir, g[-1]))
         out = g[:1]

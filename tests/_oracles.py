@@ -91,6 +91,25 @@ def load_field(base):
     raise ValueError(f"unknown serialized field kind {header['kind']!r}")
 
 
+def analytic_mode_sum(field, x, order):
+    """eval (order 0), partial_all (1) or second_all (2) of an AnalyticField,
+    summed mode by mode as complex matrices into each mode's direction slot."""
+    x = np.asarray(x, dtype=float)
+    d, n = field.torus.d, field.n
+    out = np.zeros(x.shape[:-1] + (d,) * order + (d, n, n), dtype=np.complex128)
+    # the field's own angles: their rounding is not what this sum checks
+    angles = x @ field._w.T
+    for m, (mu, c, phase) in enumerate(zip(field.mus, field.coeffs, field.phases)):
+        w, ang = field._w[m], angles[..., m]
+        cos, sin = np.cos(ang), np.sin(ang)
+        # derivatives of cos cycle through cos, -sin, -cos, sin; sin starts at the last
+        weight = [cos, -sin, -cos, sin][(order - phase) % 4]
+        for _ in range(order):
+            weight = np.multiply.outer(weight, w)
+        out[..., mu, :, :] += np.multiply.outer(weight, c)
+    return out
+
+
 # --- derivative tensors as explicit index contractions ----------------------
 
 

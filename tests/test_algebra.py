@@ -99,43 +99,15 @@ def test_fiber_metric_positive_definite_on_lie():
             assert abs(val - np.sum(np.abs(x) ** 2)) < 1e-12
 
 
-def test_expm_matches_scipy_su2():
-    """Closed-form 2x2 exponential vs scipy.linalg.expm, worst case < 1e-13."""
-    x = random_lie(RNG, 2, shape=(20,))
-    got = expm(x)
-    for i in range(20):
-        ref = scipy.linalg.expm(x[i])
-        assert maxabs(got[i] - ref) < 1e-13
-    # group output for Lie input
-    assert group_defect(got) < 1e-13
-
-
-def test_expm_matches_scipy_general_matrices():
-    """The 2x2 closed form must hold for arbitrary (non-Lie) matrices too."""
-    m = random_fiber(RNG, 2, shape=(10,))
-    got = expm(m)
-    for i in range(10):
-        assert maxabs(got[i] - scipy.linalg.expm(m[i])) < 1e-12
-
-
-def test_expm_su3_fallback():
-    """SU(3) exponential (the N >= 3 Pade path) vs scipy, and in the group."""
-    x = random_lie(RNG, 3, shape=(5,))
-    got = expm(x)
-    for i in range(5):
-        assert maxabs(got[i] - scipy.linalg.expm(x[i])) < 1e-12
-    assert group_defect(got) < 1e-12
-
-
 def test_expm_pade_matches_scipy():
-    """Batched Pade for N = 3, 4 vs a loop over scipy.linalg.expm.
+    """Batched Pade for N = 2, 3, 4 vs a loop over scipy.linalg.expm.
 
     Scales 1e-3, 0.5 and 3 select low degrees, high degrees and the
     squaring path; the last batch mixes all of them in one call, so each
     matrix must get its own degree and number of squarings. Lie input must
     also give group elements.
     """
-    for n in (3, 4):
+    for n in (2, 3, 4):
         batches = []
         for scale in (1e-3, 0.5, 3.0):
             x = random_lie(RNG, n, scale=scale, shape=(12,))
@@ -150,11 +122,14 @@ def test_expm_pade_matches_scipy():
 
 
 def test_expm_small_argument_stable():
-    """sinhc branch: e^x = I + x + x^2/2 + O(x^3) for tiny x."""
+    """Tiny x takes the lowest Pade degree with no cancellation:
+    e^x = I + x + x^2/2 + O(x^3). The entries of order x agree to 1e-20; the
+    real diagonal, 1 - O(x^2), to one unit in the last place of 1."""
     x = 1e-8 * random_lie(RNG, 2)
-    got = expm(x)
-    ref = np.eye(2) + x + 0.5 * x @ x
-    assert maxabs(got - ref) < 1e-20
+    diff = expm(x) - (np.eye(2) + x + 0.5 * x @ x)
+    assert maxabs(np.real(np.diagonal(diff))) <= 2.0**-52
+    diff.real[np.diag_indices(2)] = 0.0
+    assert maxabs(diff) < 1e-20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -204,6 +204,32 @@ def test_su3_end_to_end_at_reduced_sizes(tmp_path):
         assert report["config"]["gauge_rank"] == 3
 
 
+def test_zero_field_runs_without_internal_error(tmp_path):
+    """A zero field has a zero Laplacian: its relative gaps read 0, not a division
+    by zero (exit 4), and no report holds NaN or Infinity. `levy` exits 1, as its
+    exact (zero) Cesàro errors show no decay for `cesaro_slope` to measure."""
+    cfg = write_config(tmp_path, REDUCED_CONFIG)
+    lattice_zero = '{"kind": "lattice", "base": {"kind": "zero"}, "grid": 8}'
+    cases = [("verify-theorem", f"theorem.field={lattice_zero}", 0),
+             ("verify-theorem", 'theorem.field={"kind": "zero"}', 0),
+             ("levy", 'field={"kind": "zero"}', 1)]
+    for i, (name, override, code) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        args = [name, "--config", str(cfg), "--out", str(out), "--set", override]
+        assert cli.main(args) == code, override
+        report = (out / name / f"{name}.report.json").read_text()
+        assert "NaN" not in report and "Infinity" not in report
+
+
+def test_abelian_field_with_one_mode_runs(tmp_path):
+    """`abelian` draws exactly `modes` modes: at seed 0 its first wave vector is
+    zero, and one mode drawn then skipped left none to stack (exit 4)."""
+    out = tmp_path / "out"
+    args = ["heatflow", "--out", str(out), "--set", "heatflow.field.modes=1",
+            "--set", "heatflow.field.seed=0"]
+    assert cli.main(args) == 0
+
+
 def test_set_override_reflected_in_report(tmp_path):
     cfg = write_config(tmp_path, TRANSPORT_ONLY)
     proc = run_cli(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    analytic_mode_sum,
     bianchi_residual,
     commutator,
     einsum_cov_deriv_curvature,
@@ -162,6 +163,49 @@ def test_random_abelian_commutes(torus2):
     for i in range(len(fld.coeffs)):
         for j in range(len(fld.coeffs)):
             assert maxabs(commutator(fld.coeffs[i], fld.coeffs[j])) < 1e-14
+
+
+def test_random_abelian_draws_every_mode():
+    """A zero wave vector is redrawn, never skipped: `modes` modes at every seed,
+    also where kmax 1 draws the zero vector first (seed 0 at modes 1 did)."""
+    for d in (2, 3):
+        torus = Torus(d, 1.0)
+        for modes in (1, 3):
+            for seed in range(50):
+                rng = np.random.default_rng(np.random.SeedSequence(seed))
+                fld = AnalyticField.random_abelian(rng, torus, modes=modes, kmax=1)
+                assert len(fld.kvecs) == len(fld.mus) == len(fld.coeffs) == modes
+                assert np.all(np.any(fld.kvecs != 0, axis=1))
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_analytic_field_matches_mode_sum(d, n):
+    """eval, partial_all and second_all (one coordinate product each) vs the
+    plain per-mode matrix sum, to 1e-15 relative; the zero field gives zeros."""
+    torus = Torus(d, 1.0)
+    rng = rng_for(10 * d + n, "unit/mode-sum")
+    x = random_points(rng, torus, (6, 5))
+    for fld in (AnalyticField.random_su(rng, torus, n=n, modes=3, amplitude=0.5, kmax=2),
+                AnalyticField.random_abelian(rng, torus, n=n, modes=4, kmax=2),
+                AnalyticField.zero(torus, n)):
+        for order, got in enumerate((fld.eval(x), fld.partial_all(x), fld.second_all(x))):
+            want = analytic_mode_sum(fld, x, order)
+            assert got.shape == want.shape == (6, 5) + (d,) * (order + 1) + (n, n)
+            assert maxabs(got - want) <= 1e-15 * maxabs(want)
+
+
+def test_analytic_field_refuses_non_su_coefficients(torus2, su2_field):
+    """A coefficient with a Hermitian or trace part raises, built directly or read back."""
+    for bad in (1e-6 * np.eye(2), 1e-3j * np.eye(2), 1e-4 * np.array([[0, 1], [1, 0]])):
+        coeffs = su2_field.coeffs.copy()
+        coeffs[1] += bad
+        with pytest.raises(ValueError, match="non-su"):
+            AnalyticField(torus2, 2, su2_field.kvecs, su2_field.mus, coeffs, su2_field.phases)
+        spec = su2_field.to_dict()
+        spec["modes"][1]["re"] = (np.real(coeffs[1])).tolist()
+        spec["modes"][1]["im"] = (np.imag(coeffs[1])).tolist()
+        with pytest.raises(ValueError, match="non-su"):
+            AnalyticField.from_dict(spec)
 
 
 def test_trig_matches_where_formula_bitwise():
