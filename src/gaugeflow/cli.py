@@ -31,7 +31,7 @@ from .experiments import (
     set_by_path,
     validate_config,
 )
-from .field import LatticeField, save_field
+from .field import save_field
 from .heatflow import BlowUp, CflViolation
 
 EXIT_PASS = 0
@@ -93,10 +93,8 @@ def _save_heatflow_extras(outdir, extras):
         return
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
-    first_step, first = traj.snapshots[0]
-    last_step, last = traj.snapshots[-1]
-    LatticeField(traj.torus, first).save(snapdir / f"step_{first_step:06d}")
-    LatticeField(traj.torus, last).save(snapdir / f"step_{last_step:06d}")
+    for step, snapshot in (traj.snapshots[0], traj.snapshots[-1]):
+        snapshot.save(snapdir / f"step_{step:06d}")
     initial = extras.get("initial_field")
     if initial is not None:
         save_field(initial, snapdir / "initial_series")

@@ -34,7 +34,7 @@ from .field import (
     cov_div_curvature,
     make_field,
 )
-from .heatflow import abelian_oracle, cfl_bound, flow, ym_rhs
+from .heatflow import abelian_oracle, cfl_bound, flow
 from .levy import (
     assemble_bilinear,
     cesaro_levy_estimate,
@@ -204,14 +204,15 @@ DEFAULT_CONFIG = {
 # only what the defaults cannot show. Bounds, lengths and choices are looked
 # up by the nearest dict key. By default an integer is >= 1, a number > 0 and
 # a list has at least one entry.
-_MINIMUM = {"seed": 0, "free_end_cases": 0, "gauge_rank": 2, "grid": 8, "su2_grid": 8,
-            "grids": 8, "n_modes": 4, "cesaro_modes": 4, "r_divisions": 4}
+_MINIMUM = {"seed": 0, "free_end_cases": 0, "grid": 8, "su2_grid": 8, "grids": 8,
+            "n_modes": 4, "cesaro_modes": 4, "r_divisions": 4}
 _SIGNED = {"k", "p0", "p1", "center", "axes", "turns", "phase", "line_p0", "line_p1",
            "window", "cesaro_slope", "order_factor"}
 _LENGTH = {"checkpoints": (2, math.inf), "grids": (2, math.inf), "window": (2, 2),
            "cesaro_slope": (2, 2), "order_factor": (2, 2)}
-# d = 3 is refused: every d = 3 config measured failed checks tuned at d = 2
-_CHOICES = {"schema": (1,), "d": (2,), "threads": (1,)}
+# d = 3 and N >= 4 are refused: every d = 3 config measured failed checks tuned
+# at d = 2, and N = 4 at full defaults fails `forward_consistency`
+_CHOICES = {"schema": (1,), "d": (2,), "gauge_rank": (2, 3), "threads": (1,)}
 
 # Field and curve specs: kind -> (required keys, optional keys), each key with
 # a value of its type. A spec's family is the one that knows its default kind.
@@ -901,10 +902,10 @@ def run_heatflow(cfg, seed):
     traj = flow(lat0, hcfg["steps"], hcfg["ds"], save_every=hcfg["save_every"])
     scale = 1.0 + maxabs(lat0.values)
     worst_ab = 0.0
-    for step_idx, values in traj.snapshots:
+    for step_idx, snap in traj.snapshots:
         s = step_idx * hcfg["ds"]
         oracle = LatticeField.sample(abelian_oracle(ab, s), hcfg["grid"])
-        worst_ab = max(worst_ab, maxabs(values - oracle.values) / scale)
+        worst_ab = max(worst_ab, maxabs(snap.values - oracle.values) / scale)
 
     tables["flow"] = {
         "columns": ["s", "action", "rhs_norm"],
@@ -931,7 +932,7 @@ def run_heatflow(cfg, seed):
     csteps = hcfg["critical_steps"]
     zero_lat = LatticeField.sample(AnalyticField.zero(torus, n), 16)
     traj_zero = flow(zero_lat, csteps, 1e-5, save_every=csteps)
-    zero_drift = maxabs(traj_zero.snapshots[-1][1] - zero_lat.values)
+    zero_drift = maxabs(traj_zero.snapshots[-1][1].values - zero_lat.values)
 
     const_vals = np.zeros((16,) * torus.d + (torus.d, n, n), dtype=np.complex128)
     direction = su_basis(n)[0]
@@ -939,7 +940,7 @@ def run_heatflow(cfg, seed):
         const_vals[..., mu, :, :] = 0.3 * (mu + 1) * direction
     const_lat = LatticeField(torus, const_vals)
     traj_const = flow(const_lat, csteps, 1e-5, save_every=csteps)
-    const_drift = maxabs(traj_const.snapshots[-1][1] - const_vals)
+    const_drift = maxabs(traj_const.snapshots[-1][1].values - const_vals)
 
     # two factors varying along different axes, so the sampled field is a
     # genuinely multi-dimensional flat connection (nonzero lattice residue)
@@ -953,7 +954,8 @@ def run_heatflow(cfg, seed):
     pg_lat = LatticeField.sample(pg, hcfg["grid"])
     ds_pg = 0.9 * cfl_bound(pg_lat.a, torus.d)
     traj_pg = flow(pg_lat, csteps, ds_pg, save_every=csteps, guard=False)
-    pg_drift = maxabs(traj_pg.snapshots[-1][1] - pg_lat.values) / (1.0 + maxabs(pg_lat.values))
+    pg_vals = pg_lat.values
+    pg_drift = maxabs(traj_pg.snapshots[-1][1].values - pg_vals) / (1.0 + maxabs(pg_vals))
 
     # --- RK4 order in flow time against the semi-discrete closed form ---
     ot = hcfg["order_time"]
@@ -968,7 +970,7 @@ def run_heatflow(cfg, seed):
         ds_t = ot["ds"] / div
         tr = flow(lat_t, steps_t, ds_t, save_every=steps_t)
         exact = lat_t.values * np.exp(-rate * steps_t * ds_t)
-        errs_t.append(maxabs(tr.snapshots[-1][1] - exact))
+        errs_t.append(maxabs(tr.snapshots[-1][1].values - exact))
     time_factor = errs_t[0] / errs_t[1]
 
     # --- stencil order in space against the continuum closed form ---
@@ -982,7 +984,7 @@ def run_heatflow(cfg, seed):
         steps_m = int(round(osp["total_s"] / osp["ds"]))
         tr = flow(lat_m, steps_m, osp["ds"], save_every=steps_m)
         exact = lat_m.values * np.exp(-lam * steps_m * osp["ds"])
-        errs_s.append(maxabs(tr.snapshots[-1][1] - exact))
+        errs_s.append(maxabs(tr.snapshots[-1][1].values - exact))
     space_factor = errs_s[0] / errs_s[1]
 
     checks = [
@@ -1162,9 +1164,8 @@ def run_r_diagnostic(cfg, seed):
     origin = maxabs(r_int[0])
 
     # driven flow: the same diagnostic must localize the injected term
-    rhs_fn = lambda fld: ym_rhs(fld).values + bump
     traj_p = flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"],
-                  rhs_fn=rhs_fn)
+                  forcing=LatticeField(torus, bump))
     r_int_p, _ = r_profile(traj_p, with_def_route=False)
 
     dr = 1.0 / divisions

@@ -9,8 +9,10 @@ representations share one interface:
   coefficients must lie in su(N) (ValueError otherwise); they are held as
   su_basis coordinates, so each evaluation is one real product of trig
   weights with a coordinate table and one `algebra.lie_matrix`.
-* `LatticeField`: values on an m^d grid; derivatives by 4th-order central
-  stencils, off-grid evaluation by periodic cubic spline interpolation.
+* `LatticeField`: su_basis coordinates on an m^d grid, in the layout of
+  the flow state (ValueError for matrices outside su(N)); derivatives by
+  4th-order central stencils, off-grid evaluation by periodic cubic spline
+  interpolation of the coordinates and one `lie_matrix`.
 * `TransformedField`: the gauge transform of another field by a gauge map,
   evaluated pointwise exactly (no sampling error).
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -303,20 +306,20 @@ def stencil_d1(arr, axis, a):
 
 
 def spline_filter(values, d):
-    """Periodic cubic B-spline coefficients of samples on the leading d site axes.
+    """Periodic cubic B-spline coefficients of real samples on the trailing d site axes.
 
     Interpolation at the sites asks sum_k c_k beta3(i - k) = f_i, a circulant
     system whose symbol along each axis is (4 + 2 cos theta) / 6 (Unser,
-    IEEE SPM 16 (1999)), so one FFT division solves it for every trailing
+    IEEE SPM 16 (1999)), so one real FFT division solves it for every leading
     component at once.
     """
+    sites, axes = values.shape[-d:], tuple(range(-d, 0))
     symbol = 1.0
-    for m in values.shape[:d]:
-        along = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
-        symbol = np.multiply.outer(symbol, along)
-    spec = np.fft.fftn(values, axes=tuple(range(d)))
-    spec /= symbol.reshape(symbol.shape + (1,) * (values.ndim - d))
-    return np.fft.ifftn(spec, axes=tuple(range(d)))
+    for i, m in enumerate(sites):
+        # the real FFT keeps the m // 2 + 1 nonnegative frequencies of the last axis
+        freqs = np.arange(m if i < d - 1 else m // 2 + 1)
+        symbol = np.multiply.outer(symbol, (4.0 + 2.0 * np.cos(2.0 * np.pi * freqs / m)) / 6.0)
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) / symbol, s=sites, axes=axes)
 
 
 # floats gathered per block of points: small enough to stay in cache
@@ -335,28 +338,44 @@ def _cubic_bspline_weights(t):
 class LatticeField(GaugeField):
     """Gauge field sampled on a uniform m^d grid, x_i = a i, a = L / m.
 
-    values: complex array of shape grid + (d, N, N), site axes first.
-    Off-grid evaluation interpolates with periodic cubic splines; stencil
-    derivative grids are themselves interpolated for off-grid derivatives.
+    Held as su_basis coordinates `coords` (d, K, *grid), the flow state's
+    layout. `LatticeField(torus, values)` takes matrices grid + (d, N, N),
+    refusing a non-su(N) part beyond roundoff (ValueError), and `values`
+    derives them back. Stencil grids and spline tables hold coordinates;
+    off-grid reads interpolate them with periodic cubic splines.
     """
 
     def __init__(self, torus, values):
         values = np.asarray(values, dtype=np.complex128)
         d = torus.d
-        grid = values.shape[:d]
-        if len(set(grid)) != 1:
+        if values.ndim != d + 3 or len(set(values.shape[:d])) != 1:
             raise ValueError("grid must have equal extent per axis")
         if values.shape[d] != d:
             raise ValueError("direction axis mismatch")
         if values.shape[-1] != values.shape[-2]:
             raise ValueError("matrix axes mismatch")
-        self.torus = torus
-        self.values = values
-        self.n = values.shape[-1]
-        self.m = grid[0]
+        coords = np.moveaxis(lie_coords(values, check=True), (-2, -1), (0, 1))
+        self._setup(torus, np.ascontiguousarray(coords))
+
+    @classmethod
+    def from_coords(cls, torus, coords):
+        """The lattice of su_basis coordinates (d, K, *grid), held as given."""
+        field = cls.__new__(cls)
+        field._setup(torus, coords)
+        return field
+
+    def _setup(self, torus, coords):
+        self.torus, self.coords = torus, coords
+        self.n = math.isqrt(coords.shape[1] + 1)
+        self.m = coords.shape[2]
         self.a = torus.L / self.m
-        self._grids = {"val": values}
+        self._grids = {"val": coords}
         self._splines = {}
+
+    @property
+    def values(self):
+        """The matrices (*grid, d, N, N) of the coordinates."""
+        return lie_matrix(np.moveaxis(self.coords, (0, 1), (-2, -1)))
 
     @classmethod
     def sample(cls, field, m):
@@ -369,10 +388,9 @@ class LatticeField(GaugeField):
     def _grid(self, key):
         if key not in self._grids:
             if key[0] == "d":
-                base = self.values
-                arr = stencil_d1(base, key[1], self.a)
+                arr = stencil_d1(self.coords, 2 + key[1], self.a)
             elif key[0] == "dd":
-                arr = stencil_d1(self._grid(("d", key[1])), key[2], self.a)
+                arr = stencil_d1(self._grid(("d", key[1])), 2 + key[2], self.a)
             else:
                 raise KeyError(key)
             self._grids[key] = arr
@@ -382,17 +400,18 @@ class LatticeField(GaugeField):
         """Spline coefficients of the grids `keys`, one (m^d, components) table."""
         if keys not in self._splines:
             d = self.torus.d
-            coeff = spline_filter(np.stack([self._grid(k) for k in keys], axis=d), d)
-            self._splines[keys] = coeff.reshape(self.m**d, -1)
+            grids = np.stack([self._grid(k) for k in keys])
+            coeff = spline_filter(grids.reshape((-1,) + grids.shape[-d:]), d)
+            self._splines[keys] = np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
         return self._splines[keys]
 
     def _interp(self, keys, x):
-        """Values of the grids `keys` at points x, shape (..., len(keys)) + grid trailing.
+        """Coordinates of the grids `keys` at points x, shape (..., len(keys), d, K).
 
         A 4^d-tap gather: one tap index and weight table for the point set,
         every component of every key read in the same pass.
         """
-        table = self._spline(keys).view(np.float64)  # re, im interleaved
+        table = self._spline(keys)
         d, m = self.torus.d, self.m
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
@@ -409,20 +428,23 @@ class LatticeField(GaugeField):
         for lo in range(0, len(u), block):
             part = slice(lo, lo + block)
             out[part] = np.einsum("pk,pkc->pc", w[part], np.take(table, rows[part], axis=0))
-        return out.view(np.complex128).reshape(lead + (len(keys),) + self.values.shape[d:])
+        return out.reshape(lead + (len(keys),) + self.coords.shape[:2])
 
     def eval(self, x):
-        return self._interp(("val",), x)[..., 0, :, :, :]
+        return lie_matrix(self._interp(("val",), x)[..., 0, :, :])
+
+    def generator(self, x, v):
+        return np.einsum("...mk,...m->...k", self._interp(("val",), x)[..., 0, :, :], v)
 
     def partial_all(self, x):
         d = self.torus.d
-        return self._interp(tuple(("d", a) for a in range(d)), x)
+        return lie_matrix(self._interp(tuple(("d", a) for a in range(d)), x))
 
     def second_all(self, x):
         d = self.torus.d
         keys = [("dd", a, b) for a in range(d) for b in range(a, d)]
         pick = [[keys.index(("dd", min(a, b), max(a, b))) for b in range(d)] for a in range(d)]
-        return self._interp(tuple(keys), x)[..., pick, :, :, :]
+        return lie_matrix(self._interp(tuple(keys), x)[..., pick, :, :])
 
     # --- serialization: JSON header + flat little-endian binary ---
 
@@ -438,7 +460,7 @@ class LatticeField(GaugeField):
             "data": base.with_suffix(".bin").name,
         }
         base.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-        base.with_suffix(".bin").write_bytes(np.ascontiguousarray(self.values).astype("<c16").tobytes())
+        base.with_suffix(".bin").write_bytes(self.values.astype("<c16", copy=False).tobytes())
 
     @classmethod
     def load(cls, base):

@@ -9,16 +9,13 @@ stability threshold and the run aborts rather than report garbage. The
 action guard and the next step's k1 share one curvature grid, so an RK4
 step builds four curvature grids, not five.
 
-Inside `flow` the connection is held as real coordinates in `su_basis(n)`,
-an array (d, K, *sites) with K = N^2 - 1. The coordinate maps
-(`lie_coords`, `lie_matrix`) and the structure constants (`_structure`)
-come from `algebra`. Every product in the flow is a commutator, taken from
-the structure constants (`_bracket`), and only the curvature components
-F_mn with m < n are formed. Matrices appear only at the `LatticeField`
-boundary: the initial field and a custom right side's values are converted
-in (`_to_coords`), snapshots and the values handed to a custom right side
-are converted out (`_from_coords`).
-`ym_rhs` converts in, runs the same kernel and converts out.
+The flow state is the `LatticeField` coordinate array (d, K, *sites),
+K = N^2 - 1, and each snapshot is a `LatticeField` on it. Every product is
+a commutator, taken from `algebra`'s structure constants (`_bracket`), and
+only the curvature components F_mn with m < n are formed. A driven flow
+adds a constant forcing lattice to the velocity. `ym_rhs` runs the same
+kernel on one lattice. The flow table's `rhs_max` is the largest matrix
+entry of the velocity.
 
 For pairwise-commuting fields the flow is linear and `abelian_oracle`
 evolves the Fourier data in closed form: transverse mode components decay
@@ -36,7 +33,7 @@ import math
 
 import numpy as np
 
-from .algebra import _structure, lie_coords, lie_matrix, maxabs
+from .algebra import _structure, maxabs
 from .field import AnalyticField, LatticeField, stencil_d1
 
 
@@ -60,25 +57,6 @@ def cfl_bound(spacing, d):
     so the nonlinear terms cannot push a run over the edge.
     """
     return spacing * spacing / (8.0 * d)
-
-
-def _to_coords(values):
-    """Matrices (*sites, d, N, N) -> su_basis coordinates (d, K, *sites).
-
-    Raises ValueError if the values have a non-su(N) (Hermitian or trace)
-    part beyond roundoff (`algebra.LIE_TOL` relative to their largest component).
-    """
-    x = lie_coords(values, check=True)
-    *sites, d, k = x.shape
-    x = np.ascontiguousarray(np.moveaxis(x.reshape(-1, d, k), 0, -1))
-    return x.reshape((d, k) + tuple(sites))
-
-
-def _from_coords(x):
-    """su_basis coordinates (d, K, *sites) -> matrices (*sites, d, N, N)."""
-    d, k, *sites = x.shape
-    out = lie_matrix(np.moveaxis(x.reshape(d, k, -1), -1, 0))
-    return out.reshape(tuple(sites) + out.shape[1:])
 
 
 # floats of pair products formed per block of sites in `_bracket`: small
@@ -135,19 +113,15 @@ def _action(torus, f):
 
 
 def ym_rhs(field):
-    """Flow velocity sum_mu D_mu F_mu nu on the grid, as a LatticeField.
-
-    Runs the flow's coordinate kernel between one conversion in and one out.
-    """
-    x = _to_coords(field.values)
-    return LatticeField(field.torus, _from_coords(_velocity(x, field.a, _curvature(x, field.a))))
+    """Flow velocity sum_mu D_mu F_mu nu on the grid, as a LatticeField."""
+    x, a = field.coords, field.a
+    return LatticeField.from_coords(field.torus, _velocity(x, a, _curvature(x, a)))
 
 
 @dataclasses.dataclass
 class FlowTrajectory:
-    torus: object
     ds: float
-    snapshots: list  # (step_index, values array)
+    snapshots: list  # (step_index, LatticeField)
     table: list      # dict rows: step, s, action, rhs_max
 
     def _index_at(self, s):
@@ -159,8 +133,7 @@ class FlowTrajectory:
         return k
 
     def field(self, s):
-        k = self._index_at(s)
-        return LatticeField(self.torus, self.snapshots[k][1])
+        return self.snapshots[self._index_at(s)][1]
 
     def ds_field(self, s):
         """Flow velocity at snapshot time s (the equation's right side)."""
@@ -171,23 +144,20 @@ class FlowTrajectory:
         k = self._index_at(s)
         if k - width < 0 or k + width >= len(self.snapshots):
             raise KeyError("finite difference needs snapshots on both sides")
-        sp, vp = self.snapshots[k + width]
-        sm, vm = self.snapshots[k - width]
+        sp, fp = self.snapshots[k + width]
+        sm, fm = self.snapshots[k - width]
         delta = 0.5 * (sp - sm) * self.ds
-        return LatticeField(self.torus, (vp - vm) / (2.0 * delta)), delta
+        return LatticeField.from_coords(fp.torus, (fp.coords - fm.coords) / (2.0 * delta)), delta
 
 
-def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
-    """Integrate the gradient flow from `field0` for `steps` RK4 steps.
+def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
+    """Integrate the gradient flow from the LatticeField `field0` for `steps` RK4 steps.
 
-    The state is held as su_basis coordinates (d, K, *sites); snapshots are
-    converted back to (*sites, d, N, N) matrices. rhs_fn(LatticeField) ->
-    values array overrides the flow velocity (used for driven variants): it
-    is handed the state as matrices, and its values must lie in su(N), so a
-    non-su(N) part beyond roundoff (`algebra.LIE_TOL` relative to their
-    largest component) raises ValueError, as it does in `field0`. The
-    action-monotonicity guard defaults to on for the plain flow and off when
-    a custom right side is supplied. The guard aborts a step whose action
+    Snapshots are LatticeFields on the state arrays, the first is `field0`.
+    `forcing`, a LatticeField on the torus and grid of `field0` (ValueError
+    otherwise), is a constant term added to the flow velocity: the driven
+    variant. The action-monotonicity guard defaults to on for the plain flow
+    and off when a forcing is given. The guard aborts a step whose action
     exceeds the last by a factor 1 + MAX_ACTION_GROWTH.
     """
     torus = field0.torus
@@ -197,23 +167,28 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
     bound = cfl_bound(a, torus.d)
     if ds > bound:
         raise CflViolation(f"ds={ds:g} exceeds stability bound {bound:g}")
+    if forcing is not None and (forcing.torus != torus
+                                or forcing.coords.shape != field0.coords.shape):
+        raise ValueError("forcing must be a lattice on the start field's torus and grid")
     if guard is None:
-        guard = rhs_fn is None
-    if rhs_fn is None:
-        # k1 reuses f, the curvature the action guard built at v
-        rhs = lambda v, f=None: _velocity(v, a, _curvature(v, a) if f is None else f)
-    else:
-        rhs = lambda v, f=None: _to_coords(rhs_fn(LatticeField(torus, _from_coords(v))))
+        guard = forcing is None
 
-    v = _to_coords(field0.values)
+    def rhs(v, f=None):
+        # k1 reuses f, the curvature the action guard built at v
+        out = _velocity(v, a, _curvature(v, a) if f is None else f)
+        if forcing is not None:
+            out += forcing.coords
+        return out
+
+    v = field0.coords
     f = _curvature(v, a)
     action = _action(torus, f)
-    snapshots = [(0, _from_coords(v))]
+    snapshots = [(0, field0)]
     table = []
     for i in range(1, steps + 1):
         k1 = rhs(v, f)
         table.append({"step": i - 1, "s": (i - 1) * ds, "action": action,
-                      "rhs_max": maxabs(_from_coords(k1))})
+                      "rhs_max": maxabs(LatticeField.from_coords(torus, k1).values)})
         k2 = rhs(v + (0.5 * ds) * k1)
         k3 = rhs(v + (0.5 * ds) * k2)
         k4 = rhs(v + ds * k3)
@@ -227,10 +202,10 @@ def flow(field0, steps, ds, save_every=1, rhs_fn=None, guard=None):
             )
         action = new_action
         if i % save_every == 0 or i == steps:
-            snapshots.append((i, _from_coords(v)))
+            snapshots.append((i, LatticeField.from_coords(torus, v)))
     table.append({"step": steps, "s": steps * ds, "action": action,
-                  "rhs_max": maxabs(_from_coords(rhs(v, f)))})
-    return FlowTrajectory(torus, ds, snapshots, table)
+                  "rhs_max": maxabs(LatticeField.from_coords(torus, rhs(v, f)).values)})
+    return FlowTrajectory(ds, snapshots, table)
 
 
 def abelian_oracle(field, s):

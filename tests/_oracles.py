@@ -3,7 +3,8 @@
 Nothing in the package needs them at run time: they check that a result
 lies in the set it claims (the Lie algebra), satisfies an identity the
 formulas must keep (Bianchi), or has the inner products a basis claims,
-and they read back the fields the package saves. `ConcatCurve` builds the
+and they read back the fields the package saves. `rk4_trajectory` is a
+plain RK4 loop that the lattice flow is held to. `ConcatCurve` builds the
 kinked curves that the breakpoint tests integrate across. The `einsum_*` functions
 are the derivative-tensor kernels written term by term as explicit index
 contractions, the reference the broadcast-product kernels are held to.
@@ -78,6 +79,26 @@ class ConcatCurve(Curve):
         lo = self.first.velocity(np.clip(2.0 * t, 0.0, 1.0), side)
         hi = self.second.velocity(np.clip(2.0 * t - 1.0, 0.0, 1.0), side)
         return 2.0 * np.where(in_first[..., None], lo, hi)
+
+
+def rk4_trajectory(rhs, y0, steps, ds, save_every):
+    """Classical RK4 for dy/ds = rhs(y) from y0, `steps` steps of ds.
+
+    Returns the states [(step, y)] at step 0, every `save_every` steps and
+    the last step, and rhs(y) at the start of every step and at the end.
+    """
+    y, saved, rates = y0, [(0, y0)], []
+    for i in range(1, steps + 1):
+        k1 = rhs(y)
+        rates.append(k1)
+        k2 = rhs(y + (0.5 * ds) * k1)
+        k3 = rhs(y + (0.5 * ds) * k2)
+        k4 = rhs(y + ds * k3)
+        y = y + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i % save_every == 0 or i == steps:
+            saved.append((i, y))
+    rates.append(rhs(y))
+    return saved, rates
 
 
 def load_field(base):

@@ -12,6 +12,7 @@ exit-code contract are exercised end to end:
 
 import csv
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -157,6 +158,7 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [cfg.name, "--set", "cesaro.checkpoints=[4,16]"],
         [cfg.name, "--set", "heatflow.ds=NaN"],
         [cfg.name, "--ds", "nan"],
+        [cfg.name, "--set", "gauge_rank=4"],
     ]
     for args in cases:
         proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)
@@ -306,6 +308,21 @@ def test_benchmark_wrappers_find_their_targets(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(perfbench)], cwd=tmp_path,
                           env=cli_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_kernel_probes_run(tmp_path):
+    """The benchmark's kernel probes build lattices, `ym_rhs` and group inputs
+    that no workload builds: one run of them gives a finite positive time for
+    every probe. Run in a subprocess, as the probes wrap functions
+    process-wide; perfbench is only read."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import probes; probes.main(sys.argv[2])"
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench), "probes.json"],
+                          cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads((tmp_path / "probes.json").read_text())
+    assert values and all(math.isfinite(v) and v > 0.0 for v in values.values()), values
 
 
 def test_unknown_subcommand_rejected(tmp_path):

@@ -23,7 +23,7 @@ from _oracles import (
     lie_defect,
     load_field,
 )
-from gaugeflow.algebra import dagger, group_defect, maxabs
+from gaugeflow.algebra import dagger, group_defect, lie_matrix, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -450,17 +450,17 @@ def _scipy_spline_read(lat, key, x):
     """scipy.ndimage periodic cubic spline of one grid of `lat` at points x."""
     from scipy.ndimage import map_coordinates, spline_filter
 
-    arr = lat._grid(key)
+    arr = lat._grid(key)  # su_basis coordinates (d, K, *sites)
     d = lat.torus.d
-    flat = arr.reshape(arr.shape[:d] + (-1,))
+    flat = arr.reshape((-1,) + arr.shape[-d:])
     coords = (x.reshape(-1, d) / lat.a).T
 
     def read(part):
         coeff = spline_filter(np.ascontiguousarray(part), order=3, mode="grid-wrap")
         return map_coordinates(coeff, coords, order=3, mode="grid-wrap", prefilter=False)
 
-    out = np.stack([read(c.real) + 1j * read(c.imag) for c in np.moveaxis(flat, -1, 0)], -1)
-    return out.reshape(x.shape[:-1] + arr.shape[d:])
+    out = np.stack([read(c) for c in flat], -1)
+    return lie_matrix(out.reshape(x.shape[:-1] + arr.shape[:2]))
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3)])

@@ -12,7 +12,8 @@ oracle vs 32^2 lattice flow 1.3e-6.
 import numpy as np
 import pytest
 
-from gaugeflow.algebra import maxabs, random_lie, su_basis
+from _oracles import rk4_trajectory
+from gaugeflow.algebra import lie_coords, maxabs, random_lie, su_basis
 from gaugeflow.experiments import _bump_values, rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -26,8 +27,6 @@ from gaugeflow.heatflow import (
     BlowUp,
     CflViolation,
     _bracket,
-    _from_coords,
-    _to_coords,
     abelian_oracle,
     cfl_bound,
     flow,
@@ -47,31 +46,29 @@ def oracle_stencil(arr, axis, a):
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
 
 
-def oracle_curvature(field):
-    d, a = field.torus.d, field.a
-    vals = field.values
+def oracle_curvature(vals, a):
+    d = vals.shape[-3]
     p = np.stack([oracle_stencil(vals, ax, a) for ax in range(d)], axis=-4)
     aa = np.einsum("...mij,...vjk->...mvik", vals, vals)
     return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
 
 
-def oracle_rhs(field):
+def oracle_rhs(av, a):
     """Stencils the whole curvature along every axis, then keeps the trace."""
-    f = oracle_curvature(field)
-    d, a = field.torus.d, field.a
+    f = oracle_curvature(av, a)
+    d = av.shape[-3]
     df = np.stack([oracle_stencil(f, ax, a) for ax in range(d)], axis=-5)
     div = np.einsum("...mmvij->...vij", df)
-    av = field.values
     comm = np.einsum("...mij,...mvjk->...vik", av, f) - np.einsum(
         "...mvij,...mjk->...vik", f, av
     )
     return div + comm
 
 
-def oracle_action(field):
-    f = oracle_curvature(field)
+def oracle_action(vals, torus, a):
+    f = oracle_curvature(vals, a)
     dens = -0.5 * np.einsum("...mvij,...mvji->...", f, f)
-    return float(np.mean(np.real(dens)) * field.torus.volume)
+    return float(np.mean(np.real(dens)) * torus.volume)
 
 
 def rel_gap(got, want):
@@ -110,7 +107,7 @@ def test_flow_rejects_bad_steps():
 def test_zero_field_stationary():
     lat = LatticeField(TORUS, np.zeros((8, 8, 2, 2, 2), dtype=complex))
     traj = flow(lat, 10, ds=5e-4, save_every=10)
-    assert maxabs(traj.snapshots[-1][1]) == 0.0
+    assert maxabs(traj.snapshots[-1][1].coords) == 0.0
     assert all(row["rhs_max"] == 0.0 for row in traj.table)
     assert all(row["action"] == 0.0 for row in traj.table)
 
@@ -122,7 +119,7 @@ def test_constant_commuting_field_stationary():
     vals[..., 1, :, :] = -0.2 * T_BASIS[2]
     lat = LatticeField(TORUS, vals)
     traj = flow(lat, 10, ds=5e-4, save_every=10)
-    assert maxabs(traj.snapshots[-1][1] - vals) < 1e-14
+    assert maxabs(traj.snapshots[-1][1].values - vals) < 1e-14
     assert traj.table[0]["rhs_max"] < 1e-14
 
 
@@ -141,10 +138,10 @@ def test_flow_matches_rk4_stability_polynomial():
     z = -rate * ds
     r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
     traj = flow(lat, steps, ds, save_every=steps)
-    assert maxabs(traj.snapshots[-1][1] - r**steps * lat.values) < 1e-13
+    assert maxabs(traj.snapshots[-1][1].values - r**steps * lat.values) < 1e-13
     # and the continuum exponential is reproduced to the RK4 truncation level
     cont = np.exp(-rate * ds * steps) * lat.values
-    assert maxabs(traj.snapshots[-1][1] - cont) < 1e-6
+    assert maxabs(traj.snapshots[-1][1].values - cont) < 1e-6
 
 
 def test_flow_descends_action_and_snapshot_cadence():
@@ -163,19 +160,20 @@ def test_flow_descends_action_and_snapshot_cadence():
     assert set(traj.table[0]) == {"step", "s", "action", "rhs_max"}
 
 
-def test_blowup_guard_on_reversed_flow():
-    """Running the flow uphill with the guard enabled must abort."""
-    fld = AnalyticField.random_su(rng_for(7, "unit/su-flow"), TORUS, modes=2,
-                                  amplitude=0.2, kmax=1)
-    lat = LatticeField.sample(fld, 16)
-    with pytest.raises(BlowUp):
-        flow(lat, 30, ds=1e-4, rhs_fn=lambda f: -ym_rhs(f).values, guard=True)
-    # without the guard the same run completes
-    traj = flow(lat, 3, ds=1e-4, rhs_fn=lambda f: -ym_rhs(f).values)
-    assert len(traj.table) == 4
+def test_blowup_guard_on_driven_flat_start():
+    """A forcing drives a flat start uphill, its action growing from 0: with the
+    guard on, the flow must abort."""
+    flat = LatticeField(TORUS, np.zeros((16, 16, 2, 2, 2), dtype=complex))
+    bump = LatticeField(TORUS, _bump_values(TORUS, 16, [0.5, 0.5], 0.3, 5.0, 2))
+    with pytest.raises(BlowUp, match="from 0 to"):
+        flow(flat, 3, ds=1e-4, forcing=bump, guard=True)
+    # the guard is off by default when a forcing is given, so the same run completes
+    traj = flow(flat, 3, ds=1e-4, forcing=bump)
+    assert len(traj.table) == 4 and traj.table[-1]["action"] > 0.0
     # a non-finite action aborts too, instead of flowing on as NaN
+    nan = LatticeField(TORUS, np.full((16, 16, 2, 2, 2), np.nan, dtype=complex))
     with pytest.raises(BlowUp):
-        flow(lat, 3, ds=1e-4, rhs_fn=lambda f: np.full_like(f.values, np.nan), guard=True)
+        flow(flat, 3, ds=1e-4, forcing=nan, guard=True)
 
 
 def test_abelian_oracle_vs_lattice_flow():
@@ -188,7 +186,7 @@ def test_abelian_oracle_vs_lattice_flow():
     traj = flow(lat, steps, ds, save_every=steps)
     exact = abelian_oracle(ab, ds * steps)
     pts = np.random.default_rng(9).uniform(0, 1, size=(30, 2))
-    end = LatticeField(TORUS, traj.snapshots[-1][1])
+    end = traj.snapshots[-1][1]
     assert maxabs(end.eval(pts) - exact.eval(pts)) < 1e-5
 
 
@@ -231,7 +229,7 @@ def test_trajectory_lookup_and_fd():
     ds = 1e-4
     traj = flow(lat, 40, ds, save_every=10)
     mid = 20 * ds
-    assert maxabs(traj.field(mid).values - traj.snapshots[2][1]) == 0.0
+    assert traj.field(mid) is traj.snapshots[2][1]
     with pytest.raises(KeyError):
         traj.field(15 * ds)  # between snapshots
     fd, delta = traj.fd_ds_field(mid)
@@ -275,9 +273,9 @@ def test_kernels_match_einsum_oracle(d, n, m):
     for ax in range(d):
         assert np.array_equal(stencil_d1(lat.values, ax, lat.a),
                               oracle_stencil(lat.values, ax, lat.a))
-    assert rel_gap(lattice_curvature_grid(lat), oracle_curvature(lat)) <= 1e-13
-    assert rel_gap(ym_rhs(lat).values, oracle_rhs(lat)) <= 1e-13
-    assert abs(ym_action(lat) / oracle_action(lat) - 1.0) <= 1e-13
+    assert rel_gap(lattice_curvature_grid(lat), oracle_curvature(lat.values, lat.a)) <= 1e-13
+    assert rel_gap(ym_rhs(lat).values, oracle_rhs(lat.values, lat.a)) <= 1e-13
+    assert abs(ym_action(lat) / oracle_action(lat.values, torus, lat.a) - 1.0) <= 1e-13
 
 
 def su_flow_start(d, n):
@@ -290,71 +288,83 @@ def su_flow_start(d, n):
     return LatticeField.sample(fld, m)
 
 
-def assert_same_trajectory(got_traj, want_traj):
-    """Two 12-step flows saved every 4 steps agree to roundoff."""
-    steps = [0, 4, 8, 12]
-    assert [s for s, _ in got_traj.snapshots] == [s for s, _ in want_traj.snapshots] == steps
-    for (_, got), (_, want) in zip(got_traj.snapshots, want_traj.snapshots):
-        assert rel_gap(got, want) <= 1e-13
-    assert len(got_traj.table) == len(want_traj.table) == 13
-    for got, want in zip(got_traj.table, want_traj.table):
-        assert (got["step"], got["s"]) == (want["step"], want["s"])
-        assert abs(got["action"] / want["action"] - 1.0) <= 1e-13
-        assert abs(got["rhs_max"] / want["rhs_max"] - 1.0) <= 1e-13
+def assert_matches_oracle_flow(traj, lat, forcing=0.0):
+    """A 12-step flow of 1e-4 saved every 4 steps agrees to roundoff with
+    `rk4_trajectory` on the einsum `oracle_rhs` plus `forcing`, in matrices:
+    the snapshots, the action at each of them and every step's `rhs_max`."""
+    saved, rates = rk4_trajectory(lambda v: oracle_rhs(v, lat.a) + forcing, lat.values,
+                                  12, 1e-4, 4)
+    assert [s for s, _ in traj.snapshots] == [s for s, _ in saved] == [0, 4, 8, 12]
+    for (step, got), (_, want) in zip(traj.snapshots, saved):
+        assert rel_gap(got.values, want) <= 1e-13
+        action = oracle_action(want, lat.torus, lat.a)
+        assert abs(traj.table[step]["action"] / action - 1.0) <= 1e-13
+    assert len(traj.table) == len(rates) == 13
+    for i, (row, rate) in enumerate(zip(traj.table, rates)):
+        assert (row["step"], row["s"]) == (i, i * 1e-4)
+        assert abs(row["rhs_max"] / maxabs(rate) - 1.0) <= 1e-13
 
 
 def test_flow_curvature_reuse_matches_oracle_rhs():
     """The plain flow (su(N) coordinates, k1 from the curvature the action
-    guard built) and the flow driven by the einsum oracle on matrices agree
-    to roundoff, for d in {2, 3} and N in {2, 3}."""
+    guard built) agrees to roundoff with an RK4 loop over the einsum oracle
+    on matrices, for d in {2, 3} and N in {2, 3}."""
     for d in (2, 3):
         for n in (2, 3):
             lat = su_flow_start(d, n)
-            plain = flow(lat, 12, 1e-4, save_every=4)
-            ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=oracle_rhs, guard=True)
-            assert_same_trajectory(plain, ref)
-            end = LatticeField(lat.torus, plain.snapshots[-1][1])
-            for row, fld in ((plain.table[0], lat), (plain.table[-1], end)):
-                assert abs(row["action"] / oracle_action(fld) - 1.0) <= 1e-13
+            assert_matches_oracle_flow(flow(lat, 12, 1e-4, save_every=4), lat)
 
 
 def test_driven_flow_matches_oracle_rhs():
-    """The R-diagnostic's driven flow, ym_rhs plus a compact bump, against
-    the einsum oracle plus the same bump."""
+    """The R-diagnostic's driven flow, forced by a compact bump, against the
+    einsum oracle plus the same bump."""
     lat = su_flow_start(2, 2)
     bump = _bump_values(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
-    driven = flow(lat, 12, 1e-4, save_every=4, rhs_fn=lambda f: ym_rhs(f).values + bump)
-    ref = flow(lat, 12, 1e-4, save_every=4, rhs_fn=lambda f: oracle_rhs(f) + bump)
-    assert_same_trajectory(driven, ref)
-    assert rel_gap(driven.snapshots[-1][1], flow(lat, 12, 1e-4).snapshots[-1][1]) > 1e-3
+    driven = flow(lat, 12, 1e-4, save_every=4, forcing=LatticeField(TORUS, bump))
+    assert_matches_oracle_flow(driven, lat, bump)
+    plain = flow(lat, 12, 1e-4)
+    assert rel_gap(driven.snapshots[-1][1].values, plain.snapshots[-1][1].values) > 1e-3
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_coordinates_round_trip_and_bracket(n):
-    """su_basis coordinates reproduce Lie elements, the basis maps to unit
-    vectors, and the structure-constant bracket is the matrix commutator."""
+def test_coordinates_round_trip_and_bracket(n, tmp_path):
+    """LatticeField holds su_basis coordinates (d, K, *sites): its matrices
+    round-trip through them, `generator` contracts them with v directly,
+    `load` refuses non-su(N) values, and the structure-constant bracket of
+    two coordinate lattices is the matrix commutator."""
     rng = rng_for(7, f"unit/coords-{n}")
-    x = random_lie(rng, n, shape=(5, 4, 2))  # sites (5, 4), d = 2
-    y = random_lie(rng, n, shape=(5, 4, 2))
-    cx, cy = _to_coords(x), _to_coords(y)
-    assert cx.shape == (2, n * n - 1, 5, 4)
-    assert maxabs(_from_coords(cx) - x) <= 1e-15 * maxabs(x)
-    basis = su_basis(n)
-    assert maxabs(_to_coords(basis[:, None])[0] - np.eye(len(basis))) <= 1e-15  # d = 1
+    x = random_lie(rng, n, shape=(5, 5, 2))  # sites (5, 5), d = 2
+    y = random_lie(rng, n, shape=(5, 5, 2))
+    lx, ly = LatticeField(TORUS, x), LatticeField(TORUS, y)
+    assert lx.coords.shape == (2, n * n - 1, 5, 5)
+    assert maxabs(lx.values - x) <= 1e-15 * maxabs(x)
+    again = LatticeField(TORUS, LatticeField.from_coords(TORUS, lx.coords).values)
+    assert maxabs(again.coords - lx.coords) <= 1e-15 * maxabs(lx.coords)
+    pts = rng.uniform(-0.5, 1.5, size=(3, 7, 2))
+    v = rng.standard_normal((3, 7, 2))
+    want = lie_coords(np.einsum("...mij,...m->...ij", lx.eval(pts), v))
+    assert maxabs(lx.generator(pts, v) - want) <= 1e-15 * maxabs(want)
     comm = x @ y - y @ x
-    assert maxabs(_from_coords(_bracket(cx, cy)) - comm) <= 1e-15 * maxabs(comm)
+    bracket = LatticeField.from_coords(TORUS, _bracket(lx.coords, ly.coords))
+    assert maxabs(bracket.values - comm) <= 1e-15 * maxabs(comm)
+    lx.save(tmp_path / "lat")
+    (tmp_path / "lat.bin").write_bytes((x + 0.1j * np.eye(n)).astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="su\\(N\\)"):
+        LatticeField.load(tmp_path / "lat")
 
 
 def test_flow_refuses_values_outside_su_n():
-    """A custom right side (or a start field) with a non-su(N) part beyond
-    roundoff is refused, not projected; a roundoff-size part passes."""
+    """A lattice (start field or forcing) with a non-su(N) part beyond roundoff
+    is refused, not projected, and so is a forcing on another torus or grid;
+    a roundoff-size non-su(N) part passes."""
     lat = su_flow_start(2, 2)
+    bump = _bump_values(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
     eye = np.eye(2)
-    with pytest.raises(ValueError, match="su\\(N\\)"):
-        flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1j * eye)
-    with pytest.raises(ValueError, match="su\\(N\\)"):
-        flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1e-3 * np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="su\\(N\\)"):
-        flow(LatticeField(TORUS, lat.values + 0.1j * eye), 2, 1e-4)
-    traj = flow(lat, 2, 1e-4, rhs_fn=lambda f: ym_rhs(f).values + 1e-15j * eye)
+    for bad in (bump + 1j * eye, bump + 1e-3 * np.diag([1.0, -1.0]), lat.values + 0.1j * eye):
+        with pytest.raises(ValueError, match="su\\(N\\)"):
+            LatticeField(TORUS, bad)
+    for other in (LatticeField(Torus(2, 2.0), bump), LatticeField(TORUS, bump[::2, ::2])):
+        with pytest.raises(ValueError, match="torus and grid"):
+            flow(lat, 2, 1e-4, forcing=other)
+    traj = flow(lat, 2, 1e-4, forcing=LatticeField(TORUS, bump + 1e-15j * eye))
     assert len(traj.table) == 3
