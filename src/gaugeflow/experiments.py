@@ -48,9 +48,9 @@ from .path import (
     PolyReparam,
     SineReparam,
     curve_integral,
+    curve_integrals,
     gauss_legendre,
     make_curve,
-    perturb,
     plateau,
     random_field,
     random_vanishing_field,
@@ -63,6 +63,7 @@ from .transport import (
     transport,
     transport_derivative,
     transport_s_derivative,
+    transport_variations,
 )
 
 
@@ -204,7 +205,7 @@ DEFAULT_CONFIG = {
 # only what the defaults cannot show. Bounds, lengths and choices are looked
 # up by the nearest dict key. By default an integer is >= 1, a number > 0 and
 # a list has at least one entry.
-_MINIMUM = {"seed": 0, "free_end_cases": 0, "grid": 8, "su2_grid": 8, "grids": 8,
+_MINIMUM = {"seed": 0, "grid": 8, "su2_grid": 8, "grids": 8,
             "n_modes": 4, "cesaro_modes": 4, "r_divisions": 4}
 _SIGNED = {"k", "p0", "p1", "center", "axes", "turns", "phase", "line_p0", "line_p1",
            "window", "cesaro_slope", "order_factor"}
@@ -559,8 +560,7 @@ def run_gradient(cfg, seed):
         i, free, x = case
         curve = curves[i % len(curves)]
         formula = transport_derivative(a_field, curve, x, step=step)
-        up = transport(a_field, perturb(curve, x, eps), step=step)
-        um = transport(a_field, perturb(curve, x, -eps), step=step)
+        up, um = transport_variations(a_field, curve, [[(x, eps)], [(x, -eps)]], step=step)
         fd = (up - um) / (2.0 * eps)
         return free, _rel(formula - fd, fd)
 
@@ -582,11 +582,8 @@ def run_gradient(cfg, seed):
                 x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
                 phi = random_fiber(rng_p, cfg["gauge_rank"])
                 paired = grad.pair(x, phi)
-                fp = fiber_metric(
-                    transport(fld, perturb(curve, x, eps), step=step), phi)
-                fm = fiber_metric(
-                    transport(fld, perturb(curve, x, -eps), step=step), phi)
-                fd = (fp - fm) / (2.0 * eps)
+                up, um = transport_variations(fld, curve, [[(x, eps)], [(x, -eps)]], step=step)
+                fd = (fiber_metric(up, phi) - fiber_metric(um, phi)) / (2.0 * eps)
                 riesz_worst = max(riesz_worst,
                                   abs(paired - fd) / max(abs(fd), 1e-300))
                 direct = fiber_metric(
@@ -674,13 +671,9 @@ def run_levy(cfg, seed):
         curve = curves[ci]
         bil = assemble_bilinear(kernel_cache[ci], x, y)
 
-        def u(c):
-            return transport(a_field, c, step=kstep)
-
-        fd = (u(perturb(perturb(curve, x, keps), y, keps))
-              - u(perturb(perturb(curve, x, keps), y, -keps))
-              - u(perturb(perturb(curve, x, -keps), y, keps))
-              + u(perturb(perturb(curve, x, -keps), y, -keps))) / (4 * keps * keps)
+        corners = [[(x, ex), (y, ey)] for ex in (keps, -keps) for ey in (keps, -keps)]
+        upp, upm, ump, umm = transport_variations(a_field, curve, corners, step=kstep)
+        fd = (upp - upm - ump + umm) / (4 * keps * keps)
         return _rel(bil - fd, fd)
 
     hess_worst = max(hessian_case(item) for item in pair_plan)
@@ -755,7 +748,7 @@ def run_levy(cfg, seed):
     gaps = _functional_gaps(f0, fn_curves, fcfg, seed)
 
     ces = cesaro_second_trace(
-        lambda c: curve_integral(f0.value, c), fn_curves[0], d,
+        lambda c, variations: curve_integrals(f0.value, c, variations), fn_curves[0], d,
         fcfg["cesaro_modes"], eps=1e-3, checkpoints=(fcfg["cesaro_modes"],))
     lap_ref = curve_integral(f0.laplacian, fn_curves[0])
     ces_fn = abs(ces.estimate - lap_ref) / max(abs(lap_ref), 1e-300)
@@ -812,20 +805,21 @@ def _functional_gaps(f0, curves, fcfg, seed):
     rng_f = rng_for(seed, "levy/functional/fields")
     grad_fd = hess_fd = routes_gap = heat_res = lap_fd = 0.0
     for curve in curves:
-        lf = lambda c: curve_integral(f0.value, c)
         x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
+
+        def lf(h, steps):
+            return curve_integrals(f0.value, curve, [[(x, k * h)] if k else [] for k in steps])
+
         paired = _functional_grad_pair(f0, curve, x)
         # fourth-order five-point first difference along x
-        fd1 = (-lf(perturb(curve, x, 2 * geps)) + 8.0 * lf(perturb(curve, x, geps))
-               - 8.0 * lf(perturb(curve, x, -geps))
-               + lf(perturb(curve, x, -2 * geps))) / (12.0 * geps)
+        l2, l1, m1, m2 = lf(geps, (2, 1, -1, -2))
+        fd1 = (-l2 + 8.0 * l1 - 8.0 * m1 + m2) / (12.0 * geps)
         grad_fd = max(grad_fd, abs(paired - fd1) / max(abs(fd1), 1e-300))
 
         hess_closed = _functional_hessian(f0, curve, x, x)
         # fourth-order five-point second difference along x
-        fd2 = (-lf(perturb(curve, x, 2 * heps)) + 16.0 * lf(perturb(curve, x, heps))
-               - 30.0 * lf(curve) + 16.0 * lf(perturb(curve, x, -heps))
-               - lf(perturb(curve, x, -2 * heps))) / (12.0 * heps * heps)
+        l2, l1, l0, m1, m2 = lf(heps, (2, 1, 0, -1, -2))
+        fd2 = (-l2 + 16.0 * l1 - 30.0 * l0 + 16.0 * m1 - m2) / (12.0 * heps * heps)
         hess_fd = max(hess_fd, abs(hess_closed - fd2) / max(abs(fd2), 1e-300))
 
         lap_a = curve_integral(f0.laplacian, curve)

@@ -171,6 +171,10 @@ class GaugeField:
     def second_all(self, x):
         raise NotImplementedError
 
+    def jets(self, x):
+        """A, dA and d^2A at x: `eval`, `partial_all` and `second_all`."""
+        return self.eval(x), self.partial_all(x), self.second_all(x)
+
 
 class AnalyticField(GaugeField):
     """Finite Fourier series A_mu(x) = sum_m C_m trig(2 pi k_m.x / L).
@@ -601,11 +605,12 @@ class TransformedField(GaugeField):
         self.torus, self.n = base.torus, base.n
 
     def _derivs(self, x, order):
-        """Order-`order` derivative tensor, shape (..., d^order, d, N, N).
+        """Derivative tensors through `order`; entry k has shape (..., d^k, d, N, N).
 
         With W_mu = A_mu psi + d_mu psi, the field is psi^-1 W_mu, so both
         products go through the Leibniz rule. The direction axis mu is moved
         ahead of the derivative axes, where the products broadcast over it.
+        Entry k does not depend on `order`.
         """
         x = np.asarray(x, dtype=float)
         psi = self.map.derivs(x, order=order + 1)
@@ -615,16 +620,21 @@ class TransformedField(GaugeField):
         w = _leibniz(a, [np.expand_dims(psi[k], -3 - k) for k in low])
         w = [w[k] + np.moveaxis(psi[k + 1], -3, -3 - k) for k in low]
         inv = [np.expand_dims(dagger(psi[k]), -3 - k) for k in low]
-        return np.moveaxis(_leibniz_order(inv, w, order), -3 - order, -3)
+        return [np.moveaxis(_leibniz_order(inv, w, k), -3 - k, -3) for k in low]
 
     def eval(self, x):
-        return self._derivs(x, 0)
+        return self._derivs(x, 0)[0]
 
     def partial_all(self, x):
-        return self._derivs(x, 1)
+        return self._derivs(x, 1)[1]
 
     def second_all(self, x):
-        return self._derivs(x, 2)
+        return self._derivs(x, 2)[2]
+
+    def jets(self, x):
+        """A, dA and d^2A from one pass of the gauge map, equal to `eval`,
+        `partial_all` and `second_all` bit for bit."""
+        return tuple(self._derivs(x, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +657,7 @@ def curvature(field, x):
 
 def _curvature_and_cov_deriv(field, x):
     """F_mn and nabla_l F_mn at x from one evaluation of the field and its partials."""
-    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    a0, p, s = field.jets(x)
     f = _curvature(a0, p)
     y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
     y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
@@ -672,7 +682,7 @@ def cov_div_curvature(field, x):
     div F_n = sum_m (d_m d_m A_n - d_n d_m A_m) + [sum_m d_m A_m, A_n]
               + sum_m [A_m, d_m A_n + F_mn].
     """
-    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    a0, p, s = field.jets(x)
     g = p + _curvature(a0, p)
     div_a = np.einsum("...mmij->...ij", p)[..., None, :, :]
     am = a0[..., :, None, :, :]

@@ -11,11 +11,16 @@ This module computes, numerically exactly (quadrature-limited):
     basis of second directional derivatives, which for the transport has
     the closed form  -int U_{1,t} (div F)_n gammadot^n U_{t,0} dt,
   * a brute-force Cesaro estimator that touches none of the above,
-    used to validate the closed forms.
+    used to validate the closed forms. `cesaro_second_trace` is its one
+    driver: for each sine mode it hands the 2 d +-eps variations to a
+    batched evaluator, `transport.transport_variations` for the transport
+    and `path.curve_integrals` for a curve functional, each of which reads
+    the base curve once per call.
 
 All second-derivative quantities are checked two independent ways in the
 test-suite; `levy_laplacian_transport` additionally cross-checks its two
-internal routes on every call unless told not to.
+internal routes on every call unless told not to, forming only the
+diagonal of the first-order kernel that the check integrates.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ import dataclasses
 import numpy as np
 
 from .algebra import fiber_metric, maxabs
-from .field import _curvature_and_cov_deriv, cov_div_curvature, curvature
-from .path import perturb, sine_basis
-from .transport import DEFAULT_STEP, TransportContext, transport
+from .field import _curvature_and_cov_deriv, cov_div_curvature
+from .path import sine_basis
+from .transport import DEFAULT_STEP, TransportContext, transport_variations
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +60,7 @@ class GradientField:
 def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    g = np.einsum("tmvij,tv->tmij", curvature(field, ctx.points), ctx.velocities)
+    g = np.einsum("tmvij,tv->tmij", ctx.curvature, ctx.velocities)
     return GradientField(ctx, -ctx.conjugate(g))
 
 
@@ -87,14 +92,18 @@ class KernelTriple:
     inner: np.ndarray     # (K, d, N, N)
 
 
+def _levy_source(field, ctx):
+    """Curvature f and the symmetrized first-order source D_a F_{b .} gammadot + (a <-> b)."""
+    f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
+    h1 = np.einsum("tabcij,tc->tabij", df, ctx.velocities)  # D_a F_{b .} gammadot
+    return f, h1 + np.swapaxes(h1, 1, 2)
+
+
 def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    vel = ctx.velocities
-    f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
-    g = np.einsum("tmvij,tv->tmij", f, vel)
-    h1 = np.einsum("tabcij,tc->tabij", df, vel)          # D_a F_{b .} gammadot
-    sym = h1 + np.swapaxes(h1, 1, 2)
+    f, sym = _levy_source(field, ctx)
+    g = np.einsum("tmvij,tv->tmij", f, ctx.velocities)
     return KernelTriple(ctx, -0.5 * ctx.conjugate(sym), ctx.conjugate(f),
                         ctx.conjugate(g), ctx.conjugate(g, to_start=True))
 
@@ -159,7 +168,9 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
     closed = ctx.integrate(-ctx.conjugate(c))
     if not check:
         return LevyLaplacian(closed, closed, 0.0)
-    kernel_value = levy_divergence(second_kernels(field, curve, ctx=ctx))
+    # `levy_divergence` of `second_kernels`, conjugating only the diagonal K_L,aa
+    diagonal = np.einsum("taaij->taij", _levy_source(field, ctx)[1])
+    kernel_value = ctx.integrate(np.einsum("taij->tij", -0.5 * ctx.conjugate(diagonal)))
     mismatch = maxabs(closed - kernel_value) / (1.0 + maxabs(closed))
     if mismatch > check_tol:
         raise RuntimeError(
@@ -185,20 +196,21 @@ def cesaro_second_trace(evaluate, curve, d, n_modes, eps=1e-3,
                         checkpoints=()):
     """Cesaro mean (1/n) sum_{k<=n} sum_axis D^2 evaluate (along sine modes).
 
-    Second directional derivatives are central finite differences of
-    `evaluate` (any curve -> matrix/scalar map) along the orthonormal
-    H^1_{0,0} basis fields sqrt(2) sin(pi k t) e_axis. The running mean is
+    Second directional derivatives are central finite differences of a
+    curve map (matrix or scalar) along the orthonormal H^1_{0,0} basis
+    fields sqrt(2) sin(pi k t) e_axis. `evaluate(curve, variations)` returns
+    the map's values (B, ...) along the curves of `path.perturbed_points`;
+    it gets each mode's 2 d variations in one call. The running mean is
     recorded at each checkpoint so convergence is visible to callers.
     """
-    base = evaluate(curve)
+    base = evaluate(curve, [()])[0]
     total = None
     partial = {}
     for k in range(1, n_modes + 1):
+        fields = [sine_basis(k, d, axis) for axis in range(d)]
+        values = evaluate(curve, [[(x, sign * eps)] for x in fields for sign in (1.0, -1.0)])
         sk = None
-        for axis in range(d):
-            x = sine_basis(k, d, axis)
-            up = evaluate(perturb(curve, x, eps))
-            um = evaluate(perturb(curve, x, -eps))
+        for up, um in zip(values[::2], values[1::2]):
             dd = (up - 2.0 * base + um) / (eps * eps)
             sk = dd if sk is None else sk + dd
         total = sk if total is None else total + sk
@@ -211,10 +223,11 @@ def cesaro_levy_estimate(field, curve, n_modes=64, eps=1e-3,
                          step=DEFAULT_STEP, checkpoints=(4, 8, 16, 32, 64)):
     """Brute-force Cesaro estimate of the Levy Laplacian of the transport.
 
-    Uses nothing but whole-transport evaluations, so it is an oracle for
-    `levy_laplacian_transport`; expect O(1/n) convergence of the mean.
+    Uses nothing but whole-transport evaluations (`transport_variations`),
+    so it is an oracle for `levy_laplacian_transport`; expect O(1/n)
+    convergence of the mean.
     """
     return cesaro_second_trace(
-        lambda c: transport(field, c, step=step),
+        lambda c, variations: transport_variations(field, c, variations, step=step),
         curve, field.torus.d, n_modes, eps=eps, checkpoints=checkpoints,
     )

@@ -209,6 +209,35 @@ def perturb(curve, field, eps):
     return PerturbedCurve(curve, field, eps)
 
 
+def _vary(base, variations, jet):
+    """base (T, d) plus each variation's terms eps jet(X) in order, (B, T, d); each X read once."""
+    read = {}
+    out = []
+    for terms in variations:
+        value = base
+        for x, eps in terms:
+            if id(x) not in read:
+                read[id(x)] = jet(x)
+            value = value + float(eps) * read[id(x)]
+        out.append(value)
+    return np.stack(out)
+
+
+def perturbed_points(curve, variations, t):
+    """Points at t of gamma + sum_i eps_i X_i for each variation, shape (B, T, d).
+
+    A variation is a sequence of (X, eps) terms, added in order, so
+    [(X, ex), (Y, ey)] gives the bits of perturb(perturb(curve, X, ex), Y, ey)
+    and [] those of the curve itself. The base curve is read once.
+    """
+    return _vary(curve.point(t), variations, lambda x: x.value(t))
+
+
+def perturbed_velocities(curve, variations, t):
+    """Velocities at t of the curves of `perturbed_points`, shape (B, T, d)."""
+    return _vary(curve.velocity(t), variations, lambda x: x.deriv(t))
+
+
 def plateau(curve, r):
     return PlateauCurve(curve, r)
 
@@ -344,6 +373,17 @@ def curve_integral(fn, curve, panels=256):
     """integral of fn(gamma(t)) dt for a scalar function on the torus."""
     t, w = gauss_legendre(panels)
     return float(np.einsum("t,t->", fn(curve.point(t)), w))
+
+
+def curve_integrals(fn, curve, variations, panels=256):
+    """`curve_integral` along each curve of `perturbed_points`, shape (B,).
+
+    fn runs once over the stacked points (B, T, d), and each sum is taken as
+    `curve_integral` takes it, so where fn gives a curve's points the same
+    bits alone and in the stack (`ScalarFourier.value` does), so do the sums.
+    """
+    t, w = gauss_legendre(panels)
+    return np.array([np.einsum("t,t->", f, w) for f in fn(perturbed_points(curve, variations, t))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Parallel transport along curves and its functional derivatives.
 
 One integrator serves every product-integral here. For dP/dt = -Z(t) P,
-P(c) = Id, with Z(t) in su(N), `_magnus_factors` splits [c, d] at given
-edges into segments with even step counts and builds, for each step
-[t, t + h], the fourth-order Magnus factor with two Gauss-Legendre points
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488;
-Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)):
+P(c) = Id, with Z(t) in su(N), `_magnus_grid` splits [c, d] at given
+edges into segments with even step counts, and `_magnus_factors` builds,
+for each step [t, t + h], the fourth-order Magnus factor with two
+Gauss-Legendre points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009),
+arXiv:0810.5488; Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)):
 
     exp(Omega),  Omega = -(h/2)(Z1 + Z2) - (sqrt(3)/12) h^2 [Z1, Z2],
     Z1, Z2 = Z(t + (1/2 -+ sqrt(3)/6) h).
@@ -16,16 +16,21 @@ point): the bracket comes from the structure constants
 form at N = 2 that gives exactly Id where Omega = 0. Products of the
 factors give P at the nodes (`prefix_products`, a work-efficient scan in
 about 2M products) or at d alone (`_endpoint_product`, its up-sweep, M
-products). Every product of N x N stacks here is `algebra._matmul`.
-Halving h cuts the error by 2^4.
+products). Z may carry a stack axis, and then Omega, the exponentials and
+the products run once over the (M, B, N, N) stack. Every product of
+N x N stacks here is `algebra._matmul`. Halving h cuts the error by 2^4.
 
 The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
 gammadot^mu(t), whose coordinates the field gives directly
 (`GaugeField.generator`), with the curve breakpoints (plateau corners,
-seams) as edges, so piecewise-smooth curves integrate at full order. Each
-Omega is in su(N), so each factor and every product of them is
-special-unitary up to roundoff, with no projection. `propagator` takes a
-matrix-valued Z and refuses one with a non-su(N) part beyond roundoff.
+seams) as edges, so piecewise-smooth curves integrate at full order.
+`transport_variations` takes U_{1,0} along many variations gamma + sum
+eps_i X_i of one curve at once: they share gamma's grid, so gamma is read
+once, and each result equals `transport` along the `path.perturb` curve
+bit for bit. The finite-difference oracles use it. Each Omega is in
+su(N), so each factor and every product of them is special-unitary up to
+roundoff, with no projection. `propagator` takes a matrix-valued Z and
+refuses one with a non-su(N) part beyond roundoff.
 
 A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes of
 one curve, and every integral formula in this package is a quadrature
@@ -36,7 +41,9 @@ the first node of the segment after it, carrying the limit from above.
 Integrands are arrays sampled on `ts`; `weights` are composite Simpson
 weights per segment, so `integrate` is one weighted sum and kinked curves
 keep full order. `cumulative` is a trapezoid sum whose step across a
-junction has zero width. This module alone knows the layout.
+junction has zero width. This module alone knows the layout. A context
+also caches the curvature at its points, which the first-derivative
+formulas share.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import numpy as np
 
 from .algebra import _matmul, _structure, dagger, exp_lie, lie_coords
 from .field import curvature
+from .path import perturbed_points, perturbed_velocities
 
 DEFAULT_STEP = 1.0 / 4096
 
@@ -103,14 +111,16 @@ def _endpoint_product(mats):
     return _pair_levels(mats)[-1][0]
 
 
-def _magnus_factors(zfun, edges, step):
-    """Nodes, segments and Magnus-4 factors of dP/dt = -Z(t) P between `edges`.
+def _magnus_grid(edges, step):
+    """Nodes, segments and Gauss-Legendre parameters of the Magnus-4 steps between `edges`.
 
-    zfun maps parameters (T,) to the su_basis coordinates (T, K) of Z. Each
-    interval between consecutive edges is one segment with an even step
-    count. Returns (nodes, segments, factors): `segments` lists each
-    segment's (nodes, step), and factor k carries P from node k to node k + 1.
+    Each interval between consecutive edges is one segment with an even step
+    count. Returns (nodes, segments, params, h): `segments` lists each
+    segment's (nodes, step), `params` (2M,) holds every step's first
+    Gauss-Legendre point and then every step's second, and h (M,) the steps.
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     segments = []
     for a, b in zip(edges[:-1], edges[1:]):
         nst = _even_steps(b - a, step)
@@ -123,29 +133,40 @@ def _magnus_factors(zfun, edges, step):
     t0 = np.concatenate([ts[:-1] for ts, _ in segments])
     h = np.concatenate([np.full(len(ts) - 1, h) for ts, h in segments])
     offset = math.sqrt(3.0) / 6.0
-    z = zfun(np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h]))
-    z1, z2 = np.split(z, 2)
+    params = np.concatenate([t0 + (0.5 - offset) * h, t0 + (0.5 + offset) * h])
+    return nodes, segments, params, h
+
+
+def _magnus_factors(z, h):
+    """Magnus-4 factors (M, ..., N, N) of dP/dt = -Z(t) P on a `_magnus_grid`.
+
+    z holds the su_basis coordinates (..., 2M, K) of Z at the grid's `params`,
+    with any leading stack axes; factor k carries P from node k to node k + 1.
+    """
+    z1, z2 = np.split(z, 2, axis=-2)
     ia, ib, s = _structure(math.isqrt(z.shape[-1] + 1))
-    comm = (z1[:, ia] * z2[:, ib] - z1[:, ib] * z2[:, ia]) @ s.T
+    comm = (z1[..., ia] * z2[..., ib] - z1[..., ib] * z2[..., ia]) @ s.T
     h = h[:, None]
     omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * comm
-    return nodes, segments, exp_lie(omega)
+    return exp_lie(np.moveaxis(omega, -2, 0))
 
 
-def _lie_zfun(zfun):
-    """su(N) coordinates of a matrix-valued Z; ValueError on a non-su(N) part."""
-    return lambda t: lie_coords(zfun(t), check=True)
+def _lie_factors(zfun, c, d, step):
+    """Grid nodes and Magnus-4 factors on [c, d] of a matrix-valued Z; ValueError on a
+    non-su(N) part."""
+    nodes, _, t, h = _magnus_grid([c, d], step)
+    return nodes, _magnus_factors(lie_coords(zfun(t), check=True), h)
+
+
+def _curve_grid(curve, step, lo, hi):
+    """`_magnus_grid` on [lo, hi] with the curve's breakpoints inside (lo, hi) as edges."""
+    return _magnus_grid([lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi], step)
 
 
 def _curve_factors(field, curve, step, lo, hi):
-    """`_magnus_factors` of Z(t) = A_mu(gamma(t)) gammadot^mu(t) on [lo, hi],
-    with the curve's breakpoints inside (lo, hi) as segment edges."""
-
-    def zfun(t):
-        return field.generator(curve.point(t), curve.velocity(t))
-
-    edges = [lo, *(b for b in sorted(curve.breakpoints) if lo < b < hi), hi]
-    return _magnus_factors(zfun, edges, step)
+    """Nodes, segments and Magnus-4 factors of Z(t) = A_mu(gamma(t)) gammadot^mu(t) on [lo, hi]."""
+    nodes, segments, t, h = _curve_grid(curve, step, lo, hi)
+    return nodes, segments, _magnus_factors(field.generator(curve.point(t), curve.velocity(t)), h)
 
 
 class TransportContext:
@@ -170,8 +191,6 @@ class TransportContext:
     def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0):
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("need 0 <= lo < hi <= 1")
-        if not step > 0:
-            raise ValueError("step must be positive")
         self.field, self.curve, self.step = field, curve, step
         self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
@@ -200,6 +219,11 @@ class TransportContext:
         v = self.curve.velocity(self.ts, side=1)
         v[self._ends] = self.curve.velocity(self.ts[self._ends], side=-1)
         return v
+
+    @functools.cached_property
+    def curvature(self):
+        """F_mn of the field at `points`, (K, d, d, N, N)."""
+        return curvature(self.field, self.points)
 
     def conjugate(self, c, to_start=False):
         """U_{hi,t} c(t) U_{t,lo} at every node of `ts`, for c of shape (K, ..., N, N).
@@ -248,10 +272,23 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
         raise ValueError("need 0 <= s <= t <= 1")
     if s == t:
         return np.eye(field.n, dtype=np.complex128)
-    if not step > 0:
-        raise ValueError("step must be positive")
     _, _, factors = _curve_factors(field, curve, step, float(s), float(t))
     return _endpoint_product(factors)
+
+
+def transport_variations(field, curve, variations, step=DEFAULT_STEP):
+    """U_{1,0} along gamma + sum_i eps_i X_i for each variation, shape (B, N, N).
+
+    A variation is a sequence of (X, eps) terms (`path.perturbed_points`);
+    entry b equals bit for bit `transport` along the nested `perturb` curve.
+    A perturbation keeps the curve's breakpoints, so every variation shares
+    gamma's Magnus grid: gamma is sampled on it once, and Z, Omega, the step
+    exponentials and the endpoint products run once over the stack.
+    """
+    _, _, t, h = _curve_grid(curve, step, 0.0, 1.0)
+    z = field.generator(perturbed_points(curve, variations, t),
+                        perturbed_velocities(curve, variations, t))
+    return _endpoint_product(_magnus_factors(z, h))
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
@@ -264,14 +301,13 @@ def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     Ros 2009; Iserles & Norsett 1999) and their product scan, the scheme of
     `TransportContext`.
     """
-    nodes, _, factors = _magnus_factors(_lie_zfun(zfun), [c, d], step)
+    nodes, factors = _lie_factors(zfun, c, d, step)
     return nodes, prefix_products(factors)
 
 
 def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
-    _, _, factors = _magnus_factors(_lie_zfun(zfun), [c, d], step)
-    return _endpoint_product(factors)
+    return _endpoint_product(_lie_factors(zfun, c, d, step)[1])
 
 
 def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):
@@ -298,8 +334,7 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    t = np.einsum("tmvij,tm,tv->tij", curvature(field, ctx.points),
-                  x_field.value(ctx.ts), ctx.velocities)
+    t = np.einsum("tmvij,tm,tv->tij", ctx.curvature, x_field.value(ctx.ts), ctx.velocities)
     out = ctx.integrate(-ctx.conjugate(t))
     t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
     a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))

@@ -5,9 +5,12 @@ lies in the set it claims (the Lie algebra), satisfies an identity the
 formulas must keep (Bianchi), or has the inner products a basis claims,
 and they read back the fields the package saves. `rk4_trajectory` is a
 plain RK4 loop that the lattice flow is held to. `ConcatCurve` builds the
-kinked curves that the breakpoint tests integrate across. The `einsum_*` functions
-are the derivative-tensor kernels written term by term as explicit index
-contractions, the reference the broadcast-product kernels are held to.
+kinked curves that the breakpoint tests integrate across.
+`cesaro_second_trace_per_curve` is the Cesaro mean taken one perturbed
+curve at a time, the loop the batched driver is held to. The `einsum_*`
+functions are the derivative-tensor kernels written term by term as
+explicit index contractions, the reference the broadcast-product kernels
+are held to.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 
 from gaugeflow.algebra import dagger, expm, maxabs, trace
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
-from gaugeflow.path import Curve, gauss_legendre
+from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
 
 
 def commutator(x, y):
@@ -239,3 +242,23 @@ def einsum_cov_deriv_curvature(a0, p, s):
     df += e("...mij,...lvjk->...lmvik", a0, p) - e("...lvij,...mjk->...lmvik", p, a0)
     df += e("...lij,...mvjk->...lmvik", a0, f) - e("...mvij,...ljk->...lmvik", f, a0)
     return df
+
+
+def cesaro_second_trace_per_curve(evaluate, curve, d, n_modes, eps=1e-3, checkpoints=()):
+    """(total / n_modes, {checkpoint: running mean}, base) of `levy.cesaro_second_trace`,
+    with `evaluate` a map of one curve, called on each perturbed curve in turn."""
+    base = evaluate(curve)
+    total = None
+    partial = {}
+    for k in range(1, n_modes + 1):
+        sk = None
+        for axis in range(d):
+            x = sine_basis(k, d, axis)
+            up = evaluate(perturb(curve, x, eps))
+            um = evaluate(perturb(curve, x, -eps))
+            dd = (up - 2.0 * base + um) / (eps * eps)
+            sk = dd if sk is None else sk + dd
+        total = sk if total is None else total + sk
+        if k in checkpoints or k == n_modes:
+            partial[k] = total / k
+    return total / n_modes, partial, base

@@ -71,6 +71,11 @@ def test_bad_set_override_is_exit_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli(["transport", "--set", "malformed"], tmp_path)
     assert proc.returncode == 2
+    # the free-end check takes its worst case over at least one free-end case
+    proc = run_cli(["verify-gradient", "--set", "gradient.free_end_cases=0"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "gradient/free_end_cases" in proc.stderr, proc.stderr
 
 
 def test_transport_outputs(tmp_path):

@@ -369,6 +369,15 @@ def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
         assert maxabs(s[:, a] - fd2) < 1e-6
 
 
+def test_transformed_field_jets_match_single_reads_bitwise(torus2, su2_field):
+    """One gauge-map pass gives the bits of `eval`, `partial_all` and `second_all`."""
+    fld = TransformedField(su2_field, gauge_map(torus2))
+    x = random_points(RNG, torus2, (4, 3))
+    jets = fld.jets(x)
+    for got, want in zip(jets, (fld.eval(x), fld.partial_all(x), fld.second_all(x)), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_curvature_gauge_covariance(torus2, su2_field):
     """F^psi = psi^-1 F psi pointwise, and the same for nabla F and div F."""
     psi = gauge_map(torus2)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from _oracles import cesaro_second_trace_per_curve
 from gaugeflow.algebra import dagger, expm, fiber_metric, maxabs, random_lie
 from gaugeflow.experiments import (
     DEFAULT_CONFIG,
@@ -36,11 +37,24 @@ from gaugeflow.levy import (
     cesaro_levy_estimate,
     cesaro_second_trace,
     h0_gradient_transport,
+    levy_divergence,
     levy_laplacian_transport,
     second_kernels,
 )
-from gaugeflow.path import Line, curve_integral, perturb, plateau, random_vanishing_field
-from gaugeflow.transport import TransportContext, transport, transport_derivative
+from gaugeflow.path import (
+    Line,
+    curve_integral,
+    curve_integrals,
+    perturb,
+    plateau,
+    random_vanishing_field,
+)
+from gaugeflow.transport import (
+    TransportContext,
+    transport,
+    transport_derivative,
+    transport_variations,
+)
 
 STEP = 1.0 / 1024
 
@@ -130,6 +144,16 @@ def test_laplacian_routes_agree(su2_field, wiggly_curve):
     assert maxabs(lap.value - lap.kernel_value) < 1e-8
 
 
+def test_route_check_matches_levy_divergence_bitwise(su2_field, wiggly_curve):
+    """The route check integrates the diagonal of the first-order kernel alone,
+    with the bits of `levy_divergence` of the full kernel triple."""
+    for curve in (wiggly_curve, plateau(wiggly_curve, 0.375)):
+        ctx = TransportContext(su2_field, curve, step=STEP)
+        lap = levy_laplacian_transport(su2_field, curve, ctx=ctx)
+        want = levy_divergence(second_kernels(su2_field, curve, ctx=ctx))
+        assert np.array_equal(lap.kernel_value, want)
+
+
 def test_laplacian_check_modes(su2_field, wiggly_curve):
     fast = levy_laplacian_transport(su2_field, wiggly_curve, step=STEP, check=False)
     assert fast.mismatch == 0.0
@@ -214,6 +238,27 @@ def test_cesaro_estimator_converges(su2_field, wiggly_curve):
     assert maxabs(res.estimate - res.partial[16]) == 0.0
 
 
+def test_cesaro_driver_matches_per_curve_loop_bitwise(su2_field, wiggly_curve, torus2):
+    """The batched Cesaro driver gives the bits of the per-curve loop, for the
+    transport (`transport_variations`) and for a curve functional
+    (`curve_integrals`)."""
+    step = 1.0 / 256
+    f = ScalarFourier.random(np.random.default_rng(70), torus2, modes=3, amplitude=1.0, kmax=1)
+    cases = [
+        (lambda c, v: transport_variations(su2_field, c, v, step=step),
+         lambda c: transport(su2_field, c, step=step)),
+        (lambda c, v: curve_integrals(f.value, c, v), lambda c: curve_integral(f.value, c)),
+    ]
+    for batched, single in cases:
+        got = cesaro_second_trace(batched, wiggly_curve, 2, 6, eps=1e-3, checkpoints=(2, 4))
+        estimate, partial, base = cesaro_second_trace_per_curve(
+            single, wiggly_curve, 2, 6, eps=1e-3, checkpoints=(2, 4))
+        assert np.array_equal(got.estimate, estimate)
+        assert np.array_equal(got.base, base)
+        assert set(got.partial) == set(partial) == {2, 4, 6}
+        assert all(np.array_equal(got.partial[k], partial[k]) for k in partial)
+
+
 # ---------------------------------------------------------------------------
 # curve functionals
 
@@ -246,8 +291,8 @@ def test_functional_cesaro_matches_laplacian(torus2, wiggly_curve):
     f = ScalarFourier.random(np.random.default_rng(70), torus2, modes=3, amplitude=1.0, kmax=1)
     closed = curve_integral(f.laplacian, wiggly_curve)
     res = cesaro_second_trace(
-        lambda c: curve_integral(f.value, c), wiggly_curve, 2, 64, eps=1e-3,
-        checkpoints=(8, 16, 32, 64),
+        lambda c, variations: curve_integrals(f.value, c, variations), wiggly_curve, 2, 64,
+        eps=1e-3, checkpoints=(8, 16, 32, 64),
     )
     errs = [abs(res.partial[k] - closed) / abs(closed) for k in (8, 16, 32, 64)]
     assert errs[-1] < 0.1

@@ -15,9 +15,12 @@ from gaugeflow.path import (
     SineReparam,
     TrigCurve,
     curve_integral,
+    curve_integrals,
     gauss_legendre,
     make_curve,
     perturb,
+    perturbed_points,
+    perturbed_velocities,
     plateau,
     random_field,
     random_vanishing_field,
@@ -250,6 +253,32 @@ def test_curve_integral_closed_form():
     assert abs(val - 0.5) < 1e-14
     val = curve_integral(lambda p: np.sin(2 * np.pi * p[..., 0]), c)
     assert abs(val) < 1e-14  # full period of sine integrates to zero
+
+
+def test_perturbed_jets_and_integrals_match_nested_perturb_bitwise():
+    """Terms add in order, so a batch of variations gives the bits of nested
+    `perturb` curves, and `curve_integrals` those of `curve_integral`."""
+    rng = np.random.default_rng(31)
+    curve = plateau(TrigCurve.random(rng, 2), 0.625)
+    x = random_vanishing_field(rng, 2, modes=3)
+    y = random_field(rng, 2, modes=2)
+    t = np.linspace(0.0, 1.0, 257)
+    variations = [[], [(x, 1e-3)], [(x, -2e-3), (y, 1e-3)], [(y, 1e-3), (x, -2e-3)]]
+    curves = [curve, perturb(curve, x, 1e-3), perturb(perturb(curve, x, -2e-3), y, 1e-3),
+              perturb(perturb(curve, y, 1e-3), x, -2e-3)]
+    points = perturbed_points(curve, variations, t)
+    velocities = perturbed_velocities(curve, variations, t)
+    for b, c in enumerate(curves):
+        assert np.array_equal(points[b], c.point(t))
+        assert np.array_equal(velocities[b], c.velocity(t))
+
+    def fn(p):
+        return np.cos(2.0 * np.pi * p[..., 0]) * np.sin(2.0 * np.pi * p[..., 1])
+
+    got = curve_integrals(fn, curve, variations)
+    assert got.shape == (4,)
+    for b, c in enumerate(curves):
+        assert got[b] == curve_integral(fn, c)
 
 
 def test_make_curve_kinds():

@@ -27,7 +27,7 @@ from gaugeflow.algebra import (
     random_lie,
 )
 from gaugeflow.experiments import rng_for
-from gaugeflow.field import AnalyticField, GaugeMap, TransformedField
+from gaugeflow.field import AnalyticField, GaugeMap, LatticeField, TransformedField
 from gaugeflow.path import (
     Line,
     SineReparam,
@@ -48,6 +48,7 @@ from gaugeflow.transport import (
     transport,
     transport_derivative,
     transport_s_derivative,
+    transport_variations,
 )
 
 RNG = np.random.default_rng(4242)
@@ -406,6 +407,34 @@ def test_propagator_matches_context_bitwise(su2_field, wiggly_curve):
     ctx = TransportContext(su2_field, wiggly_curve, step=step)
     assert np.array_equal(nodes, ctx.nodes)
     assert np.array_equal(p, ctx.from_start)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transport_variations_match_nested_perturb_bitwise(torus2, wiggly_curve, n):
+    """The batched entry equals `transport` along the nested `perturb` curve bit
+    for bit: a +-eps pair, the four Hessian corners and the unperturbed curve,
+    on a smooth curve and on a plateau whose corner is a Magnus segment edge,
+    for an analytic field and for a lattice sampled from it."""
+    rng = rng_for(5, f"unit/variations/{n}")
+    analytic = AnalyticField.random_su(rng, torus2, n=n, modes=2, amplitude=0.3, kmax=2)
+    x = random_vanishing_field(rng, 2, modes=3, amplitude=0.9)
+    y = random_field(rng, 2, modes=3, amplitude=0.6)
+    eps, step = 1e-3, 1.0 / 512
+    cases = [(analytic, wiggly_curve), (analytic, plateau(wiggly_curve, 0.375)),
+             (LatticeField.sample(analytic, 16), wiggly_curve)]
+    for field, curve in cases:
+        pair = [[(x, eps)], [(x, -eps)]]
+        corners = [[(x, ex), (y, ey)] for ex in (eps, -eps) for ey in (eps, -eps)]
+        got = transport_variations(field, curve, pair + corners + [[]], step=step)
+        want = [transport(field, perturb(curve, x, e), step=step) for e in (eps, -eps)]
+        want += [transport(field, perturb(perturb(curve, x, ex), y, ey), step=step)
+                 for ex in (eps, -eps) for ey in (eps, -eps)]
+        want.append(transport(field, curve, step=step))
+        assert got.shape == (7, n, n)
+        for b, u in enumerate(want):
+            assert np.array_equal(got[b], u), (type(field).__name__, curve.breakpoints, b)
+    with pytest.raises(ValueError):
+        transport_variations(analytic, wiggly_curve, [[]], step=0.0)
 
 
 def test_package_root_hides_no_module():
