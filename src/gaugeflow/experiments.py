@@ -556,40 +556,51 @@ def run_gradient(cfg, seed):
              else random_vanishing_field(rng, d, modes=4, amplitude=0.8))
         cases.append((i, free, x))
 
-    def deriv_case(case):
+    def deriv_case(case, ctx):
         i, free, x = case
-        curve = curves[i % len(curves)]
-        formula = transport_derivative(a_field, curve, x, step=step)
-        up, um = transport_variations(a_field, curve, [[(x, eps)], [(x, -eps)]], step=step)
+        formula = transport_derivative(a_field, ctx.curve, x, ctx=ctx)
+        up, um = transport_variations(a_field, ctx.curve, [[(x, eps)], [(x, -eps)]], step=step)
         fd = (up - um) / (2.0 * eps)
         return free, _rel(formula - fd, fd)
 
-    rows = [deriv_case(case) for case in cases]
+    # --- Riesz pairing: <grad U, X phi>_{H^0} vs FD of <U, phi> ---
+    def riesz_gaps(fname, fld, ci, ctx):
+        """Worst pairing and formula gaps of the Riesz pairs on curve ci."""
+        curve = ctx.curve
+        grad = h0_gradient_transport(fld, curve, ctx=ctx)
+        rng_p = rng_for(seed, f"gradient/riesz/{fname}/{ci}")
+        worst = gap = 0.0
+        for _ in range(gcfg["riesz_pairs"]):
+            x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
+            phi = random_fiber(rng_p, cfg["gauge_rank"])
+            paired = grad.pair(x, phi)
+            up, um = transport_variations(fld, curve, [[(x, eps)], [(x, -eps)]], step=step)
+            fd = (fiber_metric(up, phi) - fiber_metric(um, phi)) / (2.0 * eps)
+            worst = max(worst, abs(paired - fd) / max(abs(fd), 1e-300))
+            direct = fiber_metric(transport_derivative(fld, curve, x, ctx=ctx), phi)
+            gap = max(gap, abs(paired - direct) / (1.0 + abs(direct)))
+        return worst, gap
+
+    # one context per curve of the su(N) field, shared by the first-derivative
+    # cases and the Riesz pairs on it; one context is alive at a time
+    rows, gaps = [None] * len(cases), []
+    for c, curve in enumerate(curves):
+        on_curve = [case for case in cases if case[0] % len(curves) == c]
+        riesz_on_curve = [ci for ci in range(gcfg["riesz_curves"]) if ci % len(curves) == c]
+        if on_curve or riesz_on_curve:
+            ctx = TransportContext(a_field, curve, step=step)
+            for case in on_curve:
+                rows[case[0]] = deriv_case(case, ctx)
+            gaps += [riesz_gaps("su2", a_field, ci, ctx) for ci in riesz_on_curve]
+            del ctx
+    abelian = _field(cfg, "abelian_field")
+    for ci in range(gcfg["riesz_curves"]):
+        gaps.append(riesz_gaps("abelian", abelian, ci, TransportContext(
+            abelian, curves[ci % len(curves)], step=step)))
     worst_all = max(r for _, r in rows)
     worst_free = max(r for f, r in rows if f)
-
-    # --- Riesz pairing: <grad U, X phi>_{H^0} vs FD of <U, phi> ---
-    pair_fields = [("su2", a_field), ("abelian", _field(cfg, "abelian_field"))]
-    riesz_worst = 0.0
-    formula_gap = 0.0
-    for fname, fld in pair_fields:
-        for ci in range(gcfg["riesz_curves"]):
-            curve = curves[ci % len(curves)]
-            ctx = TransportContext(fld, curve, step=step)
-            grad = h0_gradient_transport(fld, curve, ctx=ctx)
-            rng_p = rng_for(seed, f"gradient/riesz/{fname}/{ci}")
-            for _ in range(gcfg["riesz_pairs"]):
-                x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
-                phi = random_fiber(rng_p, cfg["gauge_rank"])
-                paired = grad.pair(x, phi)
-                up, um = transport_variations(fld, curve, [[(x, eps)], [(x, -eps)]], step=step)
-                fd = (fiber_metric(up, phi) - fiber_metric(um, phi)) / (2.0 * eps)
-                riesz_worst = max(riesz_worst,
-                                  abs(paired - fd) / max(abs(fd), 1e-300))
-                direct = fiber_metric(
-                    transport_derivative(fld, curve, x, ctx=ctx), phi)
-                formula_gap = max(formula_gap,
-                                  abs(paired - direct) / (1.0 + abs(direct)))
+    riesz_worst = max(w for w, _ in gaps)
+    formula_gap = max(g for _, g in gaps)
 
     checks = [
         _check("first_derivative_fd", worst_all, _tol(cfg, "first_derivative_fd")),

@@ -29,6 +29,7 @@ kept only for traces and scalar-weight sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -299,14 +300,31 @@ class AnalyticField(GaugeField):
 # --- lattice stencils (shared with the heat-flow module) -------------------
 
 
+@functools.cache
+def _periodic_shifts(m, axis, ndim):
+    """The periodic images of an axis of extent m and the shifts that read them.
+
+    Returns the sites -2 .. m + 1 wrapped into 0 .. m - 1, and the index
+    tuples of the shifts by +1, -1, +2 and -2 sites into an array of `ndim`
+    axes padded by them along `axis`.
+    """
+    index = np.arange(-2, m + 2) % m
+    index.flags.writeable = False
+    lead = (slice(None),) * (axis % ndim)
+    return index, tuple(lead + (slice(k, k + m),) for k in (3, 1, 4, 0))
+
+
 def stencil_d1(arr, axis, a):
     """4th-order central first derivative along a periodic site axis."""
-    m = arr.shape[axis]
+    index, (f1, b1, f2, b2) = _periodic_shifts(arr.shape[axis], axis, arr.ndim)
     # one copy padded by two periodic images per side; shifts are views of it
-    pad = np.take(arr, np.arange(-2, m + 2), axis, mode="wrap")
-    lead = (slice(None),) * (axis % arr.ndim)
-    f1, b1, f2, b2 = (pad[lead + (slice(k, k + m),)] for k in (3, 1, 4, 0))
-    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
+    pad = arr.take(index, axis)
+    # (8 (f1 - b1) - (f2 - b2)) / (12 a) with two temporaries
+    out = pad[f1] - pad[b1]
+    out *= 8.0
+    out -= pad[f2] - pad[b2]
+    out /= 12.0 * a
+    return out
 
 
 def spline_filter(values, d):

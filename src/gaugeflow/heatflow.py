@@ -17,6 +17,16 @@ adds a constant forcing lattice to the velocity. `ym_rhs` runs the same
 kernel on one lattice. The flow table's `rhs_max` is the largest matrix
 entry of the velocity.
 
+On small grids a step costs numpy calls, not arithmetic, so the kernels
+make few of them and build no stacks. `stencil_d1` pads through a periodic
+index and shifts cached per extent; each F_mn and each velocity component
+is formed once from views of the state and the curvature; and `_bracket`
+gathers its operands straight from their rows, a block of sites at a time.
+Its block size follows the number of rows, and a product's last bits
+follow the block size, so each kernel brackets all its rows in one call.
+Each velocity component adds its terms in pair order to 0.0, so every bit,
+the sign of zero included, is that of a sum into zeros.
+
 For pairwise-commuting fields the flow is linear and `abelian_oracle`
 evolves the Fourier data in closed form: transverse mode components decay
 as exp(-(2 pi |k| / L)^2 s), longitudinal components are fixed points.
@@ -64,46 +74,65 @@ def cfl_bound(spacing, d):
 _BRACKET_FLOATS = 1 << 14
 
 
-def _bracket(x, y):
-    """[x, y] of coordinate stacks (B, K, *sites) from the structure constants.
+def _bracket(x, xrows, y, yrows):
+    """[x[i], y[j]] for the rows i, j of `xrows`, `yrows`: (B, K, *sites).
 
-    [x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs p = (a, b)
-    of `_structure`, formed a block of sites at a time.
+    x and y are coordinate stacks (*, K, *sites). [x, y]_c = sum_p S[c, p]
+    (x_a y_b - x_b y_a) over the pairs p = (a, b) of `_structure`, formed a
+    block of sites at a time; each block gathers its operands straight from
+    the rows of x and y.
     """
-    b, k = x.shape[:2]
+    k = x.shape[1]
     ia, ib, s = _structure(math.isqrt(k + 1))
-    xf, yf = x.reshape(b, k, -1), y.reshape(b, k, -1)
-    out = np.empty_like(xf)
-    step = max(1, _BRACKET_FLOATS // (b * len(ia)))
+    xf, yf = x.reshape(len(x), k, -1), y.reshape(len(y), k, -1)
+    xi, yi = xrows[:, None], yrows[:, None]
+    out = np.empty((len(xrows), k, xf.shape[-1]))
+    step = max(1, _BRACKET_FLOATS // (len(xrows) * len(ia)))
     for lo in range(0, xf.shape[-1], step):
-        xs, ys = xf[..., lo:lo + step], yf[..., lo:lo + step]
-        out[..., lo:lo + step] = s @ (xs[:, ia] * ys[:, ib] - xs[:, ib] * ys[:, ia])
-    return out.reshape(x.shape)
+        sites = slice(lo, lo + step)
+        xy = xf[xi, ia, sites]
+        xy *= yf[yi, ib, sites]
+        yx = xf[xi, ib, sites]
+        yx *= yf[yi, ia, sites]
+        xy -= yx
+        np.matmul(s, xy, out=out[..., sites])
+    return out.reshape(out.shape[:2] + x.shape[2:])
 
 
 @functools.cache
 def _direction_pairs(d):
-    """Index arrays (m, n) of the direction pairs m < n, in curvature order."""
-    return np.triu_indices(d, 1)
+    """Index arrays (m, n) of the direction pairs m < n, in curvature order,
+    and the rows of `_velocity`'s bracket operands: A_m then A_n, and F_mn twice."""
+    pm, pn = np.triu_indices(d, 1)
+    return pm, pn, np.concatenate([pm, pn]), np.tile(np.arange(len(pm)), 2)
 
 
 def _curvature(x, a):
     """F_mn for the direction pairs m < n of `_direction_pairs`: (P, K, *sites)."""
-    pm, pn = _direction_pairs(len(x))
-    f = np.stack([stencil_d1(x[n], 1 + m, a) - stencil_d1(x[m], 1 + n, a)
-                  for m, n in zip(pm, pn)])
-    return f + _bracket(x[pm], x[pn])
+    pm, pn, _, _ = _direction_pairs(len(x))
+    f = _bracket(x, pm, x, pn)
+    # F_mn = (d_m A_n - d_n A_m) + [A_m, A_n], the difference formed first
+    for p, (m, n) in enumerate(zip(pm, pn)):
+        df = stencil_d1(x[n], 1 + m, a)
+        df -= stencil_d1(x[m], 1 + n, a)
+        f[p] += df
+    return f
 
 
 def _velocity(x, a, f):
     """sum_m D_m F_mn from coordinates x and their curvature f = _curvature(x, a)."""
-    pm, pn = _direction_pairs(len(x))
+    pm, pn, xrows, frows = _direction_pairs(len(x))
     # [A_m, F_mn] feeds direction n and [A_n, F_nm] = -[A_n, F_mn] direction m
-    comm = _bracket(x[np.concatenate([pm, pn])], np.concatenate([f, f]))
-    out = np.zeros_like(x)
+    comm = _bracket(x, xrows, f, frows)
+    out = np.empty_like(x)
+    # each direction's terms in pair order, from 0.0 as if summed into zeros
+    acc = [0.0] * len(x)
     for p, (m, n) in enumerate(zip(pm, pn)):
-        out[n] += stencil_d1(f[p], 1 + m, a) + comm[p]
-        out[m] -= stencil_d1(f[p], 1 + n, a) + comm[len(pm) + p]
+        for c, axis, term, op in ((n, m, comm[p], np.add),
+                                  (m, n, comm[len(pm) + p], np.subtract)):
+            t = stencil_d1(f[p], 1 + axis, a)
+            t += term
+            acc[c] = op(acc[c], t, out=out[c])
     return out
 
 

@@ -4,8 +4,12 @@ Nothing in the package needs them at run time: they check that a result
 lies in the set it claims (the Lie algebra), satisfies an identity the
 formulas must keep (Bianchi), or has the inner products a basis claims,
 and they read back the fields the package saves. `rk4_trajectory` is a
-plain RK4 loop that the lattice flow is held to. `ConcatCurve` builds the
-kinked curves that the breakpoint tests integrate across.
+plain RK4 loop that the lattice flow is held to, and the `pair_stack_*`
+kernels are the flow's bracket, curvature and velocity formed from stacks
+of each direction pair's operands with the `np.roll` stencil
+`oracle_stencil`: the reference the flow's kernels are held to bit for
+bit. `ConcatCurve` builds the kinked curves that the breakpoint tests
+integrate across.
 `cesaro_second_trace_per_curve` is the Cesaro mean taken one perturbed
 curve at a time, the loop the batched driver is held to. The `einsum_*`
 functions are the derivative-tensor kernels written term by term as
@@ -14,12 +18,14 @@ are held to.
 """
 
 import json
+import math
 import pathlib
 
 import numpy as np
 
-from gaugeflow.algebra import dagger, expm, maxabs, trace
+from gaugeflow.algebra import _structure, dagger, expm, maxabs, trace
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
+from gaugeflow.heatflow import _BRACKET_FLOATS
 from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
 
 
@@ -102,6 +108,47 @@ def rk4_trajectory(rhs, y0, steps, ds, save_every):
             saved.append((i, y))
     rates.append(rhs(y))
     return saved, rates
+
+
+def oracle_stencil(arr, axis, a):
+    """4th-order central first derivative along a periodic axis, from np.roll."""
+    f1, b1 = np.roll(arr, -1, axis), np.roll(arr, 1, axis)
+    f2, b2 = np.roll(arr, -2, axis), np.roll(arr, 2, axis)
+    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
+
+
+def pair_stack_bracket(x, y):
+    """[x, y] of coordinate stacks (B, K, *sites), a block of sites at a time,
+    with the flow's block partition: the stacked kernel the flow is held to."""
+    b, k = x.shape[:2]
+    ia, ib, s = _structure(math.isqrt(k + 1))
+    xf, yf = x.reshape(b, k, -1), y.reshape(b, k, -1)
+    out = np.empty_like(xf)
+    step = max(1, _BRACKET_FLOATS // (b * len(ia)))
+    for lo in range(0, xf.shape[-1], step):
+        xs, ys = xf[..., lo:lo + step], yf[..., lo:lo + step]
+        out[..., lo:lo + step] = s @ (xs[:, ia] * ys[:, ib] - xs[:, ib] * ys[:, ia])
+    return out.reshape(x.shape)
+
+
+def pair_stack_curvature(x, a):
+    """F_mn (P, K, *sites) of flow coordinates x (d, K, *sites), pairs m < n in
+    row-major order, from stacks of the pairs' operands."""
+    pm, pn = np.triu_indices(len(x), 1)
+    f = np.stack([oracle_stencil(x[n], 1 + m, a) - oracle_stencil(x[m], 1 + n, a)
+                  for m, n in zip(pm, pn)])
+    return f + pair_stack_bracket(x[pm], x[pn])
+
+
+def pair_stack_velocity(x, a, f):
+    """sum_m D_m F_mn, summed into zeros pair by pair, from f = pair_stack_curvature(x, a)."""
+    pm, pn = np.triu_indices(len(x), 1)
+    comm = pair_stack_bracket(x[np.concatenate([pm, pn])], np.concatenate([f, f]))
+    out = np.zeros_like(x)
+    for p, (m, n) in enumerate(zip(pm, pn)):
+        out[n] += oracle_stencil(f[p], 1 + m, a) + comm[p]
+        out[m] -= oracle_stencil(f[p], 1 + n, a) + comm[len(pm) + p]
+    return out
 
 
 def load_field(base):

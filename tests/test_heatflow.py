@@ -12,8 +12,14 @@ oracle vs 32^2 lattice flow 1.3e-6.
 import numpy as np
 import pytest
 
-from _oracles import rk4_trajectory
-from gaugeflow.algebra import lie_coords, maxabs, random_lie, su_basis
+from _oracles import (
+    oracle_stencil,
+    pair_stack_bracket,
+    pair_stack_curvature,
+    pair_stack_velocity,
+    rk4_trajectory,
+)
+from gaugeflow.algebra import _structure, lie_coords, maxabs, random_lie, su_basis
 from gaugeflow.experiments import _bump_values, rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -24,8 +30,10 @@ from gaugeflow.field import (
     ym_action,
 )
 from gaugeflow.heatflow import (
+    _BRACKET_FLOATS,
     BlowUp,
     CflViolation,
+    _action,
     _bracket,
     abelian_oracle,
     cfl_bound,
@@ -38,12 +46,6 @@ T_BASIS = su_basis(2)
 
 
 # --- einsum/np.roll reference kernels on matrices: the lattice flow's oracle ---
-
-
-def oracle_stencil(arr, axis, a):
-    f1, b1 = np.roll(arr, -1, axis), np.roll(arr, 1, axis)
-    f2, b2 = np.roll(arr, -2, axis), np.roll(arr, 2, axis)
-    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * a)
 
 
 def oracle_curvature(vals, a):
@@ -331,7 +333,8 @@ def test_coordinates_round_trip_and_bracket(n, tmp_path):
     """LatticeField holds su_basis coordinates (d, K, *sites): its matrices
     round-trip through them, `generator` contracts them with v directly,
     `load` refuses non-su(N) values, and the structure-constant bracket of
-    two coordinate lattices is the matrix commutator."""
+    two coordinate lattices is the matrix commutator, bit for bit the
+    stacked reference's."""
     rng = rng_for(7, f"unit/coords-{n}")
     x = random_lie(rng, n, shape=(5, 5, 2))  # sites (5, 5), d = 2
     y = random_lie(rng, n, shape=(5, 5, 2))
@@ -345,12 +348,93 @@ def test_coordinates_round_trip_and_bracket(n, tmp_path):
     want = lie_coords(np.einsum("...mij,...m->...ij", lx.eval(pts), v))
     assert maxabs(lx.generator(pts, v) - want) <= 1e-15 * maxabs(want)
     comm = x @ y - y @ x
-    bracket = LatticeField.from_coords(TORUS, _bracket(lx.coords, ly.coords))
+    rows = np.arange(2)
+    bracket = _bracket(lx.coords, rows, ly.coords, rows)
+    assert np.array_equal(bracket, pair_stack_bracket(lx.coords, ly.coords))
+    bracket = LatticeField.from_coords(TORUS, bracket)
     assert maxabs(bracket.values - comm) <= 1e-15 * maxabs(comm)
     lx.save(tmp_path / "lat")
     (tmp_path / "lat.bin").write_bytes((x + 0.1j * np.eye(n)).astype("<c16").tobytes())
     with pytest.raises(ValueError, match="su\\(N\\)"):
         LatticeField.load(tmp_path / "lat")
+
+
+def assert_flow_matches_pair_stacks(lat, steps, ds, save_every, forcing=None):
+    """`flow` reproduces, bit for bit, `rk4_trajectory` over the pair-stack
+    reference kernels: every snapshot's coordinates and every table row."""
+    a, torus = lat.a, lat.torus
+    push = 0.0 if forcing is None else forcing.coords
+
+    def rhs(v):
+        return pair_stack_velocity(v, a, pair_stack_curvature(v, a)) + push
+
+    states, rates = rk4_trajectory(rhs, lat.coords, steps, ds, 1)
+    traj = flow(lat, steps, ds, save_every=save_every, forcing=forcing)
+    saved = [i for i in range(steps + 1) if i % save_every == 0 or i == steps]
+    assert [step for step, _ in traj.snapshots] == saved
+    for step, snap in traj.snapshots:
+        want = states[step][1]
+        assert np.array_equal(snap.coords, want)
+        assert np.array_equal(np.signbit(snap.coords), np.signbit(want))
+    assert traj.table == [
+        {"step": i, "s": i * ds, "action": _action(torus, pair_stack_curvature(y, a)),
+         "rhs_max": maxabs(LatticeField.from_coords(torus, rate).values)}
+        for i, ((_, y), rate) in enumerate(zip(states, rates))]
+
+
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_flow_matches_pair_stack_kernels_bitwise(d, n, m, driven):
+    """The flow's view-based kernels and cached-index stencil keep every bit
+    of the stacked kernels, including the sign of zero: the start field
+    holds -0.0 in one su(N) coordinate of every direction."""
+    torus = Torus(d, 1.0)
+    fld = AnalyticField.random_su(rng_for(7, f"unit/pair-stacks-{d}-{n}-{m}"), torus, n=n,
+                                  modes=2, amplitude=0.3, kmax=2)
+    coords = LatticeField.sample(fld, m).coords.copy()
+    coords[:, 0] = -0.0
+    lat = LatticeField.from_coords(torus, coords)
+    forcing = None
+    if driven:
+        push = AnalyticField.random_su(rng_for(7, f"unit/pair-stacks-push-{d}-{n}-{m}"), torus,
+                                       n=n, modes=1, amplitude=0.2, kmax=1)
+        forcing = LatticeField.sample(push, m)
+    assert_flow_matches_pair_stacks(lat, 5, 0.5 * cfl_bound(lat.a, d), 2, forcing)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_negative_zero_flow_keeps_signs_of_pair_stacks(n):
+    """From coordinates that are all -0.0 every velocity term is +0.0, and
+    the stacked kernels' 0.0 + t and 0.0 - t keep it so: a velocity formed
+    as -t would turn the state's zeros negative."""
+    lat = LatticeField.from_coords(TORUS, np.full((2, n * n - 1, 8, 8), -0.0))
+    assert_flow_matches_pair_stacks(lat, 2, 1e-4, 1)
+
+
+def test_su3_flow_over_several_bracket_blocks_matches_pair_stacks():
+    """At 32^2 sites an su(3) bracket runs in several blocks of sites, in both
+    the curvature (one pair) and the velocity (two rows)."""
+    lat = LatticeField.sample(AnalyticField.random_su(
+        rng_for(7, "unit/pair-stacks-blocks"), TORUS, n=3, modes=2, amplitude=0.3, kmax=2), 32)
+    assert 32 * 32 > _BRACKET_FLOATS // len(_structure(3)[0]) > 0
+    assert_flow_matches_pair_stacks(lat, 4, 0.5 * cfl_bound(lat.a, 2), 2)
+
+
+def test_stencil_matches_roll_on_views_negative_axes_and_extents():
+    """stencil_d1 equals the np.roll stencil bit for bit on non-contiguous
+    views, on negative axes, and with several extents in turn in one process,
+    each with its own cached periodic index."""
+    rng = np.random.default_rng(11)
+    for m in (8, 5, 16, 8, 12, 5):
+        base = rng.standard_normal((3, 2 * m, m + 3))
+        view = base[:, ::2, 1:m + 1]
+        assert not view.flags.c_contiguous
+        for axis in (1, 2, -1, -2):
+            assert np.array_equal(stencil_d1(view, axis, 0.1), oracle_stencil(view, axis, 0.1))
+        swapped = base[:, :m, :m].swapaxes(1, 2)
+        assert np.array_equal(stencil_d1(swapped, -1, 0.3), oracle_stencil(swapped, -1, 0.3))
 
 
 def test_flow_refuses_values_outside_su_n():
