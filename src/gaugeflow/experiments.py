@@ -9,7 +9,8 @@ reports bit-reproduce for a given (config, seed).
 The checks come in dual-route pairs on purpose: each formula is compared
 against an independent route to the same number (finite differences of a
 whole evaluation, a closed-form special case, or a structurally different
-assembly), never against a reshuffling of its own implementation.
+assembly), never against a reshuffling of its own implementation. Every
+finite-difference oracle's stencil comes from `field.central_difference`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .field import (
     ScalarFourier,
     Torus,
     TransformedField,
+    central_difference,
     cov_div_curvature,
     make_field,
 )
@@ -525,7 +527,7 @@ def run_duhamel(cfg, seed):
         def final(e):
             return propagator_endpoint(lambda t: zf(t) + e * dzf(t), step=step)
 
-        fd = (final(eps) - final(-eps)) / (2.0 * eps)
+        fd = central_difference(lambda ks: [final(k * eps) for k in ks], eps)
         return _rel(formula - fd, fd)
 
     # sequential: all pairs share one stream by design
@@ -559,8 +561,8 @@ def run_gradient(cfg, seed):
     def deriv_case(case, ctx):
         i, free, x = case
         formula = transport_derivative(a_field, ctx.curve, x, ctx=ctx)
-        up, um = transport_variations(a_field, ctx.curve, [[(x, eps)], [(x, -eps)]], step=step)
-        fd = (up - um) / (2.0 * eps)
+        fd = central_difference(lambda ks: transport_variations(
+            a_field, ctx.curve, [[(x, k * eps)] for k in ks], step=step), eps)
         return free, _rel(formula - fd, fd)
 
     # --- Riesz pairing: <grad U, X phi>_{H^0} vs FD of <U, phi> ---
@@ -574,9 +576,9 @@ def run_gradient(cfg, seed):
             x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
             phi = random_fiber(rng_p, cfg["gauge_rank"])
             paired = grad.pair(x, phi)
-            up, um = transport_variations(fld, curve, [[(x, eps)], [(x, -eps)]], step=step)
-            fd = (fiber_metric(up, phi) - fiber_metric(um, phi)) / (2.0 * eps)
-            worst = max(worst, abs(paired - fd) / max(abs(fd), 1e-300))
+            fd = central_difference(lambda ks: [fiber_metric(u, phi) for u in transport_variations(
+                fld, curve, [[(x, k * eps)] for k in ks], step=step)], eps)
+            worst = max(worst, _rel(paired - fd, fd))
             direct = fiber_metric(transport_derivative(fld, curve, x, ctx=ctx), phi)
             gap = max(gap, abs(paired - direct) / (1.0 + abs(direct)))
         return worst, gap
@@ -681,10 +683,9 @@ def run_levy(cfg, seed):
         ci, x, y = item
         curve = curves[ci]
         bil = assemble_bilinear(kernel_cache[ci], x, y)
-
-        corners = [[(x, ex), (y, ey)] for ex in (keps, -keps) for ey in (keps, -keps)]
-        upp, upm, ump, umm = transport_variations(a_field, curve, corners, step=kstep)
-        fd = (upp - upm - ump + umm) / (4 * keps * keps)
+        # the mixed second difference over the four corners (+-keps, +-keps)
+        fd = central_difference(lambda ks: transport_variations(a_field, curve, [
+            [(x, i * keps), (y, j * keps)] for i, j in ks], step=kstep), keps, deriv=(1, 1))
         return _rel(bil - fd, fd)
 
     hess_worst = max(hessian_case(item) for item in pair_plan)
@@ -762,7 +763,7 @@ def run_levy(cfg, seed):
         lambda c, variations: curve_integrals(f0.value, c, variations), fn_curves[0], d,
         fcfg["cesaro_modes"], eps=1e-3, checkpoints=(fcfg["cesaro_modes"],))
     lap_ref = curve_integral(f0.laplacian, fn_curves[0])
-    ces_fn = abs(ces.estimate - lap_ref) / max(abs(lap_ref), 1e-300)
+    ces_fn = _rel(ces.estimate - lap_ref, lap_ref)
 
     # constant scalar: everything vanishes
     f_const = ScalarFourier(torus, [], [], [], const=0.75)
@@ -818,20 +819,15 @@ def _functional_gaps(f0, curves, fcfg, seed):
     for curve in curves:
         x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
 
-        def lf(h, steps):
-            return curve_integrals(f0.value, curve, [[(x, k * h)] if k else [] for k in steps])
+        def lf(h):
+            return lambda ks: curve_integrals(f0.value, curve,
+                                              [[(x, k * h)] if k else [] for k in ks])
 
-        paired = _functional_grad_pair(f0, curve, x)
-        # fourth-order five-point first difference along x
-        l2, l1, m1, m2 = lf(geps, (2, 1, -1, -2))
-        fd1 = (-l2 + 8.0 * l1 - 8.0 * m1 + m2) / (12.0 * geps)
-        grad_fd = max(grad_fd, abs(paired - fd1) / max(abs(fd1), 1e-300))
-
-        hess_closed = _functional_hessian(f0, curve, x, x)
-        # fourth-order five-point second difference along x
-        l2, l1, l0, m1, m2 = lf(heps, (2, 1, 0, -1, -2))
-        fd2 = (-l2 + 16.0 * l1 - 30.0 * l0 + 16.0 * m1 - m2) / (12.0 * heps * heps)
-        hess_fd = max(hess_fd, abs(hess_closed - fd2) / max(abs(fd2), 1e-300))
+        # fourth-order first and second differences along x
+        fd1 = central_difference(lf(geps), geps, 1, 4)
+        grad_fd = max(grad_fd, _rel(_functional_grad_pair(f0, curve, x) - fd1, fd1))
+        fd2 = central_difference(lf(heps), heps, 2, 4)
+        hess_fd = max(hess_fd, _rel(_functional_hessian(f0, curve, x, x) - fd2, fd2))
 
         lap_a = curve_integral(f0.laplacian, curve)
         lap_b = curve_integral(lambda p: np.einsum("...aa->...", f0.hess(p)), curve)
@@ -840,16 +836,12 @@ def _functional_gaps(f0, curves, fcfg, seed):
         def fd_lap(p, feps=3e-4):
             # fourth-order central second differences, summed over axes
             tot = 0.0
-            for ax in range(d):
-                e = np.zeros(d)
-                e[ax] = feps
-                tot += (-f0.value(p + 2 * e) + 16.0 * f0.value(p + e)
-                        - 30.0 * f0.value(p) + 16.0 * f0.value(p - e)
-                        - f0.value(p - 2 * e)) / (12.0 * feps * feps)
+            for e in np.eye(d) * feps:
+                tot += central_difference(lambda ks: [f0.value(p + k * e) for k in ks], feps, 2, 4)
             return tot
 
         lap_fd_route = curve_integral(fd_lap, curve)
-        lap_fd = max(lap_fd, abs(lap_a - lap_fd_route) / max(abs(lap_a), 1e-300))
+        lap_fd = max(lap_fd, _rel(lap_a - lap_fd_route, lap_a))
 
         fs = f0.heat(fcfg["heat_s"])
         dfs = f0.ds(fcfg["heat_s"])
@@ -939,13 +931,13 @@ def run_heatflow(cfg, seed):
     traj_zero = flow(zero_lat, csteps, 1e-5, save_every=csteps)
     zero_drift = maxabs(traj_zero.snapshots[-1][1].values - zero_lat.values)
 
-    const_vals = np.zeros((16,) * torus.d + (torus.d, n, n), dtype=np.complex128)
-    direction = su_basis(n)[0]
+    # A_mu = 0.3 (mu + 1) su_basis(n)[0], whose coordinate 0 is 1
+    const_coords = np.zeros((torus.d, n * n - 1) + (16,) * torus.d)
     for mu in range(torus.d):
-        const_vals[..., mu, :, :] = 0.3 * (mu + 1) * direction
-    const_lat = LatticeField(torus, const_vals)
+        const_coords[mu, 0] = 0.3 * (mu + 1)
+    const_lat = LatticeField.from_coords(torus, const_coords)
     traj_const = flow(const_lat, csteps, 1e-5, save_every=csteps)
-    const_drift = maxabs(traj_const.snapshots[-1][1].values - const_vals)
+    const_drift = maxabs(traj_const.snapshots[-1][1].values - const_lat.values)
 
     # two factors varying along different axes, so the sampled field is a
     # genuinely multi-dimensional flat connection (nonzero lattice residue)
@@ -1026,30 +1018,20 @@ def run_theorem(cfg, seed):
 
     curves = _curves(cfg, tcfg["curves"])
     checkpoints = list(tcfg["checkpoint_steps"])
-    ds = tcfg["ds"]
-
-    fields = {}
-    for cstep in checkpoints:
-        s = cstep * ds
-        fld = traj.field(s)
-        vel = traj.ds_field(s)
-        up_f = traj.field((cstep + tcfg["save_every"]) * ds)
-        dn_f = traj.field((cstep - tcfg["save_every"]) * ds)
-        fields[cstep] = (fld, vel, up_f, dn_f)
-
-    delta = tcfg["save_every"] * ds
+    ds, every = tcfg["ds"], tcfg["save_every"]
+    fields = {cstep: (traj.field(cstep * ds), traj.ds_field(cstep * ds)) for cstep in checkpoints}
     combos = [(ci, cstep) for ci in range(len(curves)) for cstep in checkpoints]
 
     def combo_row(item):
         ci, cstep = item
-        fld, vel, up_f, dn_f = fields[cstep]
+        fld, vel = fields[cstep]
         curve = curves[ci]
         ctx = TransportContext(fld, curve, step=step)
         lap = levy_laplacian_transport(fld, curve, ctx=ctx, check=False)
         route_i = transport_s_derivative(fld, vel, curve, ctx=ctx)
-        u_up = transport(up_f, curve, step=step)
-        u_dn = transport(dn_f, curve, step=step)
-        route_ii = (u_up - u_dn) / (2.0 * delta)
+        # route ii: the snapshots one save_every on either side
+        route_ii = central_difference(lambda ks: [transport(
+            traj.field((cstep + k * every) * ds), curve, step=step) for k in ks], every * ds)
         return [ci, cstep, _rel(route_i - lap.value, lap.value),
                 _rel(route_ii - lap.value, lap.value), maxabs(route_i - lap.value),
                 maxabs(lap.value)]
@@ -1070,9 +1052,9 @@ def run_theorem(cfg, seed):
     s0, dd = tcfg["abelian_s"], tcfg["abelian_delta"]
     ab_mid = abelian_oracle(ab, s0)
     ab_lap = levy_laplacian_transport(ab_mid, curves[0], step=step, check=False)
-    u_up = transport(abelian_oracle(ab, s0 + dd), curves[0], step=step)
-    u_dn = transport(abelian_oracle(ab, s0 - dd), curves[0], step=step)
-    ab_rel = _rel((u_up - u_dn) / (2 * dd) - ab_lap.value, ab_lap.value)
+    ab_fd = central_difference(lambda ks: [
+        transport(abelian_oracle(ab, s0 + k * dd), curves[0], step=step) for k in ks], dd)
+    ab_rel = _rel(ab_fd - ab_lap.value, ab_lap.value)
 
     tables = {
         "combos": {
@@ -1101,17 +1083,17 @@ def run_theorem(cfg, seed):
 # ---------------------------------------------------------------------------
 
 
-def _bump_values(torus, grid, center, radius, height, n):
-    """Smooth compact bump h*((1-(rho/rho0)^2)_+)^3 times a Lie direction."""
+def _bump_field(torus, grid, center, radius, height, n):
+    """Smooth compact bump h*((1-(rho/rho0)^2)_+)^3 times su_basis(n)[0] in direction 0."""
     axes = [np.arange(grid) * (torus.L / grid) for _ in range(torus.d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     diff = mesh - np.asarray(center)
     diff -= torus.L * np.round(diff / torus.L)
     rho2 = np.sum(diff * diff, axis=-1) / (radius * radius)
     profile = np.clip(1.0 - rho2, 0.0, None) ** 3
-    values = np.zeros((grid,) * torus.d + (torus.d, n, n), dtype=np.complex128)
-    values[..., 0, :, :] = height * np.multiply.outer(profile, su_basis(n)[0])
-    return values
+    coords = np.zeros((torus.d, n * n - 1) + profile.shape)
+    coords[0, 0] = height * profile  # coordinate 0 of su_basis(n)[0] is 1
+    return LatticeField.from_coords(torus, coords)
 
 
 def run_r_diagnostic(cfg, seed):
@@ -1129,7 +1111,7 @@ def run_r_diagnostic(cfg, seed):
     center = curve.point(np.asarray(0.5 * (lo + hi)))
     speed = float(np.linalg.norm(np.asarray(rcfg["line_p1"]) - np.asarray(rcfg["line_p0"])))
     radius = 0.5 * (hi - lo) * speed
-    bump = _bump_values(torus, rcfg["grid"], center, radius, rcfg["bump_height"], n)
+    bump = _bump_field(torus, rcfg["grid"], center, radius, rcfg["bump_height"], n)
 
     cstep = rcfg["checkpoint_step"]
     s_mid = cstep * ds
@@ -1170,7 +1152,7 @@ def run_r_diagnostic(cfg, seed):
 
     # driven flow: the same diagnostic must localize the injected term
     traj_p = flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"],
-                  forcing=LatticeField(torus, bump))
+                  forcing=bump)
     r_int_p, _ = r_profile(traj_p, with_def_route=False)
 
     dr = 1.0 / divisions

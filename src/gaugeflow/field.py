@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -325,6 +326,53 @@ def stencil_d1(arr, axis, a):
     out -= pad[f2] - pad[b2]
     out /= 12.0 * a
     return out
+
+
+@functools.cache
+def central_weights(deriv, order):
+    """(offsets, integer weights, denominator) of the central difference of
+    even `order` for the deriv-th derivative: f^(deriv)(0) ~ sum_i w_i f(o_i h)
+    / (denominator h^deriv), the offsets of nonzero weight in descending order.
+    Fornberg's recursion (Math. Comp. 51 (1988) 699-706) in exact fractions.
+    A tuple `deriv` asks for the mixed partial: the product of its axes' stencils."""
+    if isinstance(deriv, tuple):
+        offsets, weights, dens = zip(*(central_weights(m, order) for m in deriv))
+        return (tuple(itertools.product(*offsets)),
+                tuple(map(math.prod, itertools.product(*weights))), math.prod(dens))
+    if deriv < 1 or order < 2 or order % 2:
+        raise ValueError(f"no central stencil of order {order} for derivative {deriv}")
+    r = (deriv + 1) // 2 - 1 + order // 2
+    x = range(-r, r + 1)
+    # c[j][k]: weight of node x[j] for the k-th derivative over the nodes so far
+    c = [[Fraction(0)] * (deriv + 1) for _ in x]
+    c[0][0] = c1 = Fraction(1)
+    for i in range(1, len(x)):
+        c2 = math.prod(x[i] - x[j] for j in range(i))
+        for k in range(min(i, deriv), -1, -1):
+            c[i][k] = c1 * (k * c[i - 1][k - 1] - x[i - 1] * c[i - 1][k]) / c2
+        for j in range(i):
+            for k in range(min(i, deriv), -1, -1):
+                c[j][k] = (x[i] * c[j][k] - k * c[j][k - 1]) / (x[i] - x[j])
+        c1 = c2
+    den = math.lcm(*(row[deriv].denominator for row in c))
+    kept = [(o, int(row[deriv] * den)) for o, row in zip(x[::-1], c[::-1]) if row[deriv]]
+    return tuple(o for o, _ in kept), tuple(w for _, w in kept), den
+
+
+def central_difference(values_at, h, deriv=1, order=2):
+    """The deriv-th derivative at step h by `central_weights(deriv, order)`;
+    `values_at(offsets)` returns the values at its offsets (units of h) in order.
+    The bits are those of the stencil written out: terms summed in offset order
+    from the first, unit weights as plain sums, the scale as 12 * h * h."""
+    offsets, weights, scale = central_weights(deriv, order)
+    terms = zip(weights, values_at(offsets))
+    w, v = next(terms)
+    total = v if w == 1 else -v if w == -1 else w * v
+    for w, v in terms:
+        term = v if abs(w) == 1 else abs(w) * v
+        total = total + term if w > 0 else total - term
+    power = sum(deriv) if isinstance(deriv, tuple) else deriv
+    return total / math.prod((scale,) + (h,) * power)  # left to right
 
 
 def spline_filter(values, d):
@@ -750,45 +798,22 @@ def make_field(spec, torus, n=2):
     """Build a gauge field from a JSON-style dict.
 
     Kinds: zero | random_su | abelian | pure_gauge | lattice (wraps a base
-    spec with {"grid": m}).
+    spec with {"grid": m}); a random kind's other keys go to its constructor.
     """
     kind = spec.get("kind", "random_su")
-    seed = spec.get("seed", 0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(spec.get("seed", 0)))
+    params = {key: value for key, value in spec.items() if key not in ("kind", "seed")}
     if kind == "zero":
         return AnalyticField.zero(torus, n)
     if kind == "random_su":
-        return AnalyticField.random_su(
-            rng,
-            torus,
-            n=n,
-            modes=spec.get("modes", 2),
-            amplitude=spec.get("amplitude", 0.2),
-            kmax=spec.get("kmax", 2),
-        )
+        return AnalyticField.random_su(rng, torus, n=n, **params)
     if kind == "abelian":
-        return AnalyticField.random_abelian(
-            rng,
-            torus,
-            n=n,
-            modes=spec.get("modes", 3),
-            amplitude=spec.get("amplitude", 0.2),
-            kmax=spec.get("kmax", 2),
-        )
+        return AnalyticField.random_abelian(rng, torus, n=n, **params)
     if kind == "pure_gauge":
-        psi = GaugeMap.random(
-            rng,
-            torus,
-            n=n,
-            factors=spec.get("factors", 2),
-            modes=spec.get("modes", 2),
-            amplitude=spec.get("amplitude", 0.7),
-            kmax=spec.get("kmax", 1),
-        )
+        psi = GaugeMap.random(rng, torus, n=n, **params)
         return TransformedField(AnalyticField.zero(torus, n), psi)
     if kind == "lattice":
-        base = make_field(spec["base"], torus, n)
-        return LatticeField.sample(base, spec.get("grid", 64))
+        return LatticeField.sample(make_field(spec["base"], torus, n), spec.get("grid", 64))
     raise ValueError(f"unknown field kind {spec.get('kind')!r}")
 
 

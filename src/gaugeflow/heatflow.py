@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .algebra import _structure, maxabs
-from .field import AnalyticField, LatticeField, stencil_d1
+from .field import AnalyticField, LatticeField, central_difference, stencil_d1
 
 
 MAX_ACTION_GROWTH = 1e-6
@@ -173,10 +173,10 @@ class FlowTrajectory:
         k = self._index_at(s)
         if k - width < 0 or k + width >= len(self.snapshots):
             raise KeyError("finite difference needs snapshots on both sides")
-        sp, fp = self.snapshots[k + width]
-        sm, fm = self.snapshots[k - width]
-        delta = 0.5 * (sp - sm) * self.ds
-        return LatticeField.from_coords(fp.torus, (fp.coords - fm.coords) / (2.0 * delta)), delta
+        delta = 0.5 * (self.snapshots[k + width][0] - self.snapshots[k - width][0]) * self.ds
+        rate = central_difference(
+            lambda offsets: [self.snapshots[k + j * width][1].coords for j in offsets], delta)
+        return LatticeField.from_coords(self.snapshots[k][1].torus, rate), delta
 
 
 def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):

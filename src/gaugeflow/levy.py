@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from .algebra import fiber_metric, maxabs
-from .field import _curvature_and_cov_deriv, cov_div_curvature
+from .field import _curvature_and_cov_deriv, central_difference, cov_div_curvature
 from .path import sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport_variations
 
@@ -208,11 +208,15 @@ def cesaro_second_trace(evaluate, curve, d, n_modes, eps=1e-3,
     partial = {}
     for k in range(1, n_modes + 1):
         fields = [sine_basis(k, d, axis) for axis in range(d)]
-        values = evaluate(curve, [[(x, sign * eps)] for x in fields for sign in (1.0, -1.0)])
-        sk = None
-        for up, um in zip(values[::2], values[1::2]):
-            dd = (up - 2.0 * base + um) / (eps * eps)
-            sk = dd if sk is None else sk + dd
+
+        def along_axes(offsets):
+            # each offset's values over the axes, the moved curves in one call
+            moved = evaluate(curve, [[(x, j * eps)] for x in fields for j in offsets if j])
+            moved = iter(np.moveaxis(moved.reshape((d, -1) + moved.shape[1:]), 1, 0))
+            return [next(moved) if j else base for j in offsets]
+
+        dd = central_difference(along_axes, eps, deriv=2)
+        sk = sum(dd[1:], dd[0])  # the axes in order, from the first
         total = sk if total is None else total + sk
         if k in checkpoints or k == n_modes:
             partial[k] = total / k

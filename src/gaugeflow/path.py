@@ -53,7 +53,7 @@ class Circle(Curve):
         center = np.asarray(center, dtype=float)
         super().__init__(len(center))
         self.center, self.radius = center, float(radius)
-        self.axes, self.turns, self.phase = axes, float(turns), float(phase)
+        self.axes, self.turns, self.phase = tuple(axes), float(turns), float(phase)
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -396,23 +396,12 @@ def make_curve(spec, d=2):
     {"kind": "fourier", "seed": 7, "modes": 3, "amplitude": 0.2}
     """
     kind = spec.get("kind")
+    params = {key: value for key, value in spec.items() if key not in ("kind", "seed")}
     if kind == "line":
-        return Line(spec["p0"], spec["p1"])
+        return Line(**params)
     if kind == "circle":
-        return Circle(
-            spec["center"],
-            spec["radius"],
-            axes=tuple(spec.get("axes", (0, 1))),
-            turns=spec.get("turns", 1.0),
-            phase=spec.get("phase", 0.0),
-        )
+        return Circle(**params)
     if kind == "fourier":
         rng = np.random.default_rng(np.random.SeedSequence(spec["seed"]))
-        return TrigCurve.random(
-            rng,
-            d,
-            modes=spec.get("modes", 3),
-            amplitude=spec.get("amplitude", 0.2),
-            closed=spec.get("closed", False),
-        )
+        return TrigCurve.random(rng, d, **params)
     raise ValueError(f"unknown curve kind {kind!r}")

@@ -11,10 +11,12 @@ of each direction pair's operands with the `np.roll` stencil
 bit. `ConcatCurve` builds the kinked curves that the breakpoint tests
 integrate across.
 `cesaro_second_trace_per_curve` is the Cesaro mean taken one perturbed
-curve at a time, the loop the batched driver is held to. The `einsum_*`
-functions are the derivative-tensor kernels written term by term as
-explicit index contractions, the reference the broadcast-product kernels
-are held to.
+curve at a time, the loop the batched driver is held to. `HAND_STENCILS`
+holds the finite-difference oracles' stencils as they were written out by
+hand, the reference `field.central_difference` is held to bit for bit.
+The `einsum_*` functions are the derivative-tensor kernels written term by
+term as explicit index contractions, the reference the broadcast-product
+kernels are held to.
 """
 
 import json
@@ -309,3 +311,27 @@ def cesaro_second_trace_per_curve(evaluate, curve, d, n_modes, eps=1e-3, checkpo
         if k in checkpoints or k == n_modes:
             partial[k] = total / k
     return total / n_modes, partial, base
+
+
+# The eleven finite-difference oracles' stencils as written out by hand before
+# `field.central_difference` derived them: site -> (deriv, order, the
+# expression of h and the values at the stencil's offsets in descending order).
+HAND_STENCILS = {
+    "run_duhamel": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
+    "run_gradient.deriv_case": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
+    "run_gradient.riesz_gaps": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
+    "run_levy.hessian_case": ((1, 1), 2, lambda keps, upp, upm, ump, umm:
+                              (upp - upm - ump + umm) / (4 * keps * keps)),
+    "_functional_gaps.fd1": (1, 4, lambda geps, l2, l1, m1, m2:
+                             (-l2 + 8.0 * l1 - 8.0 * m1 + m2) / (12.0 * geps)),
+    "_functional_gaps.fd2": (2, 4, lambda heps, l2, l1, l0, m1, m2:
+                             (-l2 + 16.0 * l1 - 30.0 * l0 + 16.0 * m1 - m2) / (12.0 * heps * heps)),
+    "_functional_gaps.fd_lap": (2, 4, lambda feps, f2, f1, f0, m1, m2:
+                                (-f2 + 16.0 * f1 - 30.0 * f0 + 16.0 * m1 - m2)
+                                / (12.0 * feps * feps)),
+    "levy.cesaro_second_trace": (2, 2, lambda eps, up, base, um:
+                                 (up - 2.0 * base + um) / (eps * eps)),
+    "FlowTrajectory.fd_ds_field": (1, 2, lambda delta, fp, fm: (fp - fm) / (2.0 * delta)),
+    "run_theorem.route_ii": (1, 2, lambda delta, u_up, u_dn: (u_up - u_dn) / (2.0 * delta)),
+    "run_theorem.ab_rel": (1, 2, lambda dd, u_up, u_dn: (u_up - u_dn) / (2 * dd)),
+}

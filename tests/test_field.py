@@ -8,11 +8,15 @@ dense grid (96^2, well above the Nyquist rate of the kmax=2 test field).
 
 import functools
 import json
+import math
+import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from _oracles import (
+    HAND_STENCILS,
     analytic_mode_sum,
     bianchi_residual,
     commutator,
@@ -23,6 +27,7 @@ from _oracles import (
     lie_defect,
     load_field,
 )
+import gaugeflow
 from gaugeflow.algebra import dagger, group_defect, lie_matrix, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
@@ -35,6 +40,8 @@ from gaugeflow.field import (
     TransformedField,
     _curvature_and_cov_deriv,
     _trig,
+    central_difference,
+    central_weights,
     cov_deriv_curvature,
     cov_div_curvature,
     curvature,
@@ -540,6 +547,90 @@ def test_stencil_fourth_order():
         errs.append(err)
     ratio = errs[0] / errs[1]
     assert 14.0 < ratio < 18.0
+
+
+# ---------------------------------------------------------------------------
+# derived central-difference stencils
+
+
+def test_central_weights_match_textbook_tables():
+    """Offsets descending, integer weights, common denominator."""
+    assert central_weights(1, 2) == ((1, -1), (1, -1), 2)
+    assert central_weights(2, 2) == ((1, 0, -1), (1, -2, 1), 1)
+    assert central_weights(1, 4) == ((2, 1, -1, -2), (-1, 8, -8, 1), 12)
+    assert central_weights(2, 4) == ((2, 1, 0, -1, -2), (-1, 16, -30, 16, -1), 12)
+    assert central_weights(1, 6) == ((3, 2, 1, -1, -2, -3), (1, -9, 45, -45, 9, -1), 60)
+    # the mixed second difference: the corners (+,+), (+,-), (-,+), (-,-)
+    assert central_weights((1, 1), 2) == (((1, 1), (1, -1), (-1, 1), (-1, -1)),
+                                          (1, -1, -1, 1), 4)
+    for deriv, order in ((0, 2), (1, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            central_weights(deriv, order)
+
+
+@pytest.mark.parametrize("deriv, order", [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2), (3, 4),
+                                          (4, 2), (1, 8)])
+def test_central_weights_have_the_order_asked_for(deriv, order):
+    """The moments sum_i w_i o_i^p / denominator are p! at p = deriv and 0 at every
+    other p < deriv + order, and the next moment (the error term) is not 0."""
+    offsets, weights, den = central_weights(deriv, order)
+    moments = [Fraction(sum(w * o**p for o, w in zip(offsets, weights)), den)
+               for p in range(deriv + order + 1)]
+    assert moments[:-1] == [math.factorial(deriv) if p == deriv else 0
+                            for p in range(deriv + order)]
+    assert moments[-1] != 0
+    assert list(offsets) == sorted(offsets, reverse=True) and 0 not in weights
+    assert math.gcd(den, *weights) == 1
+
+
+def test_stencil_d1_writes_central_weights_1_4():
+    """stencil_d1's (8 (f1 - b1) - (f2 - b2)) / (12 a) is central_weights(1, 4),
+    to roundoff against central_difference over np.roll shifts."""
+    assert central_weights(1, 4) == ((2, 1, -1, -2), (-1, 8, -8, 1), 12)
+    arr = np.random.default_rng(19).standard_normal((3, 8, 16))
+    for axis in (1, 2, -1):
+        want = central_difference(lambda ks: [np.roll(arr, -k, axis) for k in ks], 0.1, 1, 4)
+        assert maxabs(stencil_d1(arr, axis, 0.1) - want) <= 1e-13 * maxabs(want)
+
+
+@pytest.mark.parametrize("site", sorted(HAND_STENCILS))
+def test_central_difference_gives_the_hand_written_stencils_bits(site):
+    """Each oracle's stencil as written out by hand and central_difference at its
+    derivative and order agree bit for bit, signs of zero included: on seeded
+    float scalars, real coordinate arrays and complex (N, N) stacks."""
+    deriv, order, by_hand = HAND_STENCILS[site]
+    offsets = central_weights(deriv, order)[0]
+    rng = rng_for(0, f"central_difference/{site}")
+    b = len(offsets)
+    for h in (1e-5, 2e-4, 3e-4, 1e-3, float(rng.uniform(1e-6, 1e-2))):
+        coords = rng.standard_normal((b, 3, 3, 8, 8))
+        coords[:, 0, 0] = np.where(rng.random((b, 8, 8)) < 0.5, 0.0, -0.0)
+        draws = [
+            [float(v) for v in rng.standard_normal(b)],
+            list(rng.standard_normal(b)),
+            list(coords),
+            [coords[0]] * b,
+        ]
+        for n in (2, 3):
+            draws.append(list(rng.standard_normal((b, 4, n, n))
+                              + 1j * rng.standard_normal((b, 4, n, n))))
+        for values in draws:
+            seen = []
+            got = central_difference(lambda ks: seen.append(ks) or values, h, deriv, order)
+            want = by_hand(h, *values)
+            assert seen == [offsets]
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_finite_difference_oracles_write_no_stencil_denominator():
+    """The oracles' stencils come from central_weights: no hand-written stencil
+    denominator comes back in the modules that hold them."""
+    src = pathlib.Path(gaugeflow.__file__).parent
+    for name in ("experiments.py", "levy.py", "heatflow.py"):
+        text = (src / name).read_text()
+        for denominator in ("/ (2.0 *", "/ (2 *", "/ (4 *", "/ (12.0 *", "/ (eps * eps)"):
+            assert denominator not in text, f"{name} writes a stencil denominator {denominator!r}"
 
 
 def test_lattice_curvature_grid(torus2, su2_field):

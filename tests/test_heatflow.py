@@ -20,7 +20,7 @@ from _oracles import (
     rk4_trajectory,
 )
 from gaugeflow.algebra import _structure, lie_coords, maxabs, random_lie, su_basis
-from gaugeflow.experiments import _bump_values, rng_for
+from gaugeflow.experiments import _bump_field, rng_for
 from gaugeflow.field import (
     AnalyticField,
     LatticeField,
@@ -166,7 +166,7 @@ def test_blowup_guard_on_driven_flat_start():
     """A forcing drives a flat start uphill, its action growing from 0: with the
     guard on, the flow must abort."""
     flat = LatticeField(TORUS, np.zeros((16, 16, 2, 2, 2), dtype=complex))
-    bump = LatticeField(TORUS, _bump_values(TORUS, 16, [0.5, 0.5], 0.3, 5.0, 2))
+    bump = _bump_field(TORUS, 16, [0.5, 0.5], 0.3, 5.0, 2)
     with pytest.raises(BlowUp, match="from 0 to"):
         flow(flat, 3, ds=1e-4, forcing=bump, guard=True)
     # the guard is off by default when a forcing is given, so the same run completes
@@ -321,9 +321,9 @@ def test_driven_flow_matches_oracle_rhs():
     """The R-diagnostic's driven flow, forced by a compact bump, against the
     einsum oracle plus the same bump."""
     lat = su_flow_start(2, 2)
-    bump = _bump_values(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
-    driven = flow(lat, 12, 1e-4, save_every=4, forcing=LatticeField(TORUS, bump))
-    assert_matches_oracle_flow(driven, lat, bump)
+    bump = _bump_field(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
+    driven = flow(lat, 12, 1e-4, save_every=4, forcing=bump)
+    assert_matches_oracle_flow(driven, lat, bump.values)
     plain = flow(lat, 12, 1e-4)
     assert rel_gap(driven.snapshots[-1][1].values, plain.snapshots[-1][1].values) > 1e-3
 
@@ -442,7 +442,7 @@ def test_flow_refuses_values_outside_su_n():
     is refused, not projected, and so is a forcing on another torus or grid;
     a roundoff-size non-su(N) part passes."""
     lat = su_flow_start(2, 2)
-    bump = _bump_values(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
+    bump = _bump_field(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2).values
     eye = np.eye(2)
     for bad in (bump + 1j * eye, bump + 1e-3 * np.diag([1.0, -1.0]), lat.values + 0.1j * eye):
         with pytest.raises(ValueError, match="su\\(N\\)"):
