@@ -13,10 +13,11 @@ batched scaling-and-squaring Pade evaluation (numpy only).
 
 A Lie element is also held as its real coordinates in `su_basis(n)`, a
 trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
-`_structure` gives the bracket and `exp_lie` the exponential in these
-coordinates (a closed form at N = 2, the only one in the package). Every
-su(N) element the package builds from real data goes through these maps,
-which are built on first use for each N.
+`bracket` (from the structure constants `_structure`) and `exp_lie` give
+the bracket and the exponential in these coordinates (a closed form at
+N = 2, the only one in the package). Every su(N) element the package
+builds from real data goes through these maps, which are built on first
+use for each N.
 """
 
 from __future__ import annotations
@@ -219,6 +220,18 @@ def _structure(n):
     f[np.abs(f) < 1e-12] = 0.0
     ia, ib = np.nonzero(np.triu(np.any(f != 0.0, axis=-1), 1))
     return ia, ib, np.ascontiguousarray(f[ia, ib].T)
+
+
+def bracket(x, y):
+    """[x, y] of su_basis coordinates over the trailing K axis, leading axes broadcast.
+
+    [x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs p = (a, b)
+    of `_structure`: exactly antisymmetric, and exactly 0 where x = y.
+    """
+    ia, ib, s = _structure(math.isqrt(x.shape[-1] + 1))
+    xy = x[..., ia] * y[..., ib]
+    xy -= x[..., ib] * y[..., ia]
+    return (xy.reshape(-1, len(ia)) @ s.T).reshape(xy.shape[:-1] + s.shape[:1])
 
 
 def _maxabs_real(r):

@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 
 from . import algebra
-from .algebra import fiber_metric, group_defect, maxabs, random_fiber, su_basis
+from .algebra import fiber_metric, group_defect, lie_matrix, maxabs, random_fiber, su_basis
 from .field import (
     AnalyticField,
     GaugeMap,
@@ -704,8 +704,7 @@ def run_levy(cfg, seed):
     laps = {ci: lap for ci, lap in lap_rows}
 
     # trivial oracle: flat (pure-gauge) field
-    psi = GaugeMap.random(rng_for(seed, "levy/pure-gauge"), torus, n=n,
-                          factors=2, modes=2, amplitude=0.7, kmax=1)
+    psi = GaugeMap.random(rng_for(seed, "levy/pure-gauge"), torus, n=n)
     flat = TransformedField(AnalyticField.zero(torus, n), psi)
     flat_lap = levy_laplacian_transport(flat, curves[0], step=cfg["laplacian"]["step"],
                                         check=False)
@@ -1125,8 +1124,9 @@ def run_r_diagnostic(cfg, seed):
 
         # R(r) by the integral formula: to_end transports to the curve end,
         # so each prefix already carries the U_{1,t} factors
-        gap = vel_fd.eval(ctx.points) - cov_div_curvature(fld, ctx.points)
-        values = ctx.conjugate(np.einsum("tmij,tm->tij", gap, ctx.velocities))
+        div_f = np.einsum("tmk,tm->tk", cov_div_curvature(fld, ctx.points), ctx.velocities)
+        gap = vel_fd.generator(ctx.points, ctx.velocities) - div_f
+        values = ctx.conjugate(lie_matrix(gap))
         r_int = [ctx.integrate(values, upto=r) for r in r_values]
 
         r_def = []

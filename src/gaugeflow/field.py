@@ -2,29 +2,37 @@
 
 A gauge field A assigns to each point x of the torus a d-tuple of Lie
 elements A_mu(x) (connection coefficients in a fixed trivialization; the
-torus is flat, so there are no Christoffel terms anywhere). Three
-representations share one interface:
+torus is flat, so there are no Christoffel terms anywhere). Every field
+implements one batched interface, `coord_jets(x, order)`: A and its
+derivative tensors through `order` at points x (..., d), as su_basis
+coordinates (`algebra`), entry k of shape (..., d^k, d, K) with
+K = N^2 - 1. Three representations:
 
 * `AnalyticField`: finite Fourier series with exact derivatives. Its
   coefficients must lie in su(N) (ValueError otherwise); they are held as
-  su_basis coordinates, so each evaluation is one real product of trig
-  weights with a coordinate table and one `algebra.lie_matrix`.
+  su_basis coordinates, so each order is one real product of trig
+  weights with a coordinate table.
 * `LatticeField`: su_basis coordinates on an m^d grid, in the layout of
   the flow state (ValueError for matrices outside su(N)); derivatives by
-  4th-order central stencils, off-grid evaluation by periodic cubic spline
-  interpolation of the coordinates and one `lie_matrix`.
+  4th-order central stencils, off-grid reads by periodic cubic spline
+  interpolation of the coordinates, a block of points at a time.
 * `TransformedField`: the gauge transform of another field by a gauge map,
-  evaluated pointwise exactly (no sampling error).
+  evaluated pointwise exactly (no sampling error) as matrices; the base
+  class's `coord_jets` converts them and refuses a non-su(N) part.
 
-The interface is batched: `eval(x)` maps points (..., d) to (..., d, N, N),
-`partial_all` adds a leading derivative axis, `second_all` two of them.
+The matrix reads derive from `coord_jets` by one `algebra.lie_matrix`:
+`eval(x)` maps points (..., d) to (..., d, N, N), `partial_all` adds a
+leading derivative axis, `second_all` two of them.
 
-Derived local quantities (`curvature`, `cov_deriv_curvature`, ...) are free
-functions of the interface, so they work for every representation.
+Derived local quantities (`curvature`, `cov_deriv_curvature`,
+`cov_div_curvature`) are free functions of `coord_jets`, so they work for
+every representation. They run in coordinates, every product an
+`algebra.bracket`, over blocks of points the size of one lattice gather
+block, and return coordinates: a caller contracts them first and forms
+matrices once.
 
-Products of the small N x N matrices go through `algebra._matmul`,
-broadcast over singleton derivative and direction axes; `np.einsum` is
-kept only for traces and scalar-weight sums.
+Products of the small N x N matrices of the gauge maps go through
+`algebra._matmul`, broadcast over singleton derivative and direction axes.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _matmul, dagger, exp_lie, lie_coords, lie_matrix, random_lie
+from .algebra import _matmul, bracket, dagger, exp_lie, lie_coords, lie_matrix, random_lie
 
 
 class Torus:
@@ -154,28 +162,30 @@ class ScalarFourier:
 
 
 class GaugeField:
-    """Interface: torus, n, eval, partial_all, second_all; `generator` derives from eval."""
+    """Interface: torus, n and `coord_jets`, the su_basis coordinates of A and
+    its derivative tensors. Each field's matrix reads `eval`, `partial_all`
+    and `second_all` derive from it; `generator` derives from `eval`.
+
+    A field held as matrices (`TransformedField`) gives its matrix jets by
+    `_derivs(x, order)` instead, and this class's `coord_jets` converts them.
+    """
 
     torus: Torus
     n: int
 
-    def eval(self, x):
-        raise NotImplementedError
+    def coord_jets(self, x, order=2):
+        """A, dA, ..., d^order A at points x (..., d) as su_basis coordinates.
+
+        Entry k has shape (..., d^k, d, K), the derivative axes first, and
+        does not depend on `order`. This default takes `lie_coords` of the
+        matrix jets and raises ValueError for a non-su(N) part beyond roundoff.
+        """
+        return [lie_coords(m, check=True) for m in self._derivs(x, order)]
 
     def generator(self, x, v):
         """su_basis coordinates (..., K) of A_mu(x) v^mu for x, v of shape (..., d)."""
         a = self.eval(x)
         return lie_coords(sum(a[..., m, :, :] * v[..., m, None, None] for m in range(v.shape[-1])))
-
-    def partial_all(self, x):
-        raise NotImplementedError
-
-    def second_all(self, x):
-        raise NotImplementedError
-
-    def jets(self, x):
-        """A, dA and d^2A at x: `eval`, `partial_all` and `second_all`."""
-        return self.eval(x), self.partial_all(x), self.second_all(x)
 
 
 class AnalyticField(GaugeField):
@@ -245,13 +255,21 @@ class AnalyticField(GaugeField):
             coeffs.append(scale * t_dir)
         return cls(torus, n, np.array(kvecs), np.array(mus), np.stack(coeffs), np.array(phases))
 
-    def _mode_sum(self, weights):
-        """sum_m weights[..., m] C_m in the mu_m slot: (..., d, N, N) for real weights (..., M)."""
-        out = weights @ self._slots
-        return lie_matrix(out.reshape(out.shape[:-1] + (self.torus.d, self._coords.shape[1])))
+    def _order_coords(self, x, order):
+        """Coordinates (..., d^order, d, K) of d^order A: one real product of the
+        trig derivative weights with the coefficient coordinates in their mu_m slots."""
+        weights = _trig(x, self._w, self.phases, order)
+        for _ in range(order):
+            weights = weights[..., None, :] * self._w.T
+        lead = weights.shape[:-1]
+        out = weights.reshape(math.prod(lead), weights.shape[-1]) @ self._slots
+        return out.reshape(lead + (self.torus.d, self._coords.shape[1]))
+
+    def coord_jets(self, x, order=2):
+        return [self._order_coords(x, k) for k in range(order + 1)]
 
     def eval(self, x):
-        return self._mode_sum(_trig(x, self._w, self.phases, 0))
+        return lie_matrix(self._order_coords(x, 0))
 
     def generator(self, x, v):
         """One real product: sum_m trig_m(x) v^{mu_m} c_m with c_m the coefficient coordinates."""
@@ -259,13 +277,10 @@ class AnalyticField(GaugeField):
         return weights @ self._coords
 
     def partial_all(self, x):
-        w = self._w.T  # (d, M)
-        return self._mode_sum(_trig(x, self._w, self.phases, 1)[..., None, :] * w)
+        return lie_matrix(self._order_coords(x, 1))
 
     def second_all(self, x):
-        w = self._w.T
-        return self._mode_sum(_trig(x, self._w, self.phases, 2)[..., None, None, :]
-                              * w[:, None] * w)
+        return lie_matrix(self._order_coords(x, 2))
 
     @property
     def kmax(self):
@@ -396,6 +411,20 @@ def spline_filter(values, d):
 _GATHER_FLOATS = 1 << 17
 
 
+def _gather_block(d, components):
+    """Points per block of a 4^d-tap gather of `components` floats a tap."""
+    return max(1, _GATHER_FLOATS // (4**d * components))
+
+
+@functools.cache
+def _jet_keys(d):
+    """The grid keys a lattice read takes for orders 0, 1 and 2, and the index
+    that spreads the order-2 keys (a <= b) over the (d, d) derivative axes."""
+    second = [("dd", a, b) for a in range(d) for b in range(a, d)]
+    pick = [[second.index(("dd", min(a, b), max(a, b))) for b in range(d)] for a in range(d)]
+    return (("val",), tuple(("d", a) for a in range(d)), tuple(second)), pick
+
+
 def _cubic_bspline_weights(t):
     """Weights of the taps at offsets -1, 0, 1, 2 from the cell for fractions t in [0, 1)."""
     t2, t3 = t * t, t * t * t
@@ -412,7 +441,8 @@ class LatticeField(GaugeField):
     layout. `LatticeField(torus, values)` takes matrices grid + (d, N, N),
     refusing a non-su(N) part beyond roundoff (ValueError), and `values`
     derives them back. Stencil grids and spline tables hold coordinates;
-    off-grid reads interpolate them with periodic cubic splines.
+    off-grid reads interpolate them with periodic cubic splines, a block of
+    points at a time.
     """
 
     def __init__(self, torus, values):
@@ -449,11 +479,12 @@ class LatticeField(GaugeField):
 
     @classmethod
     def sample(cls, field, m):
-        """Sample any gauge field on an m^d grid (exact at the sites)."""
+        """Sample any gauge field's coordinates on an m^d grid (exact at the sites)."""
         torus = field.torus
         axes = [np.arange(m) * (torus.L / m)] * torus.d
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return cls(torus, field.eval(pts))
+        coords = np.moveaxis(field.coord_jets(pts, 0)[0], (-2, -1), (0, 1))
+        return cls.from_coords(torus, np.ascontiguousarray(coords))
 
     def _grid(self, key):
         if key not in self._grids:
@@ -475,46 +506,55 @@ class LatticeField(GaugeField):
             self._splines[keys] = np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
         return self._splines[keys]
 
-    def _interp(self, keys, x):
-        """Coordinates of the grids `keys` at points x, shape (..., len(keys), d, K).
+    def _interp(self, keysets, x):
+        """Coordinates of the grids of each key tuple in `keysets` at points x:
+        one array (..., len(keys), d, K) per tuple.
 
-        A 4^d-tap gather: one tap index and weight table for the point set,
-        every component of every key read in the same pass.
+        A 4^d-tap gather, a block of points at a time: each block builds its
+        tap index and weight table once and reads every component of every
+        key with them, one gather per tuple, so no temporary outgrows a block.
         """
-        table = self._spline(keys)
+        tables = [self._spline(keys) for keys in keysets]
         d, m = self.torus.d, self.m
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
         u = x.reshape(-1, d) / self.a
-        cell = np.floor(u)
-        taps = (cell.astype(np.int64)[..., None] + np.arange(-1, 3)) % m  # (M, d, 4)
-        weights = _cubic_bspline_weights(u - cell)
-        rows, w = taps[:, 0], weights[:, 0]
-        for ax in range(1, d):
-            rows = (rows[:, :, None] * m + taps[:, ax, None, :]).reshape(len(u), -1)
-            w = (w[:, :, None] * weights[:, ax, None, :]).reshape(len(u), -1)
-        out = np.empty((len(u), table.shape[1]))
-        block = max(1, _GATHER_FLOATS // (rows.shape[1] * table.shape[1]))
+        outs = [np.empty((len(u), table.shape[1])) for table in tables]
+        block = _gather_block(d, max(table.shape[1] for table in tables))
         for lo in range(0, len(u), block):
             part = slice(lo, lo + block)
-            out[part] = np.einsum("pk,pkc->pc", w[part], np.take(table, rows[part], axis=0))
-        return out.reshape(lead + (len(keys),) + self.coords.shape[:2])
+            cell = np.floor(u[part])
+            taps = (cell.astype(np.int64)[..., None] + np.arange(-1, 3)) % m  # (B, d, 4)
+            weights = _cubic_bspline_weights(u[part] - cell)
+            rows, w = taps[:, 0], weights[:, 0]
+            for ax in range(1, d):
+                rows = (rows[:, :, None] * m + taps[:, ax, None, :]).reshape(len(cell), -1)
+                w = (w[:, :, None] * weights[:, ax, None, :]).reshape(len(cell), -1)
+            for out, table in zip(outs, tables):
+                out[part] = np.einsum("pk,pkc->pc", w, np.take(table, rows, axis=0))
+        return [out.reshape(x.shape[:-1] + (len(keys),) + self.coords.shape[:2])
+                for out, keys in zip(outs, keysets)]
+
+    def _jets(self, x, orders):
+        """The coordinates of each order in `orders` at points x, from one `_interp` pass."""
+        keys, pick = _jet_keys(self.torus.d)
+        reads = self._interp([keys[k] for k in orders], x)
+        return [r[..., 0, :, :] if k == 0 else r[..., pick, :, :] if k == 2 else r
+                for k, r in zip(orders, reads)]
+
+    def coord_jets(self, x, order=2):
+        return self._jets(x, range(order + 1))
 
     def eval(self, x):
-        return lie_matrix(self._interp(("val",), x)[..., 0, :, :])
+        return lie_matrix(self._jets(x, (0,))[0])
 
     def generator(self, x, v):
-        return np.einsum("...mk,...m->...k", self._interp(("val",), x)[..., 0, :, :], v)
+        return np.einsum("...mk,...m->...k", self._jets(x, (0,))[0], v)
 
     def partial_all(self, x):
-        d = self.torus.d
-        return lie_matrix(self._interp(tuple(("d", a) for a in range(d)), x))
+        return lie_matrix(self._jets(x, (1,))[0])
 
     def second_all(self, x):
-        d = self.torus.d
-        keys = [("dd", a, b) for a in range(d) for b in range(a, d)]
-        pick = [[keys.index(("dd", min(a, b), max(a, b))) for b in range(d)] for a in range(d)]
-        return lie_matrix(self._interp(tuple(keys), x)[..., pick, :, :])
+        return lie_matrix(self._jets(x, (2,))[0])
 
     # --- serialization: JSON header + flat little-endian binary ---
 
@@ -697,77 +737,97 @@ class TransformedField(GaugeField):
     def second_all(self, x):
         return self._derivs(x, 2)[2]
 
-    def jets(self, x):
-        """A, dA and d^2A from one pass of the gauge map, equal to `eval`,
-        `partial_all` and `second_all` bit for bit."""
-        return tuple(self._derivs(x, 2))
-
 
 # ---------------------------------------------------------------------------
 # local differential-geometric quantities
 
 
-def _curvature(a0, p):
-    """F_mn from A (..., d, N, N) and its partials (..., d, d, N, N)."""
-    aa = _matmul(a0[..., :, None, :, :], a0[..., None, :, :, :])
-    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+def _blockwise(local, field, x, order):
+    """local(*field.coord_jets(block, order)), a tuple of arrays, over blocks of
+    the points x (..., d): each output's blocks joined, with x's leading axes.
+    A block is one `_interp` block of a lattice field's order-2 read."""
+    x = np.asarray(x, dtype=float)
+    d = field.torus.d
+    pts = x.reshape(-1, d)
+    step = _gather_block(d, len(_jet_keys(d)[0][2]) * d * (field.n**2 - 1))
+    outs = None
+    for lo in range(0, max(len(pts), 1), step):
+        got = local(*field.coord_jets(pts[lo:lo + step], order))
+        if outs is None:
+            outs = [np.empty((len(pts),) + g.shape[1:]) for g in got]
+        for out, g in zip(outs, got):
+            out[lo:lo + step] = g
+    return [out.reshape(x.shape[:-1] + out.shape[1:]) for out in outs]
+
+
+def _curvature(a, p):
+    """F_mn from the coordinates of A (..., d, K) and of its partials (..., d, d, K)."""
+    return p - np.swapaxes(p, -3, -2) + bracket(a[..., :, None, :], a[..., None, :, :])
+
+
+def _curvature_pair(a, p, s):
+    """F_mn and nabla_l F_mn from the coordinates of A and its first two derivative tensors.
+
+    d_l F_mn = y_lmn - y_lnm with y_lmn = d_l d_m A_n + [d_l A_m, A_n].
+    """
+    f = _curvature(a, p)
+    y = s + bracket(p[..., :, :, None, :], a[..., None, None, :, :])
+    return f, y - np.swapaxes(y, -3, -2) + bracket(a[..., :, None, None, :], f[..., None, :, :, :])
+
+
+def _divergence(a, p, s):
+    """(div F)_n from the coordinates of A and its first two derivative tensors,
+    formed without nabla F:
+
+    div F_n = sum_m (d_m d_m A_n - d_n d_m A_m) + [sum_m d_m A_m, A_n]
+              + sum_m [A_m, d_m A_n + F_mn].
+    """
+    g = p + _curvature(a, p)
+    out = np.einsum("...mmnk->...nk", s) - np.einsum("...nmmk->...nk", s)
+    out += bracket(np.einsum("...mmk->...k", p)[..., None, :], a)
+    out += np.sum(bracket(a[..., :, None, :], g), axis=-3)
+    return out
 
 
 def curvature(field, x):
-    """F_mn = d_m A_n - d_n A_m + [A_m, A_n]; shape (..., d, d, N, N).
+    """F_mn = d_m A_n - d_n A_m + [A_m, A_n] as su_basis coordinates (..., d, d, K).
 
-    Antisymmetry in (m, n) holds by construction of the return value.
+    F_mn and F_nm are formed from the same terms with opposite signs.
     """
-    return _curvature(field.eval(x), field.partial_all(x))
+    return _blockwise(lambda a, p: (_curvature(a, p),), field, x, 1)[0]
 
 
 def _curvature_and_cov_deriv(field, x):
-    """F_mn and nabla_l F_mn at x from one evaluation of the field and its partials."""
-    a0, p, s = field.jets(x)
-    f = _curvature(a0, p)
-    y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
-    y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
-    al, fl = a0[..., :, None, None, :, :], f[..., None, :, :, :, :]
-    return f, y - np.swapaxes(y, -4, -3) + _matmul(al, fl) - _matmul(fl, al)
+    """Coordinates of F_mn and nabla_l F_mn at x from one read of the field's jets."""
+    return tuple(_blockwise(_curvature_pair, field, x, 2))
 
 
 def cov_deriv_curvature(field, x):
-    """nabla_l F_mn = d_l F_mn + [A_l, F_mn]; shape (..., d, d, d, N, N).
+    """nabla_l F_mn = d_l F_mn + [A_l, F_mn] as su_basis coordinates (..., d, d, d, K).
 
     Index order (l, m, n). The torus is flat, so the covariant derivative
-    has no Christoffel part. d_l [A_m, A_n] = X_lmn - X_lnm with
-    X_lmn = (d_l A_m) A_n + A_m d_l A_n.
+    has no Christoffel part.
     """
     return _curvature_and_cov_deriv(field, x)[1]
 
 
 def cov_div_curvature(field, x):
-    """(div F)_n = sum_m nabla_m F_mn; shape (..., d, N, N).
-
-    Formed without nabla F:
-    div F_n = sum_m (d_m d_m A_n - d_n d_m A_m) + [sum_m d_m A_m, A_n]
-              + sum_m [A_m, d_m A_n + F_mn].
-    """
-    a0, p, s = field.jets(x)
-    g = p + _curvature(a0, p)
-    div_a = np.einsum("...mmij->...ij", p)[..., None, :, :]
-    am = a0[..., :, None, :, :]
-    out = np.einsum("...mmnij->...nij", s) - np.einsum("...nmmij->...nij", s)
-    out += _matmul(div_a, a0) - _matmul(a0, div_a)
-    return out + np.sum(_matmul(am, g) - _matmul(g, am), axis=-4)
+    """(div F)_n = sum_m nabla_m F_mn as su_basis coordinates (..., d, K)."""
+    return _blockwise(lambda *jets: (_divergence(*jets),), field, x, 2)[0]
 
 
 def lattice_curvature_grid(field):
-    """On-grid curvature of a LatticeField via 4th-order stencils."""
+    """On-grid curvature coordinates (*grid, d, d, K) of a LatticeField via 4th-order stencils."""
     d, a = field.torus.d, field.a
-    p = np.stack([stencil_d1(field.values, ax, a) for ax in range(d)], axis=-4)
-    return _curvature(field.values, p)
+    p = np.stack([stencil_d1(field.coords, 2 + ax, a) for ax in range(d)])  # (d, d, K, *grid)
+    x = np.moveaxis(field.coords, (0, 1), (-2, -1))
+    return _curvature(x, np.moveaxis(p, (0, 1, 2), (-3, -2, -1)))
 
 
 def _curvature_action(torus, f):
-    """Riemann sum of -1/2 sum_mn tr(F_mn F_mn) over the sites of curvature f."""
-    dens = -0.5 * np.sum(f * np.swapaxes(f, -1, -2), axis=(-4, -3, -2, -1))
-    return float(np.mean(np.real(dens)) * torus.volume)
+    """Riemann sum of -1/2 sum_mn tr(F_mn F_mn) = 1/4 sum_mn |F_mn|^2 over the sites of
+    curvature coordinates f, as tr(T_a T_b) = -delta_ab / 2."""
+    return float(0.25 * np.mean(np.sum(f * f, axis=(-3, -2, -1))) * torus.volume)
 
 
 def ym_action(field, samples=None):

@@ -29,7 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import fiber_metric, maxabs
+from .algebra import fiber_metric, lie_matrix, maxabs
 from .field import _curvature_and_cov_deriv, central_difference, cov_div_curvature
 from .path import sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport_variations
@@ -60,7 +60,7 @@ class GradientField:
 def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    g = np.einsum("tmvij,tv->tmij", ctx.curvature, ctx.velocities)
+    g = lie_matrix(np.einsum("tmvk,tv->tmk", ctx.curvature, ctx.velocities))
     return GradientField(ctx, -ctx.conjugate(g))
 
 
@@ -93,9 +93,10 @@ class KernelTriple:
 
 
 def _levy_source(field, ctx):
-    """Curvature f and the symmetrized first-order source D_a F_{b .} gammadot + (a <-> b)."""
+    """Coordinates of the curvature f and of the symmetrized first-order source
+    D_a F_{b .} gammadot + (a <-> b)."""
     f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
-    h1 = np.einsum("tabcij,tc->tabij", df, ctx.velocities)  # D_a F_{b .} gammadot
+    h1 = np.einsum("tabck,tc->tabk", df, ctx.velocities)  # D_a F_{b .} gammadot
     return f, h1 + np.swapaxes(h1, 1, 2)
 
 
@@ -103,8 +104,8 @@ def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
     f, sym = _levy_source(field, ctx)
-    g = np.einsum("tmvij,tv->tmij", f, ctx.velocities)
-    return KernelTriple(ctx, -0.5 * ctx.conjugate(sym), ctx.conjugate(f),
+    g = lie_matrix(np.einsum("tmvk,tv->tmk", f, ctx.velocities))
+    return KernelTriple(ctx, -0.5 * ctx.conjugate(lie_matrix(sym)), ctx.conjugate(lie_matrix(f)),
                         ctx.conjugate(g), ctx.conjugate(g, to_start=True))
 
 
@@ -164,12 +165,12 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
 
-    c = np.einsum("tvij,tv->tij", cov_div_curvature(field, ctx.points), ctx.velocities)
-    closed = ctx.integrate(-ctx.conjugate(c))
+    c = np.einsum("tvk,tv->tk", cov_div_curvature(field, ctx.points), ctx.velocities)
+    closed = ctx.integrate(-ctx.conjugate(lie_matrix(c)))
     if not check:
         return LevyLaplacian(closed, closed, 0.0)
     # `levy_divergence` of `second_kernels`, conjugating only the diagonal K_L,aa
-    diagonal = np.einsum("taaij->taij", _levy_source(field, ctx)[1])
+    diagonal = lie_matrix(np.einsum("taak->tak", _levy_source(field, ctx)[1]))
     kernel_value = ctx.integrate(np.einsum("taij->tij", -0.5 * ctx.conjugate(diagonal)))
     mismatch = maxabs(closed - kernel_value) / (1.0 + maxabs(closed))
     if mismatch > check_tol:

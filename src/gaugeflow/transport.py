@@ -11,14 +11,14 @@ arXiv:0810.5488; Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)):
     Z1, Z2 = Z(t + (1/2 -+ sqrt(3)/6) h).
 
 Z, Omega and the bracket are real su_basis coordinates (K = N^2 - 1 per
-point): the bracket comes from the structure constants
-(`algebra._structure`) and the factor from `algebra.exp_lie`, a closed
-form at N = 2 that gives exactly Id where Omega = 0. Products of the
-factors give P at the nodes (`prefix_products`, a work-efficient scan in
-about 2M products) or at d alone (`_endpoint_product`, its up-sweep, M
-products). Z may carry a stack axis, and then Omega, the exponentials and
-the products run once over the (M, B, N, N) stack. Every product of
-N x N stacks here is `algebra._matmul`. Halving h cuts the error by 2^4.
+point): the bracket is `algebra.bracket`, from the structure constants,
+and the factor comes from `algebra.exp_lie`, a closed form at N = 2 that
+gives exactly Id where Omega = 0. Products of the factors give P at the
+nodes (`prefix_products`, a work-efficient scan in about 2M products) or
+at d alone (`_endpoint_product`, its up-sweep, M products). Z may carry a
+stack axis, and then Omega, the exponentials and the products run once
+over the (M, B, N, N) stack. Every product of N x N stacks here is
+`algebra._matmul`. Halving h cuts the error by 2^4.
 
 The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
 gammadot^mu(t), whose coordinates the field gives directly
@@ -42,8 +42,9 @@ Integrands are arrays sampled on `ts`; `weights` are composite Simpson
 weights per segment, so `integrate` is one weighted sum and kinked curves
 keep full order. `cumulative` is a trapezoid sum whose step across a
 junction has zero width. This module alone knows the layout. A context
-also caches the curvature at its points, which the first-derivative
-formulas share.
+also caches the curvature coordinates at its points, which the
+first-derivative formulas share; they contract them with the curve's
+velocity in coordinates and form the matrices to conjugate once.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import math
 
 import numpy as np
 
-from .algebra import _matmul, _structure, dagger, exp_lie, lie_coords
+from .algebra import _matmul, bracket, dagger, exp_lie, lie_coords, lie_matrix
 from .field import curvature
 from .path import perturbed_points, perturbed_velocities
 
@@ -144,10 +145,8 @@ def _magnus_factors(z, h):
     with any leading stack axes; factor k carries P from node k to node k + 1.
     """
     z1, z2 = np.split(z, 2, axis=-2)
-    ia, ib, s = _structure(math.isqrt(z.shape[-1] + 1))
-    comm = (z1[..., ia] * z2[..., ib] - z1[..., ib] * z2[..., ia]) @ s.T
     h = h[:, None]
-    omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * comm
+    omega = -0.5 * h * (z1 + z2) - (math.sqrt(3.0) / 12.0) * h**2 * bracket(z1, z2)
     return exp_lie(np.moveaxis(omega, -2, 0))
 
 
@@ -222,7 +221,7 @@ class TransportContext:
 
     @functools.cached_property
     def curvature(self):
-        """F_mn of the field at `points`, (K, d, d, N, N)."""
+        """su_basis coordinates of F_mn at `points`, (K, d, d, N^2 - 1)."""
         return curvature(self.field, self.points)
 
     def conjugate(self, c, to_start=False):
@@ -334,8 +333,8 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    t = np.einsum("tmvij,tm,tv->tij", ctx.curvature, x_field.value(ctx.ts), ctx.velocities)
-    out = ctx.integrate(-ctx.conjugate(t))
+    t = np.einsum("tmvk,tm,tv->tk", ctx.curvature, x_field.value(ctx.ts), ctx.velocities)
+    out = ctx.integrate(-ctx.conjugate(lie_matrix(t)))
     t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
     a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))
     a0 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t0)), x_field.value(t0))
@@ -348,9 +347,9 @@ def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):
         d_s U_{1,0} = -int U_{1,t} (d_s A)_m(gamma(t)) gammadot^m U_{t,0} dt.
 
     `field` is the connection at the flow time, `ds_field` its s-derivative
-    (any object with the gauge-field eval interface).
+    (any gauge field: its `generator` gives the coordinates of the integrand).
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    c = np.einsum("tmij,tm->tij", ds_field.eval(ctx.points), ctx.velocities)
+    c = lie_matrix(ds_field.generator(ctx.points, ctx.velocities))
     return ctx.integrate(-ctx.conjugate(c))

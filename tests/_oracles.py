@@ -16,7 +16,8 @@ holds the finite-difference oracles' stencils as they were written out by
 hand, the reference `field.central_difference` is held to bit for bit.
 The `einsum_*` functions are the derivative-tensor kernels written term by
 term as explicit index contractions, the reference the broadcast-product
-kernels are held to.
+kernels are held to, and the `matrix_*` curvature kernels are the complex
+N x N forms the su(N)-coordinate curvature kernels replaced.
 """
 
 import json
@@ -25,7 +26,7 @@ import pathlib
 
 import numpy as np
 
-from gaugeflow.algebra import _structure, dagger, expm, maxabs, trace
+from gaugeflow.algebra import _matmul, _structure, dagger, expm, lie_matrix, maxabs, trace
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
 from gaugeflow.heatflow import _BRACKET_FLOATS
 from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
@@ -43,7 +44,7 @@ def lie_defect(x):
 
 def bianchi_residual(field, x):
     """Max norm of the cyclic sum nabla_l F_mn + nabla_m F_nl + nabla_n F_lm."""
-    df = cov_deriv_curvature(field, x)
+    df = lie_matrix(cov_deriv_curvature(field, x))
     cyc = df + np.moveaxis(df, (-5, -4, -3), (-3, -5, -4)) + np.moveaxis(
         df, (-5, -4, -3), (-4, -3, -5)
     )
@@ -274,6 +275,36 @@ def einsum_transformed(field, x):
     s += e("...bij,...amjk->...abmik", inv[1], psi[2])
     s += e("...ij,...abmjk->...abmik", inv[0], psi[3])
     return val, p, s
+
+
+# --- the complex-matrix curvature kernels the coordinate kernels replaced ----
+
+
+def matrix_curvature(a0, p):
+    """F_mn from A (..., d, N, N) and its partials (..., d, d, N, N)."""
+    aa = _matmul(a0[..., :, None, :, :], a0[..., None, :, :, :])
+    return p - np.swapaxes(p, -4, -3) + aa - np.swapaxes(aa, -4, -3)
+
+
+def matrix_curvature_and_cov_deriv(field, x):
+    """F_mn and nabla_l F_mn (..., d, d, d, N, N) from the field's matrix reads."""
+    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    f = matrix_curvature(a0, p)
+    y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
+    y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
+    al, fl = a0[..., :, None, None, :, :], f[..., None, :, :, :, :]
+    return f, y - np.swapaxes(y, -4, -3) + _matmul(al, fl) - _matmul(fl, al)
+
+
+def matrix_cov_div_curvature(field, x):
+    """(div F)_n (..., d, N, N) from the field's matrix reads, without nabla F."""
+    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    g = p + matrix_curvature(a0, p)
+    div_a = np.einsum("...mmij->...ij", p)[..., None, :, :]
+    am = a0[..., :, None, :, :]
+    out = np.einsum("...mmnij->...nij", s) - np.einsum("...nmmij->...nij", s)
+    out += _matmul(div_a, a0) - _matmul(a0, div_a)
+    return out + np.sum(_matmul(am, g) - _matmul(g, am), axis=-4)
 
 
 def einsum_curvature(a0, p):

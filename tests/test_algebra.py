@@ -5,14 +5,18 @@ everything else. All batched routines are compared entry-by-entry against a
 python loop over the batch.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gaugeflow
 from _oracles import commutator, lie_defect
 from gaugeflow.algebra import (
     _matmul,
     _structure,
+    bracket,
     dagger,
     exp_lie,
     expm,
@@ -174,12 +178,29 @@ def test_lie_coordinates(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_structure_constants_give_the_commutator(n):
-    """[x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs of `_structure`."""
+    """`bracket`, [x, y]_c = sum_p S[c, p] (x_a y_b - x_b y_a) over the pairs of
+    `_structure`, is the matrix commutator through `lie_matrix`, broadcast over
+    leading axes; it is exactly antisymmetric and exactly 0 on equal arguments."""
     k = n * n - 1
-    ia, ib, s = _structure(n)
     x, y = RNG.standard_normal((2, 10, k))
-    bracket = (x[:, ia] * y[:, ib] - x[:, ib] * y[:, ia]) @ s.T
-    assert maxabs(lie_matrix(bracket) - commutator(lie_matrix(x), lie_matrix(y))) < 1e-14
+    assert maxabs(lie_matrix(bracket(x, y)) - commutator(lie_matrix(x), lie_matrix(y))) < 1e-14
+    ia, ib, s = _structure(n)
+    assert np.array_equal(bracket(x, y), (x[:, ia] * y[:, ib] - x[:, ib] * y[:, ia]) @ s.T)
+    assert np.array_equal(bracket(y, x), -bracket(x, y))
+    assert not np.any(bracket(x, x))
+    grid = bracket(x[:, None, None], y[None, :4, None])
+    assert grid.shape == (10, 4, 1, k)
+    spread = np.broadcast_to(x[:, None, None], grid.shape), np.broadcast_to(y[:4, None], grid.shape)
+    assert np.array_equal(grid, bracket(*spread))
+
+
+def test_one_written_form_of_the_coordinate_bracket():
+    """The structure constants are read only by `algebra` (for `bracket`) and by
+    the flow's site-blocked `heatflow._bracket`: every other module brackets
+    su(N) coordinates through `algebra.bracket`."""
+    src = pathlib.Path(gaugeflow.__file__).parent
+    readers = sorted(p.name for p in src.glob("*.py") if "_structure(" in p.read_text())
+    assert readers == ["algebra.py", "heatflow.py"]
 
 
 def test_unitarize_newton():

@@ -26,9 +26,11 @@ from _oracles import (
     einsum_transformed,
     lie_defect,
     load_field,
+    matrix_cov_div_curvature,
+    matrix_curvature_and_cov_deriv,
 )
 import gaugeflow
-from gaugeflow.algebra import dagger, group_defect, lie_matrix, maxabs
+from gaugeflow.algebra import dagger, group_defect, lie_coords, lie_matrix, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -39,6 +41,8 @@ from gaugeflow.field import (
     GaugeField,
     TransformedField,
     _curvature_and_cov_deriv,
+    _gather_block,
+    _jet_keys,
     _trig,
     central_difference,
     central_weights,
@@ -262,7 +266,7 @@ def test_analytic_round_trip(torus2, su2_field):
 def test_curvature_vs_fd(torus2, su2_field):
     """F_mn = d_m A_n - d_n A_m + [A_m, A_n] assembled from FD partials."""
     x = random_points(RNG, torus2, (5,))
-    f = curvature(su2_field, x)
+    f = lie_matrix(curvature(su2_field, x))
     assert maxabs(f + np.swapaxes(f, -4, -3)) < 1e-13  # antisymmetry
     h = 1e-6
     eye = np.eye(2)
@@ -284,21 +288,20 @@ def test_curvature_abelian_drops_commutator(torus2):
     x = random_points(RNG, torus2, (5,))
     p = fld.partial_all(x)
     want = p - np.swapaxes(p, -4, -3)
-    assert maxabs(curvature(fld, x) - want) < 1e-14
+    assert maxabs(lie_matrix(curvature(fld, x)) - want) < 1e-14
 
 
 def test_cov_deriv_curvature_vs_fd(torus2, su2_field):
     """nabla_l F_mn = d_l F_mn + [A_l, F_mn] with d_l F by central FD."""
     x = random_points(RNG, torus2, (4,))
-    df = cov_deriv_curvature(su2_field, x)
+    df = lie_matrix(cov_deriv_curvature(su2_field, x))
     h = 1e-6
     eye = np.eye(2)
     a0 = su2_field.eval(x)
-    f0 = curvature(su2_field, x)
+    f = lambda y: lie_matrix(curvature(su2_field, y))
+    f0 = f(x)
     for l in range(2):
-        fd = (curvature(su2_field, x + h * eye[l]) - curvature(su2_field, x - h * eye[l])) / (
-            2 * h
-        )
+        fd = (f(x + h * eye[l]) - f(x - h * eye[l])) / (2 * h)
         want = fd + commutator(a0[:, l, None, None], f0)
         assert maxabs(df[:, l] - want) < 1e-6
 
@@ -377,12 +380,14 @@ def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
 
 
 def test_transformed_field_jets_match_single_reads_bitwise(torus2, su2_field):
-    """One gauge-map pass gives the bits of `eval`, `partial_all` and `second_all`."""
+    """One gauge-map pass gives the coordinates of `eval`, `partial_all` and
+    `second_all` bit for bit."""
     fld = TransformedField(su2_field, gauge_map(torus2))
     x = random_points(RNG, torus2, (4, 3))
-    jets = fld.jets(x)
-    for got, want in zip(jets, (fld.eval(x), fld.partial_all(x), fld.second_all(x)), strict=True):
-        assert np.array_equal(got, want)
+    jets = fld.coord_jets(x)
+    reads = (fld.eval(x), fld.partial_all(x), fld.second_all(x))
+    for got, want in zip(jets, reads, strict=True):
+        assert np.array_equal(got, lie_coords(want))
 
 
 def test_curvature_gauge_covariance(torus2, su2_field):
@@ -393,9 +398,10 @@ def test_curvature_gauge_covariance(torus2, su2_field):
     u = psi.value(x)
     ud = dagger(u)
     conj = lambda t: np.einsum("...ij,...jk,...kl->...il", ud[:, None, None], t, u[:, None, None])
-    assert maxabs(curvature(fld, x) - conj(curvature(su2_field, x))) < 1e-11
-    dv = cov_div_curvature(su2_field, x)
-    got = cov_div_curvature(fld, x)
+    f = lambda field: lie_matrix(curvature(field, x))
+    assert maxabs(f(fld) - conj(f(su2_field))) < 1e-11
+    dv = lie_matrix(cov_div_curvature(su2_field, x))
+    got = lie_matrix(cov_div_curvature(fld, x))
     want = np.einsum("...ij,...mjk,...kl->...mil", ud, dv, u)
     assert maxabs(got - want) < 1e-10
 
@@ -403,7 +409,7 @@ def test_curvature_gauge_covariance(torus2, su2_field):
 def test_pure_gauge_is_flat(torus2):
     fld = TransformedField(AnalyticField.zero(torus2, 2), gauge_map(torus2))
     x = random_points(RNG, torus2, (6,))
-    assert maxabs(curvature(fld, x)) < 1e-11
+    assert maxabs(lie_matrix(curvature(fld, x))) < 1e-11
     assert abs(ym_action(fld, samples=48)) < 1e-11
 
 
@@ -433,13 +439,67 @@ def test_kernels_match_einsum_oracles(d, n):
     plain = (base.eval(x), base.partial_all(x), base.second_all(x))
     for field, (a0, p, s) in ((fld, want), (base, plain)):
         df = einsum_cov_deriv_curvature(a0, p, s)
-        close(curvature(field, x), einsum_curvature(a0, p))
-        close(cov_deriv_curvature(field, x), df)
-        close(cov_div_curvature(field, x), np.einsum("...mmvij->...vij", df))
+        close(lie_matrix(curvature(field, x)), einsum_curvature(a0, p))
+        close(lie_matrix(cov_deriv_curvature(field, x)), df)
+        close(lie_matrix(cov_div_curvature(field, x)), np.einsum("...mmvij->...vij", df))
         # one evaluation serves both tensors, bit for bit
         f_both, df_both = _curvature_and_cov_deriv(field, x)
         assert np.array_equal(f_both, curvature(field, x))
         assert np.array_equal(df_both, cov_deriv_curvature(field, x))
+
+
+def _three_kinds(torus, n, label):
+    """An analytic field, its 16^d lattice sample and a gauge transform of it."""
+    rng = rng_for(n, label)
+    base = AnalyticField.random_su(rng, torus, n=n, modes=2, amplitude=0.3, kmax=2)
+    return base, LatticeField.sample(base, 16), TransformedField(base, GaugeMap.random(rng, torus, n=n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coordinate_curvature_matches_matrix_kernels(torus2, n):
+    """F, nabla F and div F in su(N) coordinates, over several point blocks, vs
+    the complex-matrix kernels they replaced, to 1e-14 of the largest terms
+    each kernel sums: the gauge transform's F is ~1% of its terms."""
+    x = random_points(rng_for(n, "unit/coordinate-curvature/x"), torus2, (60, 12))
+    assert x[..., 0].size > _gather_block(2, len(_jet_keys(2)[0][2]) * 2 * (n * n - 1))
+    for fld in _three_kinds(torus2, n, "unit/coordinate-curvature"):
+        a, p, s = (maxabs(jet) for jet in fld.coord_jets(x))
+        f, df = matrix_curvature_and_cov_deriv(fld, x)
+        div = matrix_cov_div_curvature(fld, x)
+        for got, want, terms in ((curvature(fld, x), f, p + a * a),
+                                 (cov_deriv_curvature(fld, x), df, s + a * (p + a * a)),
+                                 (cov_div_curvature(fld, x), div, s + a * (p + a * a))):
+            assert got.shape == want.shape[:-2] + (n * n - 1,)
+            assert maxabs(lie_matrix(got) - want) <= 1e-14 * terms, type(fld).__name__
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coord_jets_are_the_coordinates_of_the_matrix_reads(torus2, n):
+    """Entry k of `coord_jets` is `lie_coords` of eval, partial_all or
+    second_all, and the same bits whatever `order` asks for."""
+    x = random_points(rng_for(n, "unit/coord-jets/x"), torus2, (5, 3))
+    for fld in _three_kinds(torus2, n, "unit/coord-jets"):
+        full = fld.coord_jets(x)
+        for order in range(3):
+            jets = fld.coord_jets(x, order)
+            assert len(jets) == order + 1
+            assert all(np.array_equal(got, want) for got, want in zip(jets, full))
+        reads = (fld.eval(x), fld.partial_all(x), fld.second_all(x))
+        for k, (got, read) in enumerate(zip(full, reads, strict=True)):
+            assert got.shape == (5, 3) + (2,) * (k + 1) + (n * n - 1,)
+            assert maxabs(got - lie_coords(read)) <= 1e-15 * maxabs(got)
+
+
+def test_coord_jets_refuse_non_su_matrices(torus2):
+    """A field held as matrices with a Hermitian part raises ValueError in
+    `coord_jets`, and so does sampling it on a lattice."""
+    theta = ScalarFourier.random(rng_for(0, "unit/non-su"), torus2, modes=2, kmax=1)
+    hermitian = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    fld = TransformedField(AnalyticField.zero(torus2, 2), GaugeMap(torus2, 2, [(theta, hermitian)]))
+    with pytest.raises(ValueError, match="non-su"):
+        fld.coord_jets(random_points(RNG, torus2, (3,)), 0)
+    with pytest.raises(ValueError, match="non-su"):
+        LatticeField.sample(fld, 8)
 
 
 def test_gauge_rank_mismatch():
@@ -502,6 +562,25 @@ def test_lattice_spline_matches_scipy(d, n):
         got = getattr(lat, name)(x)
         assert got.shape == ref.shape, name
         assert maxabs(got - ref) < 1e-14 * max(1.0, maxabs(ref)), name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lattice_blocked_read_equals_one_block(monkeypatch, d):
+    """A gather over many point blocks, the last one short, gives the bits of
+    one block over all the points, for every order in one pass."""
+    torus = Torus(d, 1.0)
+    rng = rng_for(d, "unit/blocked-read")
+    lat = LatticeField.sample(AnalyticField.random_su(rng, torus, n=2, amplitude=0.3), 8)
+    x = random_points(rng, torus, (11, 3))
+    keysets = _jet_keys(d)[0]
+    widest = len(keysets[2]) * d * 3
+    assert _gather_block(d, widest) >= 33
+    whole = lat._interp(keysets, x)
+    monkeypatch.setattr("gaugeflow.field._GATHER_FLOATS", 4**d * widest * 8)
+    assert _gather_block(d, widest) == 8
+    blocked = lat._interp(keysets, x)
+    for got, want in zip(blocked, whole, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_lattice_interpolation_error(torus2, su2_field):
@@ -638,8 +717,8 @@ def test_lattice_curvature_grid(torus2, su2_field):
     lat = LatticeField.sample(su2_field, 64)
     axes = [np.arange(64) / 64.0] * 2
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    want = curvature(su2_field, pts)
-    assert maxabs(lattice_curvature_grid(lat) - want) < 1e-4
+    want = lie_matrix(curvature(su2_field, pts))
+    assert maxabs(lie_matrix(lattice_curvature_grid(lat)) - want) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +734,7 @@ def test_ym_action_oracle(torus2, su2_field):
     m = 96
     axes = [np.arange(m) / m] * 2
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    f = curvature(su2_field, pts)
+    f = lie_matrix(curvature(su2_field, pts))
     dens = -0.5 * np.einsum("...mvij,...mvji->...", f, f)
     oracle = float(np.mean(np.real(dens)) * torus2.volume)
     got = ym_action(su2_field)
@@ -728,7 +807,7 @@ def test_make_field_kinds(torus2):
     a = ab.eval(x)
     assert maxabs(commutator(a[..., 0, :, :], a[..., 1, :, :])) < 1e-14
     pg = make_field({"kind": "pure_gauge", "seed": 9}, torus2)
-    assert maxabs(curvature(pg, x)) < 1e-11
+    assert maxabs(lie_matrix(curvature(pg, x))) < 1e-11
     # kmax reaches the gauge map's angles: kmax 1 is the default, 4 draws other wave vectors
     pg1 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 1}, torus2)
     pg4 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 4}, torus2)

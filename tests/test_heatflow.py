@@ -19,7 +19,7 @@ from _oracles import (
     pair_stack_velocity,
     rk4_trajectory,
 )
-from gaugeflow.algebra import _structure, lie_coords, maxabs, random_lie, su_basis
+from gaugeflow.algebra import _structure, lie_coords, lie_matrix, maxabs, random_lie, su_basis
 from gaugeflow.experiments import _bump_field, rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -275,7 +275,8 @@ def test_kernels_match_einsum_oracle(d, n, m):
     for ax in range(d):
         assert np.array_equal(stencil_d1(lat.values, ax, lat.a),
                               oracle_stencil(lat.values, ax, lat.a))
-    assert rel_gap(lattice_curvature_grid(lat), oracle_curvature(lat.values, lat.a)) <= 1e-13
+    assert rel_gap(lie_matrix(lattice_curvature_grid(lat)),
+                   oracle_curvature(lat.values, lat.a)) <= 1e-13
     assert rel_gap(ym_rhs(lat).values, oracle_rhs(lat.values, lat.a)) <= 1e-13
     assert abs(ym_action(lat) / oracle_action(lat.values, torus, lat.a) - 1.0) <= 1e-13
 
