@@ -30,7 +30,7 @@ import numpy as np
 
 def dagger(u):
     """Conjugate transpose over the trailing two axes."""
-    return np.conjugate(np.swapaxes(u, -1, -2))
+    return np.swapaxes(u, -1, -2).conj()
 
 
 def _matmul(a, b):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .experiments import (
     ALL_ORDER,
-    EXPERIMENTS,
     ConfigError,
     resolve_config,
     run_experiment,

@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 
 from . import algebra
-from .algebra import fiber_metric, group_defect, lie_matrix, maxabs, random_fiber, su_basis
+from .algebra import fiber_metric, group_defect, maxabs, random_fiber, su_basis
 from .field import (
     AnalyticField,
     GaugeMap,
@@ -1122,12 +1122,11 @@ def run_r_diagnostic(cfg, seed):
         vel_fd, _ = trajectory.fd_ds_field(s_mid)
         ctx = TransportContext(fld, curve, step=step)
 
-        # R(r) by the integral formula: to_end transports to the curve end,
-        # so each prefix already carries the U_{1,t} factors
+        # R(r) by the integral formula: each prefix integral over [0, r]
+        # carries the U_{1,t} factors to the curve end
         div_f = np.einsum("tmk,tm->tk", cov_div_curvature(fld, ctx.points), ctx.velocities)
         gap = vel_fd.generator(ctx.points, ctx.velocities) - div_f
-        values = ctx.conjugate(lie_matrix(gap))
-        r_int = [ctx.integrate(values, upto=r) for r in r_values]
+        r_int = [ctx.integrate_transported(gap, upto=r) for r in r_values]
 
         r_def = []
         if with_def_route:

@@ -720,8 +720,8 @@ class TransformedField(GaugeField):
         """
         x = np.asarray(x, dtype=float)
         psi = self.map.derivs(x, order=order + 1)
-        base = (self.base.eval, self.base.partial_all, self.base.second_all)[: order + 1]
-        a = [np.moveaxis(fn(x), -3, -3 - k) for k, fn in enumerate(base)]
+        a = [np.moveaxis(lie_matrix(c), -3, -3 - k)
+             for k, c in enumerate(self.base.coord_jets(x, order))]
         low = range(order + 1)
         w = _leibniz(a, [np.expand_dims(psi[k], -3 - k) for k in low])
         w = [w[k] + np.moveaxis(psi[k + 1], -3, -3 - k) for k in low]

@@ -19,8 +19,9 @@ This module computes, numerically exactly (quadrature-limited):
 
 All second-derivative quantities are checked two independent ways in the
 test-suite; `levy_laplacian_transport` additionally cross-checks its two
-internal routes on every call unless told not to, forming only the
-diagonal of the first-order kernel that the check integrates.
+internal routes on every call unless told not to: the kernels hold
+untransported su(N) coordinates, so the full kernel triple costs the check
+little beyond the nabla F it needs anyway.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import fiber_metric, lie_matrix, maxabs
+from .algebra import _matmul, fiber_metric, lie_matrix, maxabs
 from .field import _curvature_and_cov_deriv, central_difference, cov_div_curvature
 from .path import sine_basis
 from .transport import DEFAULT_STEP, TransportContext, transport_variations
@@ -44,24 +45,23 @@ from .transport import DEFAULT_STEP, TransportContext, transport_variations
 class GradientField:
     """H^0 gradient of the transport along one curve.
 
-    values holds J^m(t) = -U_{1,t} F^m_n gammadot^n U_{t,0} on the context's
-    nodes `ctx.ts`, shape (K, d, N, N).
+    J^m(t) = -U_{1,t} g_m U_{t,0} with g_m = F_mn gammadot^n, whose su_basis
+    coordinates `g` holds on the context's nodes `ctx.ts`, shape (K, d, N^2 - 1).
     """
 
     ctx: TransportContext
-    values: np.ndarray
+    g: np.ndarray
 
     def pair(self, x_field, phi):
-        """H^0 inner product <grad U, X phi> = int sum_m <J^m, phi> X^m dt."""
-        fm = fiber_metric(self.values, phi)  # (t, d)
-        return float(self.ctx.integrate(np.einsum("tm,tm->t", fm, x_field.value(self.ctx.ts))))
+        """H^0 inner product <grad U, X phi> = <int sum_m J^m X^m dt, phi>."""
+        gx = np.einsum("tmk,tm->tk", self.g, x_field.value(self.ctx.ts))
+        return float(fiber_metric(-self.ctx.integrate_transported(gx), phi))
 
 
 def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    g = lie_matrix(np.einsum("tmvk,tv->tmk", ctx.curvature, ctx.velocities))
-    return GradientField(ctx, -ctx.conjugate(g))
+    return GradientField(ctx, np.einsum("tmvk,tv->tmk", ctx.curvature, ctx.velocities))
 
 
 # ---------------------------------------------------------------------------
@@ -77,36 +77,28 @@ class KernelTriple:
     factored kernel K_V(t, s), a same-time first-order part K_L(t) and a
     singular part K_S(t) paired against one derivative of a variation:
 
-      D^2 U(X, Y) = int_t OX(t) int_0^t IY(s) ds dt  + (X <-> Y)
+      D^2 U(X, Y) = U_{1,0} int_t IX(t) int_0^t IY(s) ds dt  + (X <-> Y)
                   + int K_L,ab X^a Y^b dt
                   + 1/2 int K_S,ab (X'^a Y^b + Y'^a X^b) dt
 
-    with OX(t) = sum_a out[t, a] X^a(t), IY(s) = sum_b inner[s, b] Y^b(s). Every
-    kernel is sampled on the context's nodes `ctx.ts`.
+    with IX(t) = U_{t,0}^-1 first_a(t) X^a(t) U_{t,0}, K_L = U_{1,t} levy U_{t,0}
+    and K_S = U_{1,t} singular U_{t,0}: the arrays hold su_basis coordinates
+    of the untransported sources, sampled on the context's nodes `ctx.ts`.
     """
 
     ctx: TransportContext
-    levy: np.ndarray      # (K, d, d, N, N)
-    singular: np.ndarray  # (K, d, d, N, N)
-    out: np.ndarray       # (K, d, N, N)
-    inner: np.ndarray     # (K, d, N, N)
-
-
-def _levy_source(field, ctx):
-    """Coordinates of the curvature f and of the symmetrized first-order source
-    D_a F_{b .} gammadot + (a <-> b)."""
-    f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
-    h1 = np.einsum("tabck,tc->tabk", df, ctx.velocities)  # D_a F_{b .} gammadot
-    return f, h1 + np.swapaxes(h1, 1, 2)
+    levy: np.ndarray      # (K, d, d, N^2 - 1)
+    singular: np.ndarray  # (K, d, d, N^2 - 1)
+    first: np.ndarray     # (K, d, N^2 - 1)
 
 
 def second_kernels(field, curve, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    f, sym = _levy_source(field, ctx)
-    g = lie_matrix(np.einsum("tmvk,tv->tmk", f, ctx.velocities))
-    return KernelTriple(ctx, -0.5 * ctx.conjugate(lie_matrix(sym)), ctx.conjugate(lie_matrix(f)),
-                        ctx.conjugate(g), ctx.conjugate(g, to_start=True))
+    f, df = _curvature_and_cov_deriv(field, ctx.points)  # df[a, b, c] = D_a F_bc
+    h1 = np.einsum("tabck,tc->tabk", df, ctx.velocities)  # D_a F_{b .} gammadot
+    return KernelTriple(ctx, -0.5 * (h1 + np.swapaxes(h1, 1, 2)), f,
+                        np.einsum("tmvk,tv->tmk", f, ctx.velocities))
 
 
 def levy_divergence(kernels):
@@ -116,7 +108,7 @@ def levy_divergence(kernels):
     the double-time and singular kernels contribute nothing to the Cesaro
     mean (their sine-series coefficients are summable and average out).
     """
-    return kernels.ctx.integrate(np.einsum("taaij->tij", kernels.levy))
+    return kernels.ctx.integrate_transported(np.einsum("taak->tk", kernels.levy))
 
 
 def assemble_bilinear(kernels, x_field, y_field):
@@ -129,16 +121,14 @@ def assemble_bilinear(kernels, x_field, y_field):
     xv, yv = x_field.value(ctx.ts), y_field.value(ctx.ts)
     dx, dy = x_field.deriv(ctx.ts), y_field.deriv(ctx.ts)
 
-    def volterra(xv, yv):
-        ciy = ctx.cumulative(np.einsum("tmij,tm->tij", kernels.inner, yv))
-        return ctx.integrate(np.einsum("tmij,tm->tij", kernels.out, xv) @ ciy)
-
+    # IX and IY along axis 1; each pairs with the other's cumulative integral
+    ixy = lie_matrix(ctx.to_start(np.einsum("tmk,tsm->tsk", kernels.first, np.stack([xv, yv], 1))))
+    volterra = ctx.integrate(np.sum(_matmul(ixy, ctx.cumulative(ixy)[:, ::-1]), axis=1))
     ks = kernels.singular
-    singular = 0.5 * (np.einsum("tabij,ta,tb->tij", ks, dx, yv)
-                      + np.einsum("tabij,ta,tb->tij", ks, dy, xv))
-    return (volterra(xv, yv) + volterra(yv, xv)
-            + ctx.integrate(np.einsum("tabij,ta,tb->tij", kernels.levy, xv, yv))
-            + ctx.integrate(singular))
+    local = (np.einsum("tabk,ta,tb->tk", kernels.levy, xv, yv)
+             + 0.5 * (np.einsum("tabk,ta,tb->tk", ks, dx, yv)
+                      + np.einsum("tabk,ta,tb->tk", ks, dy, xv)))
+    return _matmul(ctx.endpoint, volterra) + ctx.integrate_transported(local)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +156,10 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
         ctx = TransportContext(field, curve, step=step)
 
     c = np.einsum("tvk,tv->tk", cov_div_curvature(field, ctx.points), ctx.velocities)
-    closed = ctx.integrate(-ctx.conjugate(lie_matrix(c)))
+    closed = ctx.integrate_transported(-c)
     if not check:
         return LevyLaplacian(closed, closed, 0.0)
-    # `levy_divergence` of `second_kernels`, conjugating only the diagonal K_L,aa
-    diagonal = lie_matrix(np.einsum("taak->tak", _levy_source(field, ctx)[1]))
-    kernel_value = ctx.integrate(np.einsum("taij->tij", -0.5 * ctx.conjugate(diagonal)))
+    kernel_value = levy_divergence(second_kernels(field, curve, ctx=ctx))
     mismatch = maxabs(closed - kernel_value) / (1.0 + maxabs(closed))
     if mismatch > check_tol:
         raise RuntimeError(

@@ -32,10 +32,10 @@ su(N), so each factor and every product of them is special-unitary up to
 roundoff, with no projection. `propagator` takes a matrix-valued Z and
 refuses one with a non-su(N) part beyond roundoff.
 
-A `TransportContext` caches U_{t_i, lo} and U_{hi, t_i} on the nodes of
-one curve, and every integral formula in this package is a quadrature
-over those nodes. Its quadrature layout `ts` lists each segment's nodes in
-turn, so a junction node appears twice: once as the last node of the
+A `TransportContext` caches U_{t_i, lo} on the nodes of one curve, and
+every integral formula in this package is a quadrature over those nodes.
+Its quadrature layout `ts` lists each segment's nodes in turn, so a
+junction node appears twice: once as the last node of the
 segment before it, carrying the velocity limit from below, and once as
 the first node of the segment after it, carrying the limit from above.
 Integrands are arrays sampled on `ts`; `weights` are composite Simpson
@@ -43,8 +43,9 @@ weights per segment, so `integrate` is one weighted sum and kinked curves
 keep full order. `cumulative` is a trapezoid sum whose step across a
 junction has zero width. This module alone knows the layout. A context
 also caches the curvature coordinates at its points, which the
-first-derivative formulas share; they contract them with the curve's
-velocity in coordinates and form the matrices to conjugate once.
+first-derivative formulas share. Their integrals of U_{hi,t} c U_{t,lo} run
+over the real adjoint action on c's su_basis coordinates and form one matrix
+at the end (`integrate_transported`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import math
 
 import numpy as np
 
-from .algebra import _matmul, bracket, dagger, exp_lie, lie_coords, lie_matrix
+from .algebra import _matmul, bracket, exp_lie, lie_coords, lie_matrix, su_basis
 from .field import curvature
 from .path import perturbed_points, perturbed_velocities
 
@@ -180,11 +181,11 @@ class TransportContext:
     Attributes:
         nodes: (M+1,) integrator node parameters covering [lo, hi].
         from_start: (M+1, N, N), U_{t_i, lo}.
-        to_end: (M+1, N, N), U_{hi, t_i}.
         endpoint: U_{hi, lo}.
         ts: (K,) quadrature nodes, each segment's nodes in turn.
         weights: (K,) composite Simpson weights of each segment.
         points, velocities: (K, d) curve points and one-sided velocities at `ts`.
+        adjoint: (K, N^2 - 1, N^2 - 1), Ad(U_{t, lo}^-1) at `ts`, built on first use.
     """
 
     def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0):
@@ -197,7 +198,6 @@ class TransportContext:
         self.nodes, segments, factors = _curve_factors(field, curve, step, self.lo, self.hi)
         self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
-        self.to_end = _matmul(self.endpoint, dagger(self.from_start))
 
         sizes = [len(ts) for ts, _ in segments]
         self._steps = np.array([h for _, h in segments])
@@ -224,14 +224,28 @@ class TransportContext:
         """su_basis coordinates of F_mn at `points`, (K, d, d, N^2 - 1)."""
         return curvature(self.field, self.points)
 
-    def conjugate(self, c, to_start=False):
-        """U_{hi,t} c(t) U_{t,lo} at every node of `ts`, for c of shape (K, ..., N, N).
+    @functools.cached_property
+    def adjoint(self):
+        """Entry i, column b: the coordinates of U^-1 T_b U, U = U_{t_i,lo}, T_b = su_basis[b].
+        Coordinate a is 2 Re tr(T_a^+ U^+ T_b U) (|T_a|^2 = 1/2), a fixed form on conj(U) x U,
+        applied per block of nodes: its (block, N^4) products stay below a (K, N, N) stack."""
+        basis, nn = su_basis(self.n), self.n * self.n
+        form = 2.0 * np.einsum("aji,bkl->kjliab", basis.conj(), basis).reshape(nn * nn, -1)
+        out = np.empty((len(self.ts), len(basis) ** 2))
+        for rows in np.array_split(np.arange(len(self.ts)), 8 * len(basis)):
+            u = self.from_start[self._node[rows]].reshape(-1, nn)
+            out[rows] = ((u.conj()[:, :, None] * u[:, None, :]).reshape(-1, nn * nn) @ form).real
+        return out.reshape(-1, len(basis), len(basis))
 
-        With to_start, U_{lo,t} c(t) U_{t,lo} = U_{t,lo}^-1 c(t) U_{t,lo}.
-        """
-        node = (self._node,) + (None,) * (c.ndim - 3)
-        left = dagger(self.from_start[node]) if to_start else self.to_end[node]
-        return _matmul(_matmul(left, c), self.from_start[node])
+    def to_start(self, c):
+        """U_{t,lo}^-1 c(t) U_{t,lo} on `ts`, in su_basis coordinates c (K, ..., N^2 - 1)."""
+        adjoint = self.adjoint[(slice(None),) + (None,) * (c.ndim - 2)]
+        return _matmul(adjoint, c[..., None])[..., 0]
+
+    def integrate_transported(self, c, upto=None):
+        """`integrate` of U_{hi,t} c U_{t,lo} = U_{hi,lo} U_{t,lo}^-1 c U_{t,lo} for su_basis
+        coordinates c (K, ..., N^2 - 1): U_{hi,lo} times the integral of `to_start(c)`."""
+        return _matmul(self.endpoint, lie_matrix(self.integrate(self.to_start(c), upto)))
 
     def integrate(self, values, upto=None):
         """Composite Simpson integral over [lo, hi] of values sampled on `ts`.
@@ -334,11 +348,10 @@ def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
     t = np.einsum("tmvk,tm,tv->tk", ctx.curvature, x_field.value(ctx.ts), ctx.velocities)
-    out = ctx.integrate(-ctx.conjugate(lie_matrix(t)))
     t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
-    a1 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t1)), x_field.value(t1))
-    a0 = np.einsum("mij,m->ij", field.eval(ctx.curve.point(t0)), x_field.value(t0))
-    return out - _matmul(a1, ctx.endpoint) + _matmul(ctx.endpoint, a0)
+    a1 = lie_matrix(field.generator(ctx.curve.point(t1), x_field.value(t1)))
+    a0 = lie_matrix(field.generator(ctx.curve.point(t0), x_field.value(t0)))
+    return ctx.integrate_transported(-t) - _matmul(a1, ctx.endpoint) + _matmul(ctx.endpoint, a0)
 
 
 def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):
@@ -351,5 +364,4 @@ def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):
     """
     if ctx is None:
         ctx = TransportContext(field, curve, step=step)
-    c = lie_matrix(ds_field.generator(ctx.points, ctx.velocities))
-    return ctx.integrate(-ctx.conjugate(c))
+    return ctx.integrate_transported(-ds_field.generator(ctx.points, ctx.velocities))

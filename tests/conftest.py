@@ -20,6 +20,14 @@ def su2_field(torus2):
 
 
 @pytest.fixture(scope="session")
+def su3_field(torus2):
+    """The su(3) field of the same draw and sizes."""
+    return AnalyticField.random_su(
+        rng_for(7, "unit/field"), torus2, n=3, modes=2, amplitude=0.3, kmax=2
+    )
+
+
+@pytest.fixture(scope="session")
 def abelian_field(torus2):
     return AnalyticField.random_abelian(
         rng_for(7, "unit/abelian"), torus2, n=2, modes=3, amplitude=0.25, kmax=2

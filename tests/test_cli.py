@@ -10,6 +10,7 @@ exit-code contract are exercised end to end:
     4 = internal error (any other error; checked in process)
 """
 
+import ast
 import csv
 import json
 import math
@@ -298,6 +299,22 @@ def test_cli_import_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_module_level_import_is_used():
+    """Each name a `gaugeflow` module imports at module level is used in that
+    module (`from __future__` imports aside)."""
+    src = pathlib.Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
 
 
 def test_benchmark_wrappers_find_their_targets(tmp_path):

@@ -77,15 +77,18 @@ def test_gradient_pair_vs_fd(su2_field, wiggly_curve):
         assert abs(got - (up - dn) / (2 * eps)) < 1e-6
 
 
-def test_gradient_pair_matches_derivative_formula(su2_field, wiggly_curve):
-    """pair(X, phi) = <D U(X), phi> exactly for vanishing-end X (same ctx)."""
-    ctx = TransportContext(su2_field, wiggly_curve, step=STEP)
-    grad = h0_gradient_transport(su2_field, wiggly_curve, ctx=ctx)
-    rng = np.random.default_rng(65)
-    x = random_vanishing_field(rng, 2, modes=3)
-    phi = random_lie(rng, 2)
-    dv = transport_derivative(su2_field, wiggly_curve, x, ctx=ctx)
-    assert abs(grad.pair(x, phi) - fiber_metric(dv, phi)) < 1e-12
+def test_gradient_pair_matches_derivative_formula(su2_field, su3_field, wiggly_curve):
+    """pair(X, phi) = <D U(X), phi> to roundoff for vanishing-end X (same ctx),
+    at N = 2 and 3. Measured before the transport integrals moved to su(N)
+    coordinates: 3.9e-16 and 6.7e-16; the su(3) bound has a 150x margin."""
+    for field, bound in ((su2_field, 1e-12), (su3_field, 1e-13)):
+        ctx = TransportContext(field, wiggly_curve, step=STEP)
+        grad = h0_gradient_transport(field, wiggly_curve, ctx=ctx)
+        rng = np.random.default_rng(65)
+        x = random_vanishing_field(rng, 2, modes=3)
+        phi = random_lie(rng, field.n)
+        dv = transport_derivative(field, wiggly_curve, x, ctx=ctx)
+        assert abs(grad.pair(x, phi) - fiber_metric(dv, phi)) < bound, field.n
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +97,10 @@ def test_gradient_pair_matches_derivative_formula(su2_field, wiggly_curve):
 
 def test_kernel_symmetries(su2_field, wiggly_curve):
     """First-order kernel symmetric in its direction pair, singular kernel
-    antisymmetric (it is a conjugated curvature)."""
+    antisymmetric (it is the curvature), both as su(2) coordinates."""
     k = second_kernels(su2_field, wiggly_curve, step=STEP)
-    assert k.levy.shape == k.singular.shape == (len(k.ctx.ts), 2, 2, 2, 2)
+    assert k.levy.shape == k.singular.shape == (len(k.ctx.ts), 2, 2, 3)
+    assert k.first.shape == (len(k.ctx.ts), 2, 3)
     assert maxabs(k.levy - np.swapaxes(k.levy, 1, 2)) < 1e-12
     assert maxabs(k.singular + np.swapaxes(k.singular, 1, 2)) < 1e-12
 
@@ -109,49 +113,58 @@ def test_bilinear_symmetric(su2_field, wiggly_curve):
     assert maxabs(assemble_bilinear(k, x, y) - assemble_bilinear(k, y, x)) < 1e-12
 
 
-@pytest.mark.parametrize("plateau_r", [None, 0.6], ids=["smooth", "plateau"])
-def test_bilinear_vs_fd(su2_field, wiggly_curve, plateau_r):
+@pytest.mark.parametrize("plateau_r, n, bound", [(None, 2, 1e-4), (0.6, 2, 1e-4), (None, 3, 6e-5)],
+                         ids=["smooth", "plateau", "smooth-su3"])
+def test_bilinear_vs_fd(su2_field, su3_field, wiggly_curve, plateau_r, n, bound):
     """Kernel-assembled D^2 U(X, Y) vs the 4-point mixed finite difference.
 
     eps = 2e-4 balances the eps^2 truncation against roundoff; the measured
     gap at step 1/2048 is 3.61e-5 on the smooth curve and 3.55e-5 on the
     plateau curve, whose junction at 0.6 the Volterra part integrates
-    across, so 1e-4 has a 2.7x margin.
+    across, so 1e-4 has a 2.7x margin. The su(3) field on the smooth curve
+    measured 2.02e-5 before the kernels moved to su(N) coordinates; its
+    bound has a 3x margin.
     """
+    field = {2: su2_field, 3: su3_field}[n]
     curve = wiggly_curve if plateau_r is None else plateau(wiggly_curve, plateau_r)
     step = 1.0 / 2048
-    k = second_kernels(su2_field, curve, step=step)
+    k = second_kernels(field, curve, step=step)
     rng = np.random.default_rng(67)
     x = random_vanishing_field(rng, 2, modes=3)
     y = random_vanishing_field(rng, 2, modes=3)
     got = assemble_bilinear(k, x, y)
     eps = 2e-4
     u = lambda cx, cy: transport(
-        su2_field, perturb(perturb(curve, x, cx * eps), y, cy * eps), step=step
+        field, perturb(perturb(curve, x, cx * eps), y, cy * eps), step=step
     )
     fd = (u(1, 1) - u(1, -1) - u(-1, 1) + u(-1, -1)) / (4 * eps * eps)
-    assert maxabs(got - fd) < 1e-4
+    assert maxabs(got - fd) < bound
 
 
 # ---------------------------------------------------------------------------
 # Levy Laplacian of the transport
 
 
-def test_laplacian_routes_agree(su2_field, wiggly_curve):
-    """Closed form vs kernel divergence: same integral, two code paths."""
-    lap = levy_laplacian_transport(su2_field, wiggly_curve, step=STEP)
-    assert lap.mismatch < 1e-10
-    assert maxabs(lap.value - lap.kernel_value) < 1e-8
+def test_laplacian_routes_agree(su2_field, su3_field, wiggly_curve):
+    """Closed form vs kernel divergence: same integral, two code paths, at N = 2
+    and 3. Before the transport integrals moved to su(N) coordinates, su(3)
+    measured a relative mismatch of 1.7e-16 and an absolute gap of 8.9e-16;
+    its bounds have margins of about 60x and 110x."""
+    for field, bounds in ((su2_field, (1e-10, 1e-8)), (su3_field, (1e-14, 1e-13))):
+        lap = levy_laplacian_transport(field, wiggly_curve, step=STEP)
+        assert lap.mismatch < bounds[0], field.n
+        assert maxabs(lap.value - lap.kernel_value) < bounds[1], field.n
 
 
-def test_route_check_matches_levy_divergence_bitwise(su2_field, wiggly_curve):
-    """The route check integrates the diagonal of the first-order kernel alone,
-    with the bits of `levy_divergence` of the full kernel triple."""
-    for curve in (wiggly_curve, plateau(wiggly_curve, 0.375)):
-        ctx = TransportContext(su2_field, curve, step=STEP)
-        lap = levy_laplacian_transport(su2_field, curve, ctx=ctx)
-        want = levy_divergence(second_kernels(su2_field, curve, ctx=ctx))
-        assert np.array_equal(lap.kernel_value, want)
+def test_route_check_matches_levy_divergence_bitwise(su2_field, su3_field, wiggly_curve):
+    """The route check's kernel value has the bits of `levy_divergence` of the
+    kernel triple on the same context, at N = 2 and 3."""
+    for field in (su2_field, su3_field):
+        for curve in (wiggly_curve, plateau(wiggly_curve, 0.375)):
+            ctx = TransportContext(field, curve, step=STEP)
+            lap = levy_laplacian_transport(field, curve, ctx=ctx)
+            want = levy_divergence(second_kernels(field, curve, ctx=ctx))
+            assert np.array_equal(lap.kernel_value, want), field.n
 
 
 def test_laplacian_check_modes(su2_field, wiggly_curve):
