@@ -15,7 +15,8 @@ A Lie element is also held as its real coordinates in `su_basis(n)`, a
 trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
 `bracket` (from the structure constants `_structure`) and `exp_lie` give
 the bracket and the exponential in these coordinates (a closed form at
-N = 2, the only one in the package). Every su(N) element the package
+N = 2, the only one in the package); `adjoint` gives Ad(U^-1) of group
+elements U as real orthogonal K x K matrices. Every su(N) element the package
 builds from real data goes through these maps, which are built on first
 use for each N.
 """
@@ -266,6 +267,33 @@ def lie_matrix(x):
     _, from_coords = _basis_maps(n)
     out = np.ascontiguousarray(x, dtype=float).reshape(-1, k) @ from_coords
     return out.view(np.complex128).reshape(x.shape[:-1] + (n, n))
+
+
+@functools.cache
+def _adjoint_form(n):
+    """Entry (kjli, ab): 2 conj(T_a)_ji (T_b)_kl, the form on conj(U) x U whose real part
+    is 2 Re tr(T_a^+ U^+ T_b U), coordinate a of U^-1 T_b U (|T_a|^2 = 1/2)."""
+    basis = su_basis(n)
+    return 2.0 * np.einsum("aji,bkl->kjliab", basis.conj(), basis).reshape(n**4, -1)
+
+
+# complex entries of conj(U) x U that `adjoint` forms at once: about 2 MB
+_ADJOINT_ENTRIES = 1 << 17
+
+
+def adjoint(u):
+    """Ad(U^-1) of unitary U (..., N, N) on su_basis coordinates, (..., K, K): column b
+    holds the coordinates of U^-1 T_b U, a real orthogonal matrix. Formed a block
+    of matrices at a time, so no temporary outgrows about 2 MB."""
+    n = u.shape[-1]
+    flat = u.reshape(-1, n * n)
+    out = np.empty((len(flat), (n * n - 1) ** 2))
+    step = max(1, _ADJOINT_ENTRIES // n**4)
+    for lo in range(0, len(flat), step):
+        part = flat[lo:lo + step]
+        out[lo:lo + step] = ((part.conj()[:, :, None] * part[:, None, :]).reshape(len(part), -1)
+                             @ _adjoint_form(n)).real
+    return out.reshape(u.shape[:-2] + (n * n - 1, n * n - 1))
 
 
 def exp_lie(x):

@@ -50,13 +50,13 @@ from .path import (
     PolyReparam,
     SineReparam,
     curve_integral,
-    curve_integrals,
     gauss_legendre,
     make_curve,
     plateau,
     random_field,
     random_vanishing_field,
     reparametrize,
+    variation_integrals,
 )
 from .transport import (
     TransportContext,
@@ -65,7 +65,7 @@ from .transport import (
     transport,
     transport_derivative,
     transport_s_derivative,
-    transport_variations,
+    variation_transports,
 )
 
 
@@ -561,8 +561,8 @@ def run_gradient(cfg, seed):
     def deriv_case(case, ctx):
         i, free, x = case
         formula = transport_derivative(a_field, ctx.curve, x, ctx=ctx)
-        fd = central_difference(lambda ks: transport_variations(
-            a_field, ctx.curve, [[(x, k * eps)] for k in ks], step=step), eps)
+        fd = central_difference(lambda ks: variation_transports(a_field, ctx.curve, step)(
+            [[(x, k * eps)] for k in ks]), eps)
         return free, _rel(formula - fd, fd)
 
     # --- Riesz pairing: <grad U, X phi>_{H^0} vs FD of <U, phi> ---
@@ -576,8 +576,8 @@ def run_gradient(cfg, seed):
             x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
             phi = random_fiber(rng_p, cfg["gauge_rank"])
             paired = grad.pair(x, phi)
-            fd = central_difference(lambda ks: [fiber_metric(u, phi) for u in transport_variations(
-                fld, curve, [[(x, k * eps)] for k in ks], step=step)], eps)
+            fd = central_difference(lambda ks: [fiber_metric(u, phi) for u in variation_transports(
+                fld, curve, step)([[(x, k * eps)] for k in ks])], eps)
             worst = max(worst, _rel(paired - fd, fd))
             direct = fiber_metric(transport_derivative(fld, curve, x, ctx=ctx), phi)
             gap = max(gap, abs(paired - direct) / (1.0 + abs(direct)))
@@ -684,8 +684,8 @@ def run_levy(cfg, seed):
         curve = curves[ci]
         bil = assemble_bilinear(kernel_cache[ci], x, y)
         # the mixed second difference over the four corners (+-keps, +-keps)
-        fd = central_difference(lambda ks: transport_variations(a_field, curve, [
-            [(x, i * keps), (y, j * keps)] for i, j in ks], step=kstep), keps, deriv=(1, 1))
+        fd = central_difference(lambda ks: variation_transports(a_field, curve, kstep)([
+            [(x, i * keps), (y, j * keps)] for i, j in ks]), keps, deriv=(1, 1))
         return _rel(bil - fd, fd)
 
     hess_worst = max(hessian_case(item) for item in pair_plan)
@@ -758,9 +758,8 @@ def run_levy(cfg, seed):
     fn_curves = curves[: fcfg["curves"]]
     gaps = _functional_gaps(f0, fn_curves, fcfg, seed)
 
-    ces = cesaro_second_trace(
-        lambda c, variations: curve_integrals(f0.value, c, variations), fn_curves[0], d,
-        fcfg["cesaro_modes"], eps=1e-3, checkpoints=(fcfg["cesaro_modes"],))
+    ces = cesaro_second_trace(variation_integrals(f0.value, fn_curves[0]), d,
+                              fcfg["cesaro_modes"], eps=1e-3, checkpoints=(fcfg["cesaro_modes"],))
     lap_ref = curve_integral(f0.laplacian, fn_curves[0])
     ces_fn = _rel(ces.estimate - lap_ref, lap_ref)
 
@@ -818,9 +817,10 @@ def _functional_gaps(f0, curves, fcfg, seed):
     for curve in curves:
         x = random_vanishing_field(rng_f, d, modes=4, amplitude=0.8)
 
+        integrals = variation_integrals(f0.value, curve)
+
         def lf(h):
-            return lambda ks: curve_integrals(f0.value, curve,
-                                              [[(x, k * h)] if k else [] for k in ks])
+            return lambda ks: integrals([[(x, k * h)] if k else [] for k in ks])
 
         # fourth-order first and second differences along x
         fd1 = central_difference(lf(geps), geps, 1, 4)

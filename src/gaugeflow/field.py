@@ -16,13 +16,16 @@ K = N^2 - 1. Three representations:
   the flow state (ValueError for matrices outside su(N)); derivatives by
   4th-order central stencils, off-grid reads by periodic cubic spline
   interpolation of the coordinates, a block of points at a time.
-* `TransformedField`: the gauge transform of another field by a gauge map,
-  evaluated pointwise exactly (no sampling error) as matrices; the base
-  class's `coord_jets` converts them and refuses a non-su(N) part.
+* `TransformedField`: the gauge transform of another field by a gauge map
+  psi = e_1 ... e_J, e_j = exp(theta_j T_j), evaluated pointwise exactly (no
+  sampling error) in coordinates: each factor rotates the jets of A by the
+  real K x K matrix Ad(e_j^-1) and adds d theta_j T_j. A direction T_j
+  outside su(N) raises ValueError.
 
 The matrix reads derive from `coord_jets` by one `algebra.lie_matrix`:
 `eval(x)` maps points (..., d) to (..., d, N, N), `partial_all` adds a
-leading derivative axis, `second_all` two of them.
+leading derivative axis, `second_all` two of them. No package code reads
+them; `generator` contracts the coordinates directly.
 
 Derived local quantities (`curvature`, `cov_deriv_curvature`,
 `cov_div_curvature`) are free functions of `coord_jets`, so they work for
@@ -30,9 +33,6 @@ every representation. They run in coordinates, every product an
 `algebra.bracket`, over blocks of points the size of one lattice gather
 block, and return coordinates: a caller contracts them first and forms
 matrices once.
-
-Products of the small N x N matrices of the gauge maps go through
-`algebra._matmul`, broadcast over singleton derivative and direction axes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _matmul, bracket, dagger, exp_lie, lie_coords, lie_matrix, random_lie
+from .algebra import adjoint, bracket, exp_lie, lie_coords, lie_matrix, random_lie
 
 
 class Torus:
@@ -119,17 +119,27 @@ class ScalarFourier:
     def value(self, x):
         return self.const + _trig(x, self._w, self.phases, 0) @ self.coeffs
 
+    def jets(self, x, order):
+        """The value and the derivative tensors (..., d^k) through `order` <= 3 at x, from
+        one table of angles: one sine and one cosine per angle serve every order."""
+        ang = np.asarray(x, dtype=float) @ self._w.T
+        cos, sin = np.cos(ang), np.sin(ang)
+        iscos = self.phases == 0
+        # cos -> -sin -> -cos -> sin and sin -> cos -> -sin -> -cos
+        cycle = [np.where(iscos, cos, sin), np.where(iscos, -sin, cos)]
+        cycle += [-cycle[0], -cycle[1]]
+        out = [self.const + cycle[0] @ self.coeffs]
+        for k in range(1, order + 1):
+            axes = "abc"[:k]
+            spec = "...m," + ",".join("m" + a for a in axes) + "->..." + axes
+            out.append(np.einsum(spec, cycle[k % 4] * self.coeffs, *(self._w,) * k))
+        return out
+
     def grad(self, x):
-        t = _trig(x, self._w, self.phases, 1) * self.coeffs
-        return np.einsum("...m,ma->...a", t, self._w)
+        return self.jets(x, 1)[1]
 
     def hess(self, x):
-        t = _trig(x, self._w, self.phases, 2) * self.coeffs
-        return np.einsum("...m,ma,mb->...ab", t, self._w, self._w)
-
-    def third(self, x):
-        t = _trig(x, self._w, self.phases, 3) * self.coeffs
-        return np.einsum("...m,ma,mb,mc->...abc", t, self._w, self._w, self._w)
+        return self.jets(x, 2)[2]
 
     def laplacian(self, x):
         t = _trig(x, self._w, self.phases, 2) * self.coeffs
@@ -162,30 +172,19 @@ class ScalarFourier:
 
 
 class GaugeField:
-    """Interface: torus, n and `coord_jets`, the su_basis coordinates of A and
-    its derivative tensors. Each field's matrix reads `eval`, `partial_all`
-    and `second_all` derive from it; `generator` derives from `eval`.
-
-    A field held as matrices (`TransformedField`) gives its matrix jets by
-    `_derivs(x, order)` instead, and this class's `coord_jets` converts them.
+    """Interface: torus, n and `coord_jets(x, order)`, A, dA, ..., d^order A at
+    points x (..., d) as su_basis coordinates. Entry k has shape
+    (..., d^k, d, K), the derivative axes first, and does not depend on
+    `order`. `generator` derives from it; so do the matrix reads `eval`,
+    `partial_all` and `second_all`, one `lie_matrix` each.
     """
 
     torus: Torus
     n: int
 
-    def coord_jets(self, x, order=2):
-        """A, dA, ..., d^order A at points x (..., d) as su_basis coordinates.
-
-        Entry k has shape (..., d^k, d, K), the derivative axes first, and
-        does not depend on `order`. This default takes `lie_coords` of the
-        matrix jets and raises ValueError for a non-su(N) part beyond roundoff.
-        """
-        return [lie_coords(m, check=True) for m in self._derivs(x, order)]
-
     def generator(self, x, v):
         """su_basis coordinates (..., K) of A_mu(x) v^mu for x, v of shape (..., d)."""
-        a = self.eval(x)
-        return lie_coords(sum(a[..., m, :, :] * v[..., m, None, None] for m in range(v.shape[-1])))
+        return np.einsum("...mk,...m->...k", self.coord_jets(x, 0)[0], v)
 
 
 class AnalyticField(GaugeField):
@@ -547,9 +546,6 @@ class LatticeField(GaugeField):
     def eval(self, x):
         return lie_matrix(self._jets(x, (0,))[0])
 
-    def generator(self, x, v):
-        return np.einsum("...mk,...m->...k", self._jets(x, (0,))[0], v)
-
     def partial_all(self, x):
         return lie_matrix(self._jets(x, (1,))[0])
 
@@ -594,45 +590,12 @@ class LatticeField(GaugeField):
 # gauge maps and transformed fields
 
 
-def _spread(t, missing, k):
-    """Order-k view of a derivative tensor t, singleton at the derivative axes `missing`."""
-    return np.expand_dims(t, tuple(i - k - 2 for i in missing))
-
-
-def _leibniz_order(u, v, k):
-    """Order-k derivative tensor of the pointwise matrix product uv.
-
-    u[j], v[j] have shape (..., d^j, N, N). The sum runs over the subsets S
-    of the k derivative axes: u[|S|] carries the axes in S, v the rest.
-    """
-    axes = range(k)
-    terms = (
-        _matmul(_spread(u[r], [i for i in axes if i not in sub], k), _spread(v[k - r], sub, k))
-        for r in range(k + 1)
-        for sub in itertools.combinations(axes, r)
-    )
-    out = next(terms)
-    for term in terms:
-        out += term
-    return out
-
-
-def _leibniz(u, v):
-    """Derivative tensors of uv through the highest order both u and v carry."""
-    return [_leibniz_order(u, v, k) for k in range(min(len(u), len(v)))]
-
-
-def _weigh(w, g):
-    """Scalar tensor w (..., d^k) times matrices g (..., N, N): (..., d^k, N, N)."""
-    k = w.ndim - g.ndim + 2
-    return w[..., None, None] * g.reshape(g.shape[:-2] + (1,) * k + g.shape[-2:])
-
-
 class GaugeMap:
-    """Smooth map psi: torus -> SU(N), a product of factors exp(theta_j(x) T_j).
+    """Smooth map psi: torus -> SU(N), a product e_1 ... e_J of factors
+    e_j = exp(theta_j(x) T_j).
 
     Each factor has a fixed Lie direction T_j and a scalar Fourier angle
-    theta_j, so all derivatives through third order are exact.
+    theta_j, so psi's derivatives are exact: d e_j = e_j T_j d theta_j.
     """
 
     def __init__(self, torus, n, factors):
@@ -649,59 +612,19 @@ class GaugeMap:
             fs.append((theta, t_dir))
         return cls(torus, n, fs)
 
-    def _factor_derivs(self, theta, t_dir, x, order):
-        """exp(theta T) and its derivative tensors through `order`.
-
-        T commutes with f0 = exp(theta T), so order k is a sum of scalar
-        outer products of theta's derivatives times g_p = T^p f0.
-        """
-        g = [exp_lie(theta.value(x)[..., None] * lie_coords(t_dir))]
-        for _ in range(order):
-            g.append(_matmul(t_dir, g[-1]))
-        out = g[:1]
-        if order >= 1:
-            th1 = theta.grad(x)
-            out.append(_weigh(th1, g[1]))
-        if order >= 2:
-            th2 = theta.hess(x)
-            th11 = th1[..., :, None] * th1[..., None, :]
-            out.append(_weigh(th2, g[1]) + _weigh(th11, g[2]))
-        if order >= 3:
-            th21 = (th2[..., :, :, None] * th1[..., None, None, :]
-                    + th2[..., :, None, :] * th1[..., None, :, None]
-                    + th2[..., None, :, :] * th1[..., :, None, None])
-            out.append(_weigh(theta.third(x), g[1]) + _weigh(th21, g[2])
-                       + _weigh(th11[..., None] * th1[..., None, None, :], g[3]))
-        return out
-
-    def derivs(self, x, order=1):
-        """psi and its derivative tensors [D0, D1, ..., D_order] at x, order <= 3.
-
-        Only the orders returned are built; entry k does not depend on `order`.
-        """
-        x = np.asarray(x, dtype=float)
-        tensors = None
-        for theta, t_dir in self.factors:
-            ft = self._factor_derivs(theta, t_dir, x, order)
-            tensors = ft if tensors is None else _leibniz(tensors, ft)
-        if tensors is None:
-            d, n = self.torus.d, self.n
-            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), x.shape[:-1] + (n, n)).copy()
-            tensors = [eye] + [
-                np.zeros(x.shape[:-1] + (d,) * k + (n, n), dtype=np.complex128)
-                for k in range(1, order + 1)
-            ]
-        return tensors
-
-    def value(self, x):
-        return self.derivs(x, order=0)[0]
-
 
 class TransformedField(GaugeField):
-    """Gauge transform psi^-1 A psi + psi^-1 d psi, evaluated exactly.
+    """Gauge transform A' = psi^-1 A psi + psi^-1 d psi, evaluated exactly in
+    su_basis coordinates.
 
-    psi is unitary, so the derivative tensors of psi^-1 are the conjugate
-    transposes of the tensors of psi.
+    For psi = e_1 ... e_J, e_j = exp(theta_j T_j), and the coordinates a, t_j
+    of A and T_j:
+
+        A' = R_J (... (R_1 a + d theta_1 t_1) ...) + d theta_J t_J,
+
+    with R_j = Ad(e_j^-1) = exp(-theta_j ad t_j) a real K x K rotation per
+    point, built from e_j by `algebra.adjoint`. A direction T_j outside su(N)
+    raises ValueError when the field is read.
     """
 
     def __init__(self, base, gauge_map):
@@ -710,32 +633,48 @@ class TransformedField(GaugeField):
         self.base, self.map = base, gauge_map
         self.torus, self.n = base.torus, base.n
 
-    def _derivs(self, x, order):
-        """Derivative tensors through `order`; entry k has shape (..., d^k, d, N, N).
+    def coord_jets(self, x, order=2):
+        """One factor at a time, on jets held points last, (d^k, d, K, P): with
+        ad = ad t_j, R acts on a jet u as
 
-        With W_mu = A_mu psi + d_mu psi, the field is psi^-1 W_mu, so both
-        products go through the Leibniz rule. The direction axis mu is moved
-        ahead of the derivative axes, where the products broadcast over it.
-        Entry k does not depend on `order`.
+            d_a (R u) = R (d_a u - d_a theta ad u),
+            d_a d_b (R u) = R (d_a d_b u - d_a theta ad d_b u - d_b theta ad d_a u
+                               - d_a d_b theta ad u + d_a theta d_b theta ad^2 u).
         """
         x = np.asarray(x, dtype=float)
-        psi = self.map.derivs(x, order=order + 1)
-        a = [np.moveaxis(lie_matrix(c), -3, -3 - k)
-             for k, c in enumerate(self.base.coord_jets(x, order))]
-        low = range(order + 1)
-        w = _leibniz(a, [np.expand_dims(psi[k], -3 - k) for k in low])
-        w = [w[k] + np.moveaxis(psi[k + 1], -3, -3 - k) for k in low]
-        inv = [np.expand_dims(dagger(psi[k]), -3 - k) for k in low]
-        return [np.moveaxis(_leibniz_order(inv, w, k), -3 - k, -3) for k in low]
+        d, k = self.torus.d, self.n * self.n - 1
+        pts = x.reshape(-1, d)
+        u = [np.ascontiguousarray(np.moveaxis(jet, 0, -1))
+             for jet in self.base.coord_jets(pts, order)]
+        for theta, t_dir in self.map.factors:
+            t = lie_coords(t_dir, check=True)
+            th = [np.moveaxis(jet, 0, -1) for jet in theta.jets(pts, order + 1)]
+            if not any(np.any(jet) for jet in u):  # R 0 = 0: a pure gauge's first factor
+                u = [th[j + 1][..., None, :] * t[:, None] for j in range(order + 1)]
+                continue
+            ad = bracket(t, np.eye(k)).T  # ad @ u = [t, u]
+            r = np.ascontiguousarray(np.moveaxis(adjoint(exp_lie(th[0][:, None] * t)), 0, -1))
+            v = [u[0]]
+            if order >= 1:
+                w0 = ad @ u[0]
+                v.append(u[1] - th[1][:, None, None] * w0)
+            if order >= 2:
+                w1 = ad @ u[1]
+                g1 = th[1][:, None, None, None]
+                v.append(u[2] - g1 * w1[None] - g1.swapaxes(0, 1) * w1[:, None]
+                         - th[2][:, :, None, None] * w0 + (g1 * th[1][:, None, None]) * (ad @ w0))
+            u = [np.einsum("abp,...bp->...ap", r, vk) + th[j + 1][..., None, :] * t[:, None]
+                 for j, vk in enumerate(v)]
+        return [np.moveaxis(jet, -1, 0).reshape(x.shape[:-1] + jet.shape[:-1]) for jet in u]
 
     def eval(self, x):
-        return self._derivs(x, 0)[0]
+        return lie_matrix(self.coord_jets(x, 0)[0])
 
     def partial_all(self, x):
-        return self._derivs(x, 1)[1]
+        return lie_matrix(self.coord_jets(x, 1)[1])
 
     def second_all(self, x):
-        return self._derivs(x, 2)[2]
+        return lie_matrix(self.coord_jets(x, 2)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ This module computes, numerically exactly (quadrature-limited):
   * a brute-force Cesaro estimator that touches none of the above,
     used to validate the closed forms. `cesaro_second_trace` is its one
     driver: for each sine mode it hands the 2 d +-eps variations to a
-    batched evaluator, `transport.transport_variations` for the transport
-    and `path.curve_integrals` for a curve functional, each of which reads
-    the base curve once per call.
+    batched evaluator, `transport.variation_transports` for the transport
+    and `path.variation_integrals` for a curve functional, each of which
+    samples the base curve once for the whole sweep.
 
 All second-derivative quantities are checked two independent ways in the
 test-suite; `levy_laplacian_transport` additionally cross-checks its two
@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import _matmul, fiber_metric, lie_matrix, maxabs
 from .field import _curvature_and_cov_deriv, central_difference, cov_div_curvature
 from .path import sine_basis
-from .transport import DEFAULT_STEP, TransportContext, transport_variations
+from .transport import DEFAULT_STEP, TransportContext, variation_transports
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +181,18 @@ class CesaroResult:
     base: np.ndarray | float
 
 
-def cesaro_second_trace(evaluate, curve, d, n_modes, eps=1e-3,
-                        checkpoints=()):
+def cesaro_second_trace(evaluate, d, n_modes, eps=1e-3, checkpoints=()):
     """Cesaro mean (1/n) sum_{k<=n} sum_axis D^2 evaluate (along sine modes).
 
     Second directional derivatives are central finite differences of a
     curve map (matrix or scalar) along the orthonormal H^1_{0,0} basis
-    fields sqrt(2) sin(pi k t) e_axis. `evaluate(curve, variations)` returns
-    the map's values (B, ...) along the curves of `path.perturbed_points`;
-    it gets each mode's 2 d variations in one call. The running mean is
-    recorded at each checkpoint so convergence is visible to callers.
+    fields sqrt(2) sin(pi k t) e_axis. `evaluate(variations)` returns the
+    map's values (B, ...) along variations of one curve (`path.CurveSample`),
+    [()] giving the curve itself; it gets each mode's 2 d variations in one
+    call. The running mean is recorded at each checkpoint so convergence is
+    visible to callers.
     """
-    base = evaluate(curve, [()])[0]
+    base = evaluate([()])[0]
     total = None
     partial = {}
     for k in range(1, n_modes + 1):
@@ -200,7 +200,7 @@ def cesaro_second_trace(evaluate, curve, d, n_modes, eps=1e-3,
 
         def along_axes(offsets):
             # each offset's values over the axes, the moved curves in one call
-            moved = evaluate(curve, [[(x, j * eps)] for x in fields for j in offsets if j])
+            moved = evaluate([[(x, j * eps)] for x in fields for j in offsets if j])
             moved = iter(np.moveaxis(moved.reshape((d, -1) + moved.shape[1:]), 1, 0))
             return [next(moved) if j else base for j in offsets]
 
@@ -216,11 +216,9 @@ def cesaro_levy_estimate(field, curve, n_modes=64, eps=1e-3,
                          step=DEFAULT_STEP, checkpoints=(4, 8, 16, 32, 64)):
     """Brute-force Cesaro estimate of the Levy Laplacian of the transport.
 
-    Uses nothing but whole-transport evaluations (`transport_variations`),
-    so it is an oracle for `levy_laplacian_transport`; expect O(1/n)
-    convergence of the mean.
+    Uses nothing but whole-transport evaluations (`variation_transports`,
+    which samples the curve once for the whole sweep), so it is an oracle
+    for `levy_laplacian_transport`; expect O(1/n) convergence of the mean.
     """
-    return cesaro_second_trace(
-        lambda c, variations: transport_variations(field, c, variations, step=step),
-        curve, field.torus.d, n_modes, eps=eps, checkpoints=checkpoints,
-    )
+    return cesaro_second_trace(variation_transports(field, curve, step=step),
+                               field.torus.d, n_modes, eps=eps, checkpoints=checkpoints)

@@ -8,6 +8,14 @@ curves lose no order.
 
 `velocity(t, side)` takes one-sided limits at breakpoints: side=+1 is the
 limit from above (default), side=-1 from below. Smooth curves ignore it.
+
+A vector field X along a curve (`CurveField`) gives `value` and `deriv` at
+parameters t. The H^1_{0,0} fields, `sine_basis` and `random_vanishing_field`,
+are one `SineField` each: a (modes, d) coefficient table, one sine or cosine
+per mode. A `CurveSample` reads a curve once at fixed parameters and gives
+the points and velocities of any batch of its variations gamma + sum eps_i X_i
+on them; `variation_integrals` maps such batches to curve integrals on one
+sample.
 """
 
 from __future__ import annotations
@@ -223,19 +231,34 @@ def _vary(base, variations, jet):
     return np.stack(out)
 
 
-def perturbed_points(curve, variations, t):
-    """Points at t of gamma + sum_i eps_i X_i for each variation, shape (B, T, d).
+class CurveSample:
+    """A curve read once at parameters t, and its variations gamma + sum_i eps_i X_i
+    on the same t.
 
     A variation is a sequence of (X, eps) terms, added in order, so
     [(X, ex), (Y, ey)] gives the bits of perturb(perturb(curve, X, ex), Y, ey)
-    and [] those of the curve itself. The base curve is read once.
+    and [] those of the curve itself. The curve's points and velocities are
+    read on first use, and every batch of variations reuses them.
     """
-    return _vary(curve.point(t), variations, lambda x: x.value(t))
 
+    def __init__(self, curve, t):
+        self.curve, self.t = curve, t
 
-def perturbed_velocities(curve, variations, t):
-    """Velocities at t of the curves of `perturbed_points`, shape (B, T, d)."""
-    return _vary(curve.velocity(t), variations, lambda x: x.deriv(t))
+    @functools.cached_property
+    def points(self):
+        return self.curve.point(self.t)
+
+    @functools.cached_property
+    def velocities(self):
+        return self.curve.velocity(self.t)
+
+    def perturbed_points(self, variations):
+        """Points of each variation, shape (B, T, d)."""
+        return _vary(self.points, variations, lambda x: x.value(self.t))
+
+    def perturbed_velocities(self, variations):
+        """Velocities of each variation, shape (B, T, d)."""
+        return _vary(self.velocities, variations, lambda x: x.deriv(self.t))
 
 
 def plateau(curve, r):
@@ -251,57 +274,62 @@ def reparametrize(curve, phi):
 
 
 class CurveField:
-    """Vector field t -> X(t) in R^d with exact derivative.
+    """Vector field t -> X(t) in R^d along a curve, with exact derivative `deriv`.
 
     `vanishing_ends` flags membership in H^1_{0,0} (X(0) = X(1) = 0).
     """
 
-    def __init__(self, value, deriv, d, vanishing_ends=False):
-        self._value, self._deriv = value, deriv
-        self.d = d
-        self.vanishing_ends = vanishing_ends
+    d: int
+    vanishing_ends: bool
 
     def value(self, t):
-        return self._value(np.asarray(t, dtype=float))
+        raise NotImplementedError
 
     def deriv(self, t):
-        return self._deriv(np.asarray(t, dtype=float))
+        raise NotImplementedError
 
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return CurveField(
-            lambda t: self.value(t) + other.value(t),
-            lambda t: self.deriv(t) + other.deriv(t),
-            self.d,
-            self.vanishing_ends and other.vanishing_ends,
-        )
 
-    def __mul__(self, c):
-        return CurveField(
-            lambda t: c * self.value(t),
-            lambda t: c * self.deriv(t),
-            self.d,
-            self.vanishing_ends,
-        )
+_ROOT2 = np.sqrt(2.0)
 
-    __rmul__ = __mul__
+
+class SineField(CurveField):
+    """sum_n c_n sqrt(2) sin(pi n t) over the modes n with coefficient rows c_n in R^d.
+
+    Every such field vanishes at both ends. `value` takes one sine and `deriv`
+    one cosine per mode, and each component sums its modes in order, as
+    c_n (sqrt(2) sin(pi n t)) and c_n ((sqrt(2) pi n) cos(pi n t)).
+    """
+
+    vanishing_ends = True
+
+    def __init__(self, modes, coeffs):
+        self.modes = np.asarray(modes, dtype=int)
+        self.coeffs = np.asarray(coeffs, dtype=float)  # (len(modes), d)
+        self.d = self.coeffs.shape[1]
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (self.d,))
+        for n, c in zip(self.modes, self.coeffs):
+            out += c * (_ROOT2 * np.sin(np.pi * n * t))[..., None]
+        return out
+
+    def deriv(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (self.d,))
+        for n, c in zip(self.modes, self.coeffs):
+            w = np.pi * n
+            out += c * (_ROOT2 * w * np.cos(w * t))[..., None]
+        return out
 
 
 def sine_basis(n, d, axis=0):
     """e_n(t) e_axis with e_n(t) = sqrt(2) sin(pi n t); H^1_{0,0} basis."""
-    unit = np.zeros(d)
-    unit[axis] = 1.0
-    w = np.pi * n
-    root2 = np.sqrt(2.0)
-
-    def value(t):
-        return root2 * np.sin(w * t)[..., None] * unit
-
-    def deriv(t):
-        return root2 * w * np.cos(w * t)[..., None] * unit
-
-    return CurveField(value, deriv, d, vanishing_ends=True)
+    if axis not in range(d):
+        raise ValueError(f"axis {axis} is not one of the {d} axes")
+    unit = np.zeros((1, d))
+    unit[0, axis] = 1.0
+    return SineField([n], unit)
 
 
 class TrigField(CurveField):
@@ -312,36 +340,29 @@ class TrigField(CurveField):
         self.b = np.asarray(b, dtype=float)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)  # (K, d)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
-        d = len(self.a)
-        k = np.arange(1, len(self.cos_coeffs) + 1)
+        self.d = len(self.a)
+        self._k = np.arange(1, len(self.cos_coeffs) + 1)
+        self.vanishing_ends = np.max(np.abs(self.value(np.array([0.0, 1.0])))) < 1e-15
 
-        def value(t):
-            ang = np.pi * t[..., None] * k
-            out = self.a + t[..., None] * self.b
-            out = out + np.cos(ang) @ self.cos_coeffs
-            return out + np.sin(ang) @ self.sin_coeffs
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        ang = np.pi * t[..., None] * self._k
+        out = self.a + t[..., None] * self.b
+        out = out + np.cos(ang) @ self.cos_coeffs
+        return out + np.sin(ang) @ self.sin_coeffs
 
-        def deriv(t):
-            ang = np.pi * t[..., None] * k
-            out = np.broadcast_to(self.b, t.shape + (d,)).astype(float).copy()
-            out -= (np.pi * k * np.sin(ang)) @ self.cos_coeffs
-            return out + (np.pi * k * np.cos(ang)) @ self.sin_coeffs
-
-        ends = value(np.array([0.0, 1.0]))
-        super().__init__(value, deriv, d, vanishing_ends=np.max(np.abs(ends)) < 1e-15)
+    def deriv(self, t):
+        t = np.asarray(t, dtype=float)
+        ang = np.pi * t[..., None] * self._k
+        out = np.broadcast_to(self.b, t.shape + (self.d,)).astype(float).copy()
+        out -= (np.pi * self._k * np.sin(ang)) @ self.cos_coeffs
+        return out + (np.pi * self._k * np.cos(ang)) @ self.sin_coeffs
 
 
 def random_vanishing_field(rng, d, modes=4, amplitude=1.0):
     """Random H^1_{0,0} field: seeded sine series, zero at both ends."""
-    k = np.arange(1, modes + 1)[:, None]
-    coeffs = amplitude * rng.standard_normal((modes, d)) / k
-    field = None
-    for n in range(1, modes + 1):
-        for mu in range(d):
-            term = coeffs[n - 1, mu] * sine_basis(n, d, mu)
-            field = term if field is None else field + term
-    field.vanishing_ends = True
-    return field
+    k = np.arange(1, modes + 1)
+    return SineField(k, amplitude * rng.standard_normal((modes, d)) / k[:, None])
 
 
 def random_field(rng, d, modes=3, amplitude=1.0):
@@ -375,15 +396,18 @@ def curve_integral(fn, curve, panels=256):
     return float(np.einsum("t,t->", fn(curve.point(t)), w))
 
 
-def curve_integrals(fn, curve, variations, panels=256):
-    """`curve_integral` along each curve of `perturbed_points`, shape (B,).
+def variation_integrals(fn, curve, panels=256):
+    """The map from a batch of variations (`CurveSample`) to `curve_integral` along
+    each of their curves, shape (B,), on one sample of the curve for every batch.
 
-    fn runs once over the stacked points (B, T, d), and each sum is taken as
-    `curve_integral` takes it, so where fn gives a curve's points the same
+    fn runs once over a batch's stacked points (B, T, d), and each sum is taken
+    as `curve_integral` takes it, so where fn gives a curve's points the same
     bits alone and in the stack (`ScalarFourier.value` does), so do the sums.
     """
     t, w = gauss_legendre(panels)
-    return np.array([np.einsum("t,t->", f, w) for f in fn(perturbed_points(curve, variations, t))])
+    sample = CurveSample(curve, t)
+    return lambda variations: np.array(
+        [np.einsum("t,t->", f, w) for f in fn(sample.perturbed_points(variations))])
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ The transport U_{t,s} along a curve is the case Z(t) = A_mu(gamma(t))
 gammadot^mu(t), whose coordinates the field gives directly
 (`GaugeField.generator`), with the curve breakpoints (plateau corners,
 seams) as edges, so piecewise-smooth curves integrate at full order.
-`transport_variations` takes U_{1,0} along many variations gamma + sum
-eps_i X_i of one curve at once: they share gamma's grid, so gamma is read
-once, and each result equals `transport` along the `path.perturb` curve
-bit for bit. The finite-difference oracles use it. Each Omega is in
+`variation_transports` takes U_{1,0} along batches of variations gamma +
+sum eps_i X_i of one curve: they share gamma's grid, so gamma is read once
+for every batch, and each result equals `transport` along the `path.perturb`
+curve bit for bit. The finite-difference oracles use it. Each Omega is in
 su(N), so each factor and every product of them is special-unitary up to
 roundoff, with no projection. `propagator` takes a matrix-valued Z and
 refuses one with a non-su(N) part beyond roundoff.
@@ -55,9 +55,9 @@ import math
 
 import numpy as np
 
-from .algebra import _matmul, bracket, exp_lie, lie_coords, lie_matrix, su_basis
+from .algebra import _matmul, adjoint, bracket, exp_lie, lie_coords, lie_matrix
 from .field import curvature
-from .path import perturbed_points, perturbed_velocities
+from .path import CurveSample
 
 DEFAULT_STEP = 1.0 / 4096
 
@@ -226,16 +226,14 @@ class TransportContext:
 
     @functools.cached_property
     def adjoint(self):
-        """Entry i, column b: the coordinates of U^-1 T_b U, U = U_{t_i,lo}, T_b = su_basis[b].
-        Coordinate a is 2 Re tr(T_a^+ U^+ T_b U) (|T_a|^2 = 1/2), a fixed form on conj(U) x U,
-        applied per block of nodes: its (block, N^4) products stay below a (K, N, N) stack."""
-        basis, nn = su_basis(self.n), self.n * self.n
-        form = 2.0 * np.einsum("aji,bkl->kjliab", basis.conj(), basis).reshape(nn * nn, -1)
-        out = np.empty((len(self.ts), len(basis) ** 2))
-        for rows in np.array_split(np.arange(len(self.ts)), 8 * len(basis)):
-            u = self.from_start[self._node[rows]].reshape(-1, nn)
-            out[rows] = ((u.conj()[:, :, None] * u[:, None, :]).reshape(-1, nn * nn) @ form).real
-        return out.reshape(-1, len(basis), len(basis))
+        """Entry i: `algebra.adjoint` of U = U_{t_i,lo}, the coordinates of U^-1 T_b U in
+        column b, taken over a fixed split of the nodes into 8 (N^2 - 1) blocks: the split
+        fixes the partition of the matrix products, and with it their last bits."""
+        k = self.n * self.n - 1
+        out = np.empty((len(self.ts), k, k))
+        for rows in np.array_split(np.arange(len(self.ts)), 8 * k):
+            out[rows] = adjoint(self.from_start[self._node[rows]])
+        return out
 
     def to_start(self, c):
         """U_{t,lo}^-1 c(t) U_{t,lo} on `ts`, in su_basis coordinates c (K, ..., N^2 - 1)."""
@@ -289,19 +287,25 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
     return _endpoint_product(factors)
 
 
-def transport_variations(field, curve, variations, step=DEFAULT_STEP):
-    """U_{1,0} along gamma + sum_i eps_i X_i for each variation, shape (B, N, N).
+def variation_transports(field, curve, step=DEFAULT_STEP):
+    """The map from a batch of variations gamma + sum_i eps_i X_i (`path.CurveSample`)
+    to U_{1,0} along each, shape (B, N, N).
 
-    A variation is a sequence of (X, eps) terms (`path.perturbed_points`);
-    entry b equals bit for bit `transport` along the nested `perturb` curve.
+    Entry b equals bit for bit `transport` along the nested `perturb` curve.
     A perturbation keeps the curve's breakpoints, so every variation shares
-    gamma's Magnus grid: gamma is sampled on it once, and Z, Omega, the step
-    exponentials and the endpoint products run once over the stack.
+    gamma's Magnus grid: gamma is sampled on it once for every batch, and per
+    batch Z, Omega, the step exponentials and the endpoint products run once
+    over the stack.
     """
     _, _, t, h = _curve_grid(curve, step, 0.0, 1.0)
-    z = field.generator(perturbed_points(curve, variations, t),
-                        perturbed_velocities(curve, variations, t))
-    return _endpoint_product(_magnus_factors(z, h))
+    sample = CurveSample(curve, t)
+
+    def transports(variations):
+        z = field.generator(sample.perturbed_points(variations),
+                            sample.perturbed_velocities(variations))
+        return _endpoint_product(_magnus_factors(z, h))
+
+    return transports
 
 
 def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):

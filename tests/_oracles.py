@@ -11,7 +11,11 @@ of each direction pair's operands with the `np.roll` stencil
 bit. `ConcatCurve` builds the kinked curves that the breakpoint tests
 integrate across.
 `cesaro_second_trace_per_curve` is the Cesaro mean taken one perturbed
-curve at a time, the loop the batched driver is held to. `HAND_STENCILS`
+curve at a time, the loop the batched driver is held to. `ClosureField`,
+`closure_sine_basis` and `closure_vanishing_field` build the sine fields as
+a chain of value and derivative closures, the reference the coefficient
+tables of `path.SineField` are held to bit for bit. `gauge_map_value` is
+the product of a gauge map's factors. `HAND_STENCILS`
 holds the finite-difference oracles' stencils as they were written out by
 hand, the reference `field.central_difference` is held to bit for bit.
 The `einsum_*` functions are the derivative-tensor kernels written term by
@@ -26,7 +30,9 @@ import pathlib
 
 import numpy as np
 
-from gaugeflow.algebra import _matmul, _structure, dagger, expm, lie_matrix, maxabs, trace
+from gaugeflow.algebra import (
+    _matmul, _structure, dagger, exp_lie, expm, lie_coords, lie_matrix, maxabs, trace,
+)
 from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
 from gaugeflow.heatflow import _BRACKET_FLOATS
 from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
@@ -91,6 +97,82 @@ class ConcatCurve(Curve):
         lo = self.first.velocity(np.clip(2.0 * t, 0.0, 1.0), side)
         hi = self.second.velocity(np.clip(2.0 * t - 1.0, 0.0, 1.0), side)
         return 2.0 * np.where(in_first[..., None], lo, hi)
+
+
+class ClosureField:
+    """Curve field held as value and derivative closures, with sums and scalar
+    multiples built as closures over their operands."""
+
+    def __init__(self, value, deriv, d, vanishing_ends=False):
+        self._value, self._deriv = value, deriv
+        self.d = d
+        self.vanishing_ends = vanishing_ends
+
+    def value(self, t):
+        return self._value(np.asarray(t, dtype=float))
+
+    def deriv(self, t):
+        return self._deriv(np.asarray(t, dtype=float))
+
+    def __add__(self, other):
+        if self.d != other.d:
+            raise ValueError("dimension mismatch")
+        return ClosureField(
+            lambda t: self.value(t) + other.value(t),
+            lambda t: self.deriv(t) + other.deriv(t),
+            self.d,
+            self.vanishing_ends and other.vanishing_ends,
+        )
+
+    def __mul__(self, c):
+        return ClosureField(
+            lambda t: c * self.value(t),
+            lambda t: c * self.deriv(t),
+            self.d,
+            self.vanishing_ends,
+        )
+
+    __rmul__ = __mul__
+
+
+def closure_sine_basis(n, d, axis=0):
+    """e_n(t) e_axis with e_n(t) = sqrt(2) sin(pi n t), as closures."""
+    unit = np.zeros(d)
+    unit[axis] = 1.0
+    w = np.pi * n
+    root2 = np.sqrt(2.0)
+
+    def value(t):
+        return root2 * np.sin(w * t)[..., None] * unit
+
+    def deriv(t):
+        return root2 * w * np.cos(w * t)[..., None] * unit
+
+    return ClosureField(value, deriv, d, vanishing_ends=True)
+
+
+def closure_vanishing_field(rng, d, modes=4, amplitude=1.0):
+    """`path.random_vanishing_field` (modes >= 1) as a sum of closure terms, one
+    per mode and axis, chained in mode order."""
+    k = np.arange(1, modes + 1)[:, None]
+    coeffs = amplitude * rng.standard_normal((modes, d)) / k
+    field = None
+    for n in range(1, modes + 1):
+        for mu in range(d):
+            term = coeffs[n - 1, mu] * closure_sine_basis(n, d, mu)
+            field = term if field is None else field + term
+    field.vanishing_ends = True
+    return field
+
+
+def gauge_map_value(gauge_map, x):
+    """psi(x) = exp(theta_1(x) T_1) ... exp(theta_J(x) T_J), shape (..., N, N)."""
+    x = np.asarray(x, dtype=float)
+    n = gauge_map.n
+    out = np.broadcast_to(np.eye(n, dtype=np.complex128), x.shape[:-1] + (n, n))
+    for theta, t_dir in gauge_map.factors:
+        out = out @ exp_lie(theta.value(x)[..., None] * lie_coords(t_dir))
+    return out
 
 
 def rk4_trajectory(rhs, y0, steps, ds, save_every):
@@ -189,10 +271,7 @@ def analytic_mode_sum(field, x, order):
 
 def einsum_factor_derivs(theta, t_dir, x):
     """exp(theta(x) T) and its derivative tensors through third order."""
-    th0 = theta.value(x)
-    th1 = theta.grad(x)
-    th2 = theta.hess(x)
-    th3 = theta.third(x)
+    th0, th1, th2, th3 = theta.jets(x, 3)
     f0 = expm(th0[..., None, None] * t_dir)
     t2 = t_dir @ t_dir
     t3 = t2 @ t_dir

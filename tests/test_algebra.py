@@ -14,8 +14,10 @@ import scipy.linalg
 import gaugeflow
 from _oracles import commutator, lie_defect
 from gaugeflow.algebra import (
+    _ADJOINT_ENTRIES,
     _matmul,
     _structure,
+    adjoint,
     bracket,
     dagger,
     exp_lie,
@@ -192,6 +194,20 @@ def test_structure_constants_give_the_commutator(n):
     assert grid.shape == (10, 4, 1, k)
     spread = np.broadcast_to(x[:, None, None], grid.shape), np.broadcast_to(y[:4, None], grid.shape)
     assert np.array_equal(grid, bracket(*spread))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_is_the_coordinate_conjugation(n):
+    """Column b of `adjoint(U)` holds the coordinates of U^-1 T_b U: a real
+    orthogonal matrix, to 1e-14, over more matrices than one of its blocks."""
+    k = n * n - 1
+    rows = _ADJOINT_ENTRIES // n**4 + 3
+    u = exp_lie(RNG.standard_normal((rows, k)))
+    got = adjoint(u.reshape(rows, 1, n, n))
+    assert got.shape == (rows, 1, k, k)
+    want = lie_coords(dagger(u)[:, None] @ su_basis(n) @ u[:, None])  # (rows, b, a)
+    assert maxabs(got[:, 0] - np.swapaxes(want, -1, -2)) < 1e-14
+    assert maxabs(np.swapaxes(got, -1, -2) @ got - np.eye(k)) < 1e-14
 
 
 def test_one_written_form_of_the_coordinate_bracket():

@@ -11,6 +11,7 @@ exit-code contract are exercised end to end:
 """
 
 import ast
+import collections
 import csv
 import json
 import math
@@ -315,6 +316,58 @@ def test_every_module_level_import_is_used():
                 imported |= {alias.asname or alias.name for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
+
+
+# Functions and methods that no `gaugeflow` code calls, each with the reason it stays.
+UNCALLED_ALLOWED = {
+    "algebra.unitarize": "perfbench/spans.py wraps it by module and name",
+    "algebra.random_group": "perfbench/probes.py builds its transport factors with it",
+    "field.AnalyticField.eval": "perfbench/spans.py wraps the matrix reads by class",
+    "field.AnalyticField.partial_all": "perfbench/spans.py wraps the matrix reads by class",
+    "field.AnalyticField.second_all": "perfbench/spans.py wraps the matrix reads by class",
+    "field.LatticeField.eval": "perfbench/spans.py wraps the matrix reads by class",
+    "field.LatticeField.partial_all": "perfbench/spans.py wraps the matrix reads by class",
+    "field.LatticeField.second_all": "perfbench/probes.py times it as the lattice read",
+    "field.TransformedField.eval": "perfbench/spans.py wraps the matrix reads by class",
+    "field.TransformedField.partial_all": "perfbench/spans.py wraps the matrix reads by class",
+    "field.TransformedField.second_all": "perfbench/spans.py wraps the matrix reads by class",
+    "field.cov_deriv_curvature": "perfbench/spans.py wraps it by module and name",
+    "field.ym_action": "perfbench/spans.py wraps it by module and name",
+    "path.perturb": "perfbench/spans.py wraps it by module and name",
+    "field.LatticeField.load": "README.md documents it as the reader of what `save` writes",
+}
+
+
+def test_every_function_is_called_or_allowed():
+    """Each module-level function and method of a `gaugeflow` module is named in
+    package code outside its own body (dunder methods aside), or is one of
+    `UNCALLED_ALLOWED`; and each allowed name exists and is still uncalled."""
+    src = pathlib.Path(cli.__file__).parent
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = collections.Counter(name for tree in trees.values() for name in names(tree))
+    uncalled = set()
+    for module, tree in trees.items():
+        defs = [(f"{module}.{node.name}", node) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs:
+            own = collections.Counter(names(node))
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and used[node.name] <= own[node.name]:
+                uncalled.add(qualname)
+    assert uncalled == set(UNCALLED_ALLOWED), (
+        f"uncalled: {sorted(uncalled - set(UNCALLED_ALLOWED))}, "
+        f"allowed but called or gone: {sorted(set(UNCALLED_ALLOWED) - uncalled)}")
 
 
 def test_benchmark_wrappers_find_their_targets(tmp_path):

@@ -24,6 +24,7 @@ from _oracles import (
     einsum_curvature,
     einsum_gauge_map_derivs,
     einsum_transformed,
+    gauge_map_value,
     lie_defect,
     load_field,
     matrix_cov_div_curvature,
@@ -84,7 +85,8 @@ def test_torus_validation():
 
 
 def test_scalar_fourier_derivatives():
-    """grad/hess/third/laplacian vs central differences of value."""
+    """grad/hess/third/laplacian vs central differences of value; `jets` gives
+    value, grad and hess bit for bit whatever order it is asked for."""
     torus = Torus(2, 1.0)
     f = ScalarFourier.random(RNG, torus, modes=3, amplitude=1.0, kmax=2)
     x = random_points(RNG, torus, (5,))
@@ -96,7 +98,12 @@ def test_scalar_fourier_derivatives():
         fd = (f.grad(x + h * eye[a]) - f.grad(x - h * eye[a])) / (2 * h)
         assert np.max(np.abs(f.hess(x)[:, a] - fd)) < 1e-6
         fd = (f.hess(x + h * eye[a]) - f.hess(x - h * eye[a])) / (2 * h)
-        assert np.max(np.abs(f.third(x)[:, a] - fd)) < 1e-4
+        assert np.max(np.abs(f.jets(x, 3)[3][:, a] - fd)) < 1e-4
+    jets = f.jets(x, 3)
+    for order in range(3):
+        assert all(np.array_equal(a, b) for a, b in zip(f.jets(x, order), jets))
+    for got, want in zip(jets, (f.value(x), f.grad(x), f.hess(x))):
+        assert np.array_equal(got, want)
     lap = np.trace(f.hess(x), axis1=-2, axis2=-1)
     assert np.max(np.abs(f.laplacian(x) - lap)) < 1e-12
 
@@ -339,29 +346,31 @@ def gauge_map(torus, seed_label="unit/gauge"):
 def test_gauge_map_is_special_unitary(torus2):
     psi = gauge_map(torus2)
     x = random_points(RNG, torus2, (6,))
-    assert group_defect(psi.value(x)) < 1e-12
+    assert group_defect(gauge_map_value(psi, x)) < 1e-12
 
 
 def test_gauge_map_derivs_vs_fd(torus2):
-    """All exact derivative tensors of psi vs central differences."""
+    """The einsum oracle's derivative tensors of psi, which the transformed
+    field's oracle builds on, vs central differences of psi."""
     psi = gauge_map(torus2)
     x = random_points(RNG, torus2, (4,))
-    d0, d1, d2, d3 = psi.derivs(x, order=3)
+    d0, d1, d2, d3 = einsum_gauge_map_derivs(psi, x)
+    assert maxabs(d0 - gauge_map_value(psi, x)) < 1e-14
     h = 1e-5
     eye = np.eye(2)
     for a in range(2):
-        fd = (psi.value(x + h * eye[a]) - psi.value(x - h * eye[a])) / (2 * h)
-        assert maxabs(d1[:, a] - fd) < 1e-8
-        fd = (psi.derivs(x + h * eye[a], 1)[1] - psi.derivs(x - h * eye[a], 1)[1]) / (2 * h)
-        assert maxabs(d2[:, a] - fd) < 1e-7
-        fd = (psi.derivs(x + h * eye[a], 2)[2] - psi.derivs(x - h * eye[a], 2)[2]) / (2 * h)
-        assert maxabs(d3[:, a] - fd) < 1e-6
+        up, dn = (einsum_gauge_map_derivs(psi, x + s * h * eye[a]) for s in (1, -1))
+        for k, want in enumerate((d1, d2, d3)):
+            fd = (up[k] - dn[k]) / (2 * h)
+            assert maxabs(want[:, a] - fd) < (1e-8, 1e-7, 1e-6)[k]
 
 
-def test_gauge_map_empty_is_identity(torus2):
-    psi = GaugeMap(torus2, 2, [])
-    x = random_points(RNG, torus2, (3,))
-    assert maxabs(psi.value(x) - np.eye(2)) == 0.0
+def test_gauge_map_empty_is_identity(torus2, su2_field):
+    """A gauge map with no factors transforms nothing: the field's jets bit for bit."""
+    fld = TransformedField(su2_field, GaugeMap(torus2, 2, []))
+    x = random_points(RNG, torus2, (3, 2))
+    for got, want in zip(fld.coord_jets(x), su2_field.coord_jets(x), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
@@ -380,14 +389,37 @@ def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
 
 
 def test_transformed_field_jets_match_single_reads_bitwise(torus2, su2_field):
-    """One gauge-map pass gives the coordinates of `eval`, `partial_all` and
-    `second_all` bit for bit."""
+    """`eval`, `partial_all` and `second_all` are the matrices of `coord_jets`
+    bit for bit."""
     fld = TransformedField(su2_field, gauge_map(torus2))
     x = random_points(RNG, torus2, (4, 3))
     jets = fld.coord_jets(x)
     reads = (fld.eval(x), fld.partial_all(x), fld.second_all(x))
     for got, want in zip(jets, reads, strict=True):
-        assert np.array_equal(got, lie_coords(want))
+        assert np.array_equal(lie_matrix(got), want)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_transformed_coord_jets_match_einsum_oracle(d, n):
+    """The gauge transform in su(N) coordinates, one rotation Ad(e_j^-1) per
+    factor, vs the term-by-term matrix contractions, on a zero and a random
+    base field, to 1e-13 of the largest entry; each entry's bits do not depend
+    on `order`."""
+    torus = Torus(d, 1.0)
+    rng = rng_for(10 * d + n, "unit/coordinate-transform")
+    psi = GaugeMap.random(rng, torus, n=n, factors=3, modes=2, amplitude=0.6, kmax=1)
+    x = random_points(rng, torus, (5, 3))
+    for base in (AnalyticField.zero(torus, n),
+                 AnalyticField.random_su(rng, torus, n=n, modes=2, amplitude=0.3, kmax=2)):
+        fld = TransformedField(base, psi)
+        full = fld.coord_jets(x)
+        for k, (got, want) in enumerate(zip(full, einsum_transformed(fld, x), strict=True)):
+            assert got.shape == (5, 3) + (d,) * (k + 1) + (n * n - 1,)
+            assert maxabs(lie_matrix(got) - want) <= 1e-13 * maxabs(want)
+        for order in range(2):
+            jets = fld.coord_jets(x, order)
+            assert len(jets) == order + 1
+            assert all(np.array_equal(got, want) for got, want in zip(jets, full))
 
 
 def test_curvature_gauge_covariance(torus2, su2_field):
@@ -395,7 +427,7 @@ def test_curvature_gauge_covariance(torus2, su2_field):
     psi = gauge_map(torus2)
     fld = TransformedField(su2_field, psi)
     x = random_points(RNG, torus2, (4,))
-    u = psi.value(x)
+    u = gauge_map_value(psi, x)
     ud = dagger(u)
     conj = lambda t: np.einsum("...ij,...jk,...kl->...il", ud[:, None, None], t, u[:, None, None])
     f = lambda field: lie_matrix(curvature(field, x))
@@ -415,7 +447,7 @@ def test_pure_gauge_is_flat(torus2):
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_kernels_match_einsum_oracles(d, n):
-    """Gauge-map, transformed-field and curvature tensors vs explicit contractions."""
+    """Transformed-field and curvature tensors vs explicit contractions."""
     torus = Torus(d, 1.0)
     rng = rng_for(10 * d + n, "unit/einsum-oracle")
     psi = GaugeMap.random(rng, torus, n=n, factors=3, modes=2, amplitude=0.6, kmax=1)
@@ -424,13 +456,6 @@ def test_kernels_match_einsum_oracles(d, n):
 
     def close(got, want):
         assert maxabs(got - want) <= 1e-13 * maxabs(want)
-
-    full = psi.derivs(x, order=3)
-    for got, want in zip(full, einsum_gauge_map_derivs(psi, x), strict=True):
-        close(got, want)
-    for k in range(3):
-        for got, want in zip(psi.derivs(x, order=k), full[: k + 1], strict=True):
-            assert np.array_equal(got, want)
 
     fld = TransformedField(base, psi)
     want = einsum_transformed(fld, x)

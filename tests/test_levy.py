@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from _oracles import cesaro_second_trace_per_curve
+from _oracles import cesaro_second_trace_per_curve, gauge_map_value
 from gaugeflow.algebra import dagger, expm, fiber_metric, maxabs, random_lie
 from gaugeflow.experiments import (
     DEFAULT_CONFIG,
@@ -44,16 +44,16 @@ from gaugeflow.levy import (
 from gaugeflow.path import (
     Line,
     curve_integral,
-    curve_integrals,
     perturb,
     plateau,
     random_vanishing_field,
+    variation_integrals,
 )
 from gaugeflow.transport import (
     TransportContext,
     transport,
     transport_derivative,
-    transport_variations,
+    variation_transports,
 )
 
 STEP = 1.0 / 1024
@@ -197,8 +197,8 @@ def test_laplacian_gauge_covariance(su2_field, wiggly_curve, plateau_r, seed):
                           modes=2, amplitude=0.6, kmax=1)
     lap = levy_laplacian_transport(su2_field, curve, step=STEP).value
     lap_psi = levy_laplacian_transport(TransformedField(su2_field, psi), curve, step=STEP).value
-    p1 = psi.value(curve.point(np.array(1.0)))
-    p0 = psi.value(curve.point(np.array(0.0)))
+    p1 = gauge_map_value(psi, curve.point(np.array(1.0)))
+    p0 = gauge_map_value(psi, curve.point(np.array(0.0)))
     assert maxabs(lap_psi - dagger(p1) @ lap @ p0) / maxabs(lap) < 1e-8
 
 
@@ -253,17 +253,17 @@ def test_cesaro_estimator_converges(su2_field, wiggly_curve):
 
 def test_cesaro_driver_matches_per_curve_loop_bitwise(su2_field, wiggly_curve, torus2):
     """The batched Cesaro driver gives the bits of the per-curve loop, for the
-    transport (`transport_variations`) and for a curve functional
-    (`curve_integrals`)."""
+    transport (`variation_transports`) and for a curve functional
+    (`variation_integrals`), each sampling the curve once for the sweep."""
     step = 1.0 / 256
     f = ScalarFourier.random(np.random.default_rng(70), torus2, modes=3, amplitude=1.0, kmax=1)
     cases = [
-        (lambda c, v: transport_variations(su2_field, c, v, step=step),
+        (variation_transports(su2_field, wiggly_curve, step=step),
          lambda c: transport(su2_field, c, step=step)),
-        (lambda c, v: curve_integrals(f.value, c, v), lambda c: curve_integral(f.value, c)),
+        (variation_integrals(f.value, wiggly_curve), lambda c: curve_integral(f.value, c)),
     ]
     for batched, single in cases:
-        got = cesaro_second_trace(batched, wiggly_curve, 2, 6, eps=1e-3, checkpoints=(2, 4))
+        got = cesaro_second_trace(batched, 2, 6, eps=1e-3, checkpoints=(2, 4))
         estimate, partial, base = cesaro_second_trace_per_curve(
             single, wiggly_curve, 2, 6, eps=1e-3, checkpoints=(2, 4))
         assert np.array_equal(got.estimate, estimate)
@@ -303,10 +303,8 @@ def test_functional_cesaro_matches_laplacian(torus2, wiggly_curve):
     at n = 8 / 16 / 32 / 64 for this draw."""
     f = ScalarFourier.random(np.random.default_rng(70), torus2, modes=3, amplitude=1.0, kmax=1)
     closed = curve_integral(f.laplacian, wiggly_curve)
-    res = cesaro_second_trace(
-        lambda c, variations: curve_integrals(f.value, c, variations), wiggly_curve, 2, 64,
-        eps=1e-3, checkpoints=(8, 16, 32, 64),
-    )
+    res = cesaro_second_trace(variation_integrals(f.value, wiggly_curve), 2, 64,
+                              eps=1e-3, checkpoints=(8, 16, 32, 64))
     errs = [abs(res.partial[k] - closed) / abs(closed) for k in (8, 16, 32, 64)]
     assert errs[-1] < 0.1
     assert errs[0] > errs[1] > errs[2] > errs[3]

@@ -7,25 +7,31 @@ inner-product oracles are hand-computed antiderivatives.
 import numpy as np
 import pytest
 
-from _oracles import ConcatCurve, h0_inner, h1_inner
+from _oracles import (
+    ClosureField,
+    ConcatCurve,
+    closure_sine_basis,
+    closure_vanishing_field,
+    h0_inner,
+    h1_inner,
+)
 from gaugeflow.path import (
     Circle,
+    CurveSample,
     Line,
     PolyReparam,
     SineReparam,
     TrigCurve,
     curve_integral,
-    curve_integrals,
     gauss_legendre,
     make_curve,
     perturb,
-    perturbed_points,
-    perturbed_velocities,
     plateau,
     random_field,
     random_vanishing_field,
     reparametrize,
     sine_basis,
+    variation_integrals,
 )
 
 RNG = np.random.default_rng(515151)
@@ -228,14 +234,50 @@ def test_random_fields_flags_and_derivs():
 
 
 def test_field_algebra():
-    x = random_field(RNG, 2)
-    y = random_vanishing_field(RNG, 2)
+    """The closure reference's sum and scalar multiple, which the sine-series
+    oracle chains, add values, derivatives and end flags."""
+    xf = random_field(RNG, 2)
+    x = ClosureField(xf.value, xf.deriv, 2, xf.vanishing_ends)
+    y = closure_vanishing_field(RNG, 2)
     z = 2.0 * x + y
     t = np.linspace(0, 1, 5)
     assert np.allclose(z.value(t), 2 * x.value(t) + y.value(t))
     assert np.allclose(z.deriv(t), 2 * x.deriv(t) + y.deriv(t))
     assert not z.vanishing_ends
     assert (y + y).vanishing_ends
+
+
+SINE_GRID = np.concatenate([gauss_legendre(16)[0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sine_fields_match_closure_chains_bitwise(d):
+    """`sine_basis` and `random_vanishing_field` hold a coefficient table, one
+    sine or cosine per mode, and give the bits of the closure chains they
+    replaced: on a Gauss grid and at both ends, for modes 1-8 and several seeds."""
+    for n in range(1, 9):
+        for axis in range(d):
+            got, want = sine_basis(n, d, axis), closure_sine_basis(n, d, axis)
+            assert np.array_equal(got.value(SINE_GRID), want.value(SINE_GRID))
+            assert np.array_equal(got.deriv(SINE_GRID), want.deriv(SINE_GRID))
+    for seed in (0, 7, 42):
+        for modes in range(1, 9):
+            got = random_vanishing_field(np.random.default_rng(seed), d, modes, amplitude=0.8)
+            want = closure_vanishing_field(np.random.default_rng(seed), d, modes, amplitude=0.8)
+            assert got.vanishing_ends and got.d == d
+            assert np.array_equal(got.value(SINE_GRID), want.value(SINE_GRID))
+            assert np.array_equal(got.deriv(SINE_GRID), want.deriv(SINE_GRID))
+
+
+def test_sine_field_edge_cases():
+    """No modes is the zero field, which vanishes at the ends; an axis outside
+    the d axes is refused."""
+    zero = random_vanishing_field(np.random.default_rng(1), 2, modes=0)
+    assert zero.vanishing_ends
+    assert np.array_equal(zero.value(SINE_GRID), np.zeros((len(SINE_GRID), 2)))
+    assert np.array_equal(zero.deriv(SINE_GRID), np.zeros((len(SINE_GRID), 2)))
+    with pytest.raises(ValueError, match="axis"):
+        sine_basis(1, 2, axis=2)
 
 
 def test_gauss_legendre_exactness():
@@ -257,7 +299,8 @@ def test_curve_integral_closed_form():
 
 def test_perturbed_jets_and_integrals_match_nested_perturb_bitwise():
     """Terms add in order, so a batch of variations gives the bits of nested
-    `perturb` curves, and `curve_integrals` those of `curve_integral`."""
+    `perturb` curves, and `variation_integrals` those of `curve_integral`, for
+    every batch it is handed."""
     rng = np.random.default_rng(31)
     curve = plateau(TrigCurve.random(rng, 2), 0.625)
     x = random_vanishing_field(rng, 2, modes=3)
@@ -266,8 +309,9 @@ def test_perturbed_jets_and_integrals_match_nested_perturb_bitwise():
     variations = [[], [(x, 1e-3)], [(x, -2e-3), (y, 1e-3)], [(y, 1e-3), (x, -2e-3)]]
     curves = [curve, perturb(curve, x, 1e-3), perturb(perturb(curve, x, -2e-3), y, 1e-3),
               perturb(perturb(curve, y, 1e-3), x, -2e-3)]
-    points = perturbed_points(curve, variations, t)
-    velocities = perturbed_velocities(curve, variations, t)
+    sample = CurveSample(curve, t)
+    points = sample.perturbed_points(variations)
+    velocities = sample.perturbed_velocities(variations)
     for b, c in enumerate(curves):
         assert np.array_equal(points[b], c.point(t))
         assert np.array_equal(velocities[b], c.velocity(t))
@@ -275,8 +319,10 @@ def test_perturbed_jets_and_integrals_match_nested_perturb_bitwise():
     def fn(p):
         return np.cos(2.0 * np.pi * p[..., 0]) * np.sin(2.0 * np.pi * p[..., 1])
 
-    got = curve_integrals(fn, curve, variations)
+    integrals = variation_integrals(fn, curve)
+    got = integrals(variations)
     assert got.shape == (4,)
+    assert np.array_equal(integrals(variations[::-1]), got[::-1])
     for b, c in enumerate(curves):
         assert got[b] == curve_integral(fn, c)
 

@@ -15,7 +15,7 @@ kinked-curve ratio 16.00, gauge-covariance gap 3.4e-12.
 import numpy as np
 import pytest
 
-from _oracles import ConcatCurve
+from _oracles import ConcatCurve, gauge_map_value
 from gaugeflow.algebra import (
     dagger,
     expm,
@@ -48,7 +48,7 @@ from gaugeflow.transport import (
     transport,
     transport_derivative,
     transport_s_derivative,
-    transport_variations,
+    variation_transports,
 )
 
 RNG = np.random.default_rng(4242)
@@ -194,8 +194,8 @@ def test_gauge_covariance(su2_field, wiggly_curve):
     )
     u = transport(su2_field, wiggly_curve, step=1.0 / 1024)
     v = transport(TransformedField(su2_field, psi), wiggly_curve, step=1.0 / 1024)
-    p1 = psi.value(wiggly_curve.point(np.array(1.0)))
-    p0 = psi.value(wiggly_curve.point(np.array(0.0)))
+    p1 = gauge_map_value(psi, wiggly_curve.point(np.array(1.0)))
+    p0 = gauge_map_value(psi, wiggly_curve.point(np.array(0.0)))
     assert maxabs(v - dagger(p1) @ u @ p0) < 1e-9
 
 
@@ -438,7 +438,8 @@ def test_transport_variations_match_nested_perturb_bitwise(torus2, wiggly_curve,
     """The batched entry equals `transport` along the nested `perturb` curve bit
     for bit: a +-eps pair, the four Hessian corners and the unperturbed curve,
     on a smooth curve and on a plateau whose corner is a Magnus segment edge,
-    for an analytic field and for a lattice sampled from it."""
+    for an analytic field and for a lattice sampled from it; a later batch on
+    the same sample gets the same bits."""
     rng = rng_for(5, f"unit/variations/{n}")
     analytic = AnalyticField.random_su(rng, torus2, n=n, modes=2, amplitude=0.3, kmax=2)
     x = random_vanishing_field(rng, 2, modes=3, amplitude=0.9)
@@ -449,7 +450,9 @@ def test_transport_variations_match_nested_perturb_bitwise(torus2, wiggly_curve,
     for field, curve in cases:
         pair = [[(x, eps)], [(x, -eps)]]
         corners = [[(x, ex), (y, ey)] for ex in (eps, -eps) for ey in (eps, -eps)]
-        got = transport_variations(field, curve, pair + corners + [[]], step=step)
+        transports = variation_transports(field, curve, step=step)
+        got = transports(pair + corners + [[]])
+        assert np.array_equal(transports(corners[::-1]), got[2:6][::-1])
         want = [transport(field, perturb(curve, x, e), step=step) for e in (eps, -eps)]
         want += [transport(field, perturb(perturb(curve, x, ex), y, ey), step=step)
                  for ex in (eps, -eps) for ey in (eps, -eps)]
@@ -458,7 +461,7 @@ def test_transport_variations_match_nested_perturb_bitwise(torus2, wiggly_curve,
         for b, u in enumerate(want):
             assert np.array_equal(got[b], u), (type(field).__name__, curve.breakpoints, b)
     with pytest.raises(ValueError):
-        transport_variations(analytic, wiggly_curve, [[]], step=0.0)
+        variation_transports(analytic, wiggly_curve, step=0.0)
 
 
 def test_package_root_hides_no_module():
