@@ -9,16 +9,20 @@ Conventions:
 
 Everything broadcasts over leading axes, so a batch of M elements is an
 (M, N, N) array. `expm` takes any complex matrices, for every N, through one
-batched scaling-and-squaring Pade evaluation (numpy only).
+batched scaling-and-squaring Pade evaluation (numpy only). Its callers are
+the abelian Levy oracle in `experiments`, `random_group` and `exp_lie` at
+N >= 4, which only the tests reach.
 
 A Lie element is also held as its real coordinates in `su_basis(n)`, a
 trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
 `bracket` (from the structure constants `_structure`) and `exp_lie` give
-the bracket and the exponential in these coordinates (a closed form at
-N = 2, the only one in the package); `adjoint` gives Ad(U^-1) of group
-elements U as real orthogonal K x K matrices. Every su(N) element the package
-builds from real data goes through these maps, which are built on first
-use for each N.
+the bracket and the exponential in these coordinates. `exp_lie` has closed
+forms at N = 2 and at N = 3, where exp(X) = f0 Id + f1 X + f2 X^2 by
+Cayley-Hamilton (Morningstar & Peardon, Phys. Rev. D 69 (2004) 054501), so
+no transport takes a Pade step or a LAPACK solve. `adjoint` gives Ad(U^-1)
+of group elements U as real orthogonal K x K matrices. Every su(N) element
+the package builds from real data goes through these maps, which are built
+on first use for each N.
 """
 
 from __future__ import annotations
@@ -296,13 +300,105 @@ def adjoint(u):
     return out.reshape(u.shape[:-2] + (n * n - 1, n * n - 1))
 
 
+@functools.cache
+def _su3_maps():
+    """Real maps of `_exp_su3`, derived from T = su_basis(3).
+
+    For X = x.T, X^2 = -(|x|^2 / 6) Id + i W with W = w.T in su(3): `w_map` (8, 64) takes
+    the outer products x_a x_b to w, weighting each by the su(3) part of -i T_a T_b.
+    `out_map` (18, 18) takes su(3) coordinates p, q and a complex g, stacked as 18 reals,
+    to the interleaved (re, im) entries of p.T + i q.T + g Id.
+    """
+    t = su_basis(3)
+    w_map = lie_coords(-1j * (t[:, None] @ t[None, :])).reshape(64, 8).T
+    eye = np.eye(3, dtype=np.complex128)[None]
+    out_map = np.concatenate([t, 1j * t, eye, 1j * eye]).reshape(18, 9).view(np.float64)
+    return np.ascontiguousarray(w_map), np.ascontiguousarray(out_map)
+
+
+# Taylor terms of exp(i Q) that `_exp_su3` sums, and the |x| up to which they reach double
+# precision: Q's eigenvalues are at most |x| / sqrt(3), and the first term left out,
+# (1.4 / sqrt(3))^17 / 17!, is below 2^-53.
+_SU3_TERMS = 16
+_SU3_BOUND = 1.4
+
+
+@functools.cache
+def _su3_taylor_weights():
+    """(2, _SU3_TERMS + 1): the real and imaginary parts of i^n / n!."""
+    w = np.zeros((2, _SU3_TERMS + 1))
+    for n in range(_SU3_TERMS + 1):
+        w[n % 2, n] = (-1.0) ** (n // 2) / math.factorial(n)
+    return w
+
+
+# su(3) rows that `_exp_su3` takes at once: its temporaries stay below about 2 MB
+_SU3_ROWS = 1 << 10
+
+
+def _exp_su3(x):
+    """exp(X) of su_basis(3) coordinates x (M, 8), (M, 3, 3): f0 Id + f1 X + f2 X^2.
+
+    With Q = -iX, Cayley-Hamilton gives Q^3 = c1 Q + c0 Id with c1 = |x|^2 / 4 and
+    c0 = det Q = -Im tr(X^3) / 3 = x.w / 6 (`_su3_maps`), so Q^n = a_n Id + b_n Q + c_n Q^2
+    with (a, b, c) <- (c c0, a + c c1, b), and the Taylor series of exp(iQ) sums to scalars
+    of the two invariants. Morningstar & Peardon (Phys. Rev. D 69 (2004) 054501,
+    arXiv:hep-lat/0311018) evaluate them in trigonometric closed form; the series divides
+    by no invariant, so the order-x part of exp(X) stays accurate to roundoff at small |x|.
+    Each row is scaled by 2^-s below _SU3_BOUND, summed to _SU3_TERMS terms and squared s
+    times, so its bits do not depend on the values in the other rows.
+    """
+    w_map, out_map = _su3_maps()
+    m = len(x)
+    norm = np.sqrt(np.einsum("ma,ma->m", x, x))
+    squarings = np.ceil(np.log2(np.maximum(norm / _SU3_BOUND, 1.0))).astype(int)
+    xt = np.ascontiguousarray(x.T) * np.ldexp(1.0, -squarings)
+    w = w_map @ (xt[:, None] * xt[None]).reshape(64, m)
+    c1 = 0.25 * np.einsum("am,am->m", xt, xt)
+    invariants = np.stack([np.einsum("am,am->m", xt, w) / 6.0, c1])
+    powers = np.zeros((_SU3_TERMS + 1, 3, m))
+    powers[0, 0] = powers[1, 1] = powers[2, 2] = 1.0
+    for n in range(3, _SU3_TERMS + 1):
+        a, b, c = powers[n - 1]
+        np.multiply(c, invariants, out=powers[n, :2])
+        powers[n, 1] += a
+        powers[n, 2] = b
+    # exp(iQ) = F0 Id + F1 Q + F2 Q^2 with F_j = r_j + i i_j; as Q = -iX and Q^2 =
+    # (|x|^2 / 6) Id - iW, exp(X) = (i1 x + i2 w).T - i (r1 x + r2 w).T + (F0 + F2 |x|^2 / 6) Id
+    (r0, r1, r2), (i0, i1, i2) = (_su3_taylor_weights()
+                                  @ powers.reshape(_SU3_TERMS + 1, -1)).reshape(2, 3, m)
+    coef = np.empty((18, m))
+    np.multiply(i1, xt, out=coef[:8])
+    coef[:8] += i2 * w
+    np.multiply(-r1, xt, out=coef[8:16])
+    coef[8:16] -= r2 * w
+    coef[16] = r0 + r2 * (c1 / 1.5)
+    coef[17] = i0 + i2 * (c1 / 1.5)
+    out = (coef.T @ out_map).view(np.complex128).reshape(m, 3, 3)
+    for k in range(int(np.max(squarings, initial=0))):
+        sel = squarings > k
+        out[sel] = _matmul(out[sel], out[sel])
+    return out
+
+
 def exp_lie(x):
     """exp of the su(N) elements with su_basis coordinates x (..., K): (..., N, N).
 
-    N > 2 takes the Pade `expm`. N = 2 is the closed form exp(X) =
-    cos(r) Id + (sin(r) / r) X with r = |x| / 2, as X^2 = -r^2 Id in su(2).
+    Closed forms at N = 2 and N = 3; only N >= 4, refused at validation, takes
+    the Pade `expm`, whose other callers are the abelian Levy oracle and
+    `random_group`. N = 2 is exp(X) = cos(r) Id + (sin(r) / r) X, r = |x| / 2,
+    as X^2 = -r^2 Id in su(2). N = 3 is exp(X) = f0 Id + f1 X + f2 X^2 by
+    Cayley-Hamilton (Morningstar & Peardon, Phys. Rev. D 69 (2004) 054501),
+    the f_j from a Taylor series in two invariants of X (`_exp_su3`), taken
+    _SU3_ROWS rows at a time. Both give exactly Id at x = 0.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 8:
+        flat = x.reshape(-1, 8)
+        out = np.empty((len(flat), 3, 3), dtype=np.complex128)
+        for lo in range(0, len(flat), _SU3_ROWS):
+            out[lo:lo + _SU3_ROWS] = _exp_su3(flat[lo:lo + _SU3_ROWS])
+        return out.reshape(x.shape[:-1] + (3, 3))
     if x.shape[-1] != 3:
         return expm(lie_matrix(x))
     r = 0.5 * np.sqrt(np.sum(x * x, axis=-1))

@@ -12,10 +12,13 @@ arXiv:0810.5488; Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)):
 
 Z, Omega and the bracket are real su_basis coordinates (K = N^2 - 1 per
 point): the bracket is `algebra.bracket`, from the structure constants,
-and the factor comes from `algebra.exp_lie`, a closed form at N = 2 that
-gives exactly Id where Omega = 0. Products of the factors give P at the
-nodes (`prefix_products`, a work-efficient scan in about 2M products) or
-at d alone (`_endpoint_product`, its up-sweep, M products). Z may carry a
+and the factor comes from `algebra.exp_lie`. That is a closed form at N = 2
+and at N = 3 (Cayley-Hamilton, Morningstar & Peardon, Phys. Rev. D 69 (2004)
+054501), and it gives exactly Id where Omega = 0; the Pade `algebra.expm` is
+left to the abelian Levy oracle, `random_group` and N >= 4 in the tests.
+Products of the factors give P at the nodes (`prefix_products`, a
+work-efficient scan in about 2M products) or at d alone
+(`_endpoint_product`, its up-sweep, M products). Z may carry a
 stack axis, and then Omega, the exponentials and the products run once
 over the (M, B, N, N) stack. Every product of N x N stacks here is
 `algebra._matmul`. Halving h cuts the error by 2^4.
@@ -30,7 +33,8 @@ for every batch, and each result equals `transport` along the `path.perturb`
 curve bit for bit. The finite-difference oracles use it. Each Omega is in
 su(N), so each factor and every product of them is special-unitary up to
 roundoff, with no projection. `propagator` takes a matrix-valued Z and
-refuses one with a non-su(N) part beyond roundoff.
+refuses one with a non-su(N) part beyond roundoff, so `duhamel_derivative`
+takes P^-1 as P^+. No transport calls LAPACK.
 
 A `TransportContext` caches U_{t_i, lo} on the nodes of one curve, and
 every integral formula in this package is a quadrature over those nodes.
@@ -55,7 +59,7 @@ import math
 
 import numpy as np
 
-from .algebra import _matmul, adjoint, bracket, exp_lie, lie_coords, lie_matrix
+from .algebra import _matmul, adjoint, bracket, dagger, exp_lie, lie_coords, lie_matrix
 from .field import curvature
 from .path import CurveSample
 
@@ -332,11 +336,11 @@ def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):
 
         <DP(Z; d), dZ> = -P(d) integral_c^d P(t)^-1 dZ(t) P(t) dt.
 
-    Z must lie in su(N), as in `propagator`; dZ may be any matrix.
+    Z must lie in su(N), as in `propagator`, so P is special-unitary to roundoff
+    and P^-1 is taken as P^+; dZ may be any matrix.
     """
     nodes, p = propagator(zfun, c, d, step)
-    pinv = np.linalg.inv(p)
-    integrand = _matmul(_matmul(pinv, np.asarray(dzfun(nodes))), p)
+    integrand = _matmul(_matmul(dagger(p), np.asarray(dzfun(nodes))), p)
     w = simpson_weights(len(nodes), (d - c) / (len(nodes) - 1))
     integral = np.einsum("t,tij->ij", w, integrand)
     return -_matmul(p[-1], integral)

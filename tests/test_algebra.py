@@ -1,6 +1,7 @@
 """Matrix-algebra layer: Lie projections, exponentials, unitarization.
 
-Oracles: scipy.linalg.expm for the exponential, direct identity checks for
+Oracles: scipy.linalg.expm for the exponential (and, on diagonal su(3)
+elements, the exponential of the diagonal), direct identity checks for
 everything else. All batched routines are compared entry-by-entry against a
 python loop over the batch.
 """
@@ -142,8 +143,8 @@ def test_expm_small_argument_stable():
 def test_exp_lie_matches_scipy(n):
     """exp_lie of su_basis coordinates vs scipy.linalg.expm of their matrices.
 
-    x = 0 gives exactly Id (N = 2 closed form and Pade alike); |x| ~ 1e-9,
-    O(1) and O(3) coordinates agree to 1e-14 and land in the group.
+    x = 0 gives exactly Id (N = 2 and N = 3 closed forms and Pade alike);
+    |x| ~ 1e-9, O(1) and O(3) coordinates agree to 1e-14 and land in the group.
     """
     k = n * n - 1
     assert np.array_equal(exp_lie(np.zeros((4, k))), np.broadcast_to(np.eye(n), (4, n, n)))
@@ -154,6 +155,53 @@ def test_exp_lie_matches_scipy(n):
         for i in range(20):
             assert maxabs(got[i] - scipy.linalg.expm(lie_matrix(x[i]))) < 1e-14
         assert group_defect(got) < 1e-13
+
+
+def test_exp_su3_on_degenerate_spectra():
+    """The N = 3 closed form where its invariants degenerate, against the exact
+    exponential of a diagonal matrix: along T_8 of either sign (two equal
+    eigenvalues), along T_3 (det 0) and along T_8 + eps T_3 for eps from 1e-16
+    to 1e-4, at scales from no squaring to four. x = 0 gives exactly Id."""
+    assert np.array_equal(exp_lie(np.zeros(8)), np.eye(3))
+    eye = np.eye(8)
+    dirs = np.array([eye[7], -eye[7], eye[6]]
+                    + [eye[7] + eps * eye[6] for eps in 10.0 ** np.arange(-16, -3)])
+    for scale in (1e-9, 1e-3, 0.3, 1.0, 4.0, 20.0):
+        x = scale * dirs
+        want = np.exp(np.diagonal(lie_matrix(x), axis1=-2, axis2=-1))[..., None] * np.eye(3)
+        assert maxabs(exp_lie(x) - want) < 1e-14
+
+
+def test_exp_su3_scales():
+    """Random su(3) coordinates from |x| ~ 1e-9 to ~ 30, where rows are scaled
+    and squared, land in the group to 1e-13 and agree with scipy to 1e-13."""
+    for scale in 10.0 ** np.arange(-9, 2):
+        x = scale * RNG.standard_normal((16, 8))
+        got = exp_lie(x)
+        assert group_defect(got) < 1e-13
+        for i in range(16):
+            assert maxabs(got[i] - scipy.linalg.expm(lie_matrix(x[i]))) < 1e-13
+
+
+def test_exp_su3_small_argument_stable():
+    """Tiny x: e^X = Id + X + X^2/2 + O(x^3). The entries of order x agree to
+    1e-20; the real diagonal, 1 - O(x^2), to one unit in the last place of 1."""
+    x = 1e-8 * RNG.standard_normal(8)
+    m = lie_matrix(x)
+    diff = exp_lie(x) - (np.eye(3) + m + 0.5 * m @ m)
+    assert maxabs(np.real(np.diagonal(diff))) <= 2.0**-52
+    diff.real[np.diag_indices(3)] = 0.0
+    assert maxabs(diff) < 1e-20
+
+
+def test_exp_su3_rows_do_not_depend_on_each_other():
+    """Each row is scaled, summed and squared on its own: a row keeps its bits
+    when the other rows of an equal-length batch go from no squaring to several."""
+    rows = RNG.standard_normal((5, 8))
+    for own in (1e-3, 1.0, 30.0):
+        got = [exp_lie(np.concatenate([own * rows[:1], other * rows[1:]]))[0]
+               for other in (1e-6, 0.5, 40.0)]
+        assert all(np.array_equal(g, got[0]) for g in got[1:])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
