@@ -8,10 +8,10 @@ Conventions:
   derivatives of transports live here.
 
 Everything broadcasts over leading axes, so a batch of M elements is an
-(M, N, N) array. `expm` takes any complex matrices, for every N, through one
-batched scaling-and-squaring Pade evaluation (numpy only). Its callers are
-the abelian Levy oracle in `experiments`, `random_group` and `exp_lie` at
-N >= 4, which only the tests reach.
+(M, N, N) array. `expm` takes anti-Hermitian matrices, for every N, through
+their eigendecomposition. Its callers are the abelian Levy oracle in
+`experiments`, `random_group` and `exp_lie` at N >= 4, which only the tests
+reach.
 
 A Lie element is also held as its real coordinates in `su_basis(n)`, a
 trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
@@ -19,10 +19,9 @@ trailing axis of K = N^2 - 1 floats: `lie_coords` and `lie_matrix` convert,
 the bracket and the exponential in these coordinates. `exp_lie` has closed
 forms at N = 2 and at N = 3, where exp(X) = f0 Id + f1 X + f2 X^2 by
 Cayley-Hamilton (Morningstar & Peardon, Phys. Rev. D 69 (2004) 054501), so
-no transport takes a Pade step or a LAPACK solve. `adjoint` gives Ad(U^-1)
-of group elements U as real orthogonal K x K matrices. Every su(N) element
-the package builds from real data goes through these maps, which are built
-on first use for each N.
+no transport calls LAPACK. `adjoint` gives Ad(U^-1) of group elements U as
+real orthogonal K x K matrices. Every su(N) element the package builds from
+real data goes through these maps, which are built on first use for each N.
 """
 
 from __future__ import annotations
@@ -72,68 +71,20 @@ def project_lie(m):
     return a - tr[..., None, None] * np.eye(n)
 
 
-# Pade degree m -> largest 1-norm for which scaling and squaring with it is
-# accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
-# 1179, Table 2.3).
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-
-def _pade_coefficients(m):
-    """Numerator coefficients b_0..b_m of the [m/m] Pade approximant of exp,
-    scaled to the integers (2m - k)! / (k! (m - k)!) so that b_m = 1."""
-    f = math.factorial
-    return [f(2 * m - k) // (f(k) * f(m - k)) for k in range(m + 1)]
-
-
-def _pade(a, m):
-    """Degree-m Pade approximant (V - U)^-1 (V + U) of exp over a batch a."""
-    b = _pade_coefficients(m)
-    eye = np.eye(a.shape[-1])
-    a2 = _matmul(a, a)
-    if m < 13:
-        powers = [eye, a2]
-        while len(powers) <= m // 2:
-            powers.append(_matmul(powers[-1], a2))
-        u = _matmul(a, sum(b[2 * j + 1] * p for j, p in enumerate(powers)))
-        v = sum(b[2 * j] * p for j, p in enumerate(powers))
-    else:
-        a4 = _matmul(a2, a2)
-        a6 = _matmul(a4, a2)
-        u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-                    + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    return np.linalg.solve(v - u, v + u)
-
-
 def expm(x):
-    """Matrix exponential of any complex matrices (..., N, N), for every N.
+    """exp of anti-Hermitian matrices (..., N, N), for every N.
 
-    One batched scaling and squaring: each matrix gets the lowest Pade
-    degree whose bound covers its 1-norm; above the degree-13 bound it is
-    scaled by 2^-s to fit and squared s times.
+    Spectral (Moler & Van Loan, SIAM Rev. 45 (2003) 3): with the Hermitian
+    i x = V diag(lam) V^+, exp(x) = Id + V diag(expm1(-i lam)) V^+, unitary to
+    roundoff, exactly Id at x = 0 and accurate to roundoff in its order-x part
+    at small x. Raises ValueError if x has a Hermitian part beyond LIE_TOL
+    relative to its largest entry.
     """
     x = np.asarray(x, dtype=np.complex128)
-    shape, x = x.shape, x.reshape((-1,) + x.shape[-2:])
-    norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
-    degrees, thetas = list(_PADE_THETA), list(_PADE_THETA.values())
-    group = np.minimum(np.searchsorted(thetas, norm), len(degrees) - 1)
-    squarings = np.ceil(np.log2(np.maximum(norm / thetas[-1], 1.0))).astype(int)
-    out = np.empty_like(x)
-    for i, m in enumerate(degrees):
-        sel = group == i
-        if np.any(sel):
-            out[sel] = _pade(x[sel] * 0.5 ** squarings[sel][:, None, None], m)
-    for k in range(int(np.max(squarings, initial=0))):
-        sel = squarings > k
-        out[sel] = _matmul(out[sel], out[sel])
-    return out.reshape(shape)
+    if maxabs(x + dagger(x)) > 2.0 * LIE_TOL * maxabs(x):
+        raise ValueError("expm takes anti-Hermitian matrices")
+    lam, v = np.linalg.eigh(1j * x)
+    return np.eye(x.shape[-1]) + (v * np.expm1(-1j * lam)[..., None, :]) @ dagger(v)
 
 
 # Newton iteration is quadratic, so two steps take a 1e-6 defect to roundoff.
@@ -385,7 +336,7 @@ def exp_lie(x):
     """exp of the su(N) elements with su_basis coordinates x (..., K): (..., N, N).
 
     Closed forms at N = 2 and N = 3; only N >= 4, refused at validation, takes
-    the Pade `expm`, whose other callers are the abelian Levy oracle and
+    the spectral `expm`, whose other callers are the abelian Levy oracle and
     `random_group`. N = 2 is exp(X) = cos(r) Id + (sin(r) / r) X, r = |x| / 2,
     as X^2 = -r^2 Id in su(2). N = 3 is exp(X) = f0 Id + f1 X + f2 X^2 by
     Cayley-Hamilton (Morningstar & Peardon, Phys. Rev. D 69 (2004) 054501),

@@ -127,7 +127,7 @@ def _load_config(args):
         key, _, value = item.partition("=")
         try:
             set_by_path(cfg, key, value)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"--set {key!r} does not address a config entry") from exc
     return cfg
 

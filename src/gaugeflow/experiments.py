@@ -247,7 +247,9 @@ def _deep_merge(base, extra):
 
 
 def resolve_config(overrides=None):
-    """DEFAULT_CONFIG merged with overrides, validated."""
+    """DEFAULT_CONFIG merged with overrides, an object or None, validated."""
+    if not isinstance(overrides, (dict, type(None))):
+        raise _invalid((), f"expected an object, got {overrides!r}")
     cfg = _deep_merge(DEFAULT_CONFIG, overrides or {})
     validate_config(cfg)
     return cfg
@@ -879,10 +881,12 @@ def _single_mode_field(torus, n, k, mu, amplitude):
 
 
 def _discrete_rate(k, torus, m):
-    """Decay rate of the lattice stencil for one wave vector."""
+    """Decay rate of the lattice stencil for one wave vector. On the mode, the
+    order-4 first difference multiplies by i sym, sym its stencil applied to
+    sin(j theta) along each axis, so applied twice it decays at sum sym^2."""
     a = torus.L / m
     theta = 2.0 * np.pi * np.asarray(k, dtype=float) * a / torus.L
-    sym = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * a)
+    sym = central_difference(lambda js: [np.sin(j * theta) for j in js], a, 1, 4)
     return float(np.sum(sym * sym))
 
 

@@ -14,8 +14,8 @@ Z, Omega and the bracket are real su_basis coordinates (K = N^2 - 1 per
 point): the bracket is `algebra.bracket`, from the structure constants,
 and the factor comes from `algebra.exp_lie`. That is a closed form at N = 2
 and at N = 3 (Cayley-Hamilton, Morningstar & Peardon, Phys. Rev. D 69 (2004)
-054501), and it gives exactly Id where Omega = 0; the Pade `algebra.expm` is
-left to the abelian Levy oracle, `random_group` and N >= 4 in the tests.
+054501), and it gives exactly Id where Omega = 0; the spectral `algebra.expm`
+is left to the abelian Levy oracle, `random_group` and N >= 4 in the tests.
 Products of the factors give P at the nodes (`prefix_products`, a
 work-efficient scan in about 2M products) or at d alone
 (`_endpoint_product`, its up-sweep, M products). Z may carry a

@@ -1,9 +1,9 @@
 """Matrix-algebra layer: Lie projections, exponentials, unitarization.
 
-Oracles: scipy.linalg.expm for the exponential (and, on diagonal su(3)
-elements, the exponential of the diagonal), direct identity checks for
-everything else. All batched routines are compared entry-by-entry against a
-python loop over the batch.
+Oracles: scipy.linalg.expm for the spectral `expm` of anti-Hermitian
+matrices and for `exp_lie` (and, on diagonal su(3) elements, the exponential
+of the diagonal), direct identity checks for everything else. All batched
+routines are compared entry-by-entry against a python loop over the batch.
 """
 
 import pathlib
@@ -106,20 +106,19 @@ def test_fiber_metric_positive_definite_on_lie():
             assert abs(val - np.sum(np.abs(x) ** 2)) < 1e-12
 
 
-def test_expm_pade_matches_scipy():
-    """Batched Pade for N = 2, 3, 4 vs a loop over scipy.linalg.expm.
+def test_expm_matches_scipy():
+    """Spectral expm for N = 2, 3, 4 vs a loop over scipy.linalg.expm.
 
-    Scales 1e-3, 0.5 and 3 select low degrees, high degrees and the
-    squaring path; the last batch mixes all of them in one call, so each
-    matrix must get its own degree and number of squarings. Lie input must
-    also give group elements.
+    Scales from 1e-3 to 10, each batch also reshaped to two leading axes;
+    the last batch mixes all of them in one call. The results are group
+    elements.
     """
     for n in (2, 3, 4):
         batches = []
-        for scale in (1e-3, 0.5, 3.0):
+        for scale in (1e-3, 0.5, 3.0, 10.0):
             x = random_lie(RNG, n, scale=scale, shape=(12,))
             assert group_defect(expm(x)) < 1e-13
-            batches += [x, random_fiber(RNG, n, scale=scale, shape=(12,))]
+            batches.append(x)
         batches.append(np.concatenate(batches[::-1]))
         for batch in batches:
             got = expm(batch.reshape((-1, 4, n, n))).reshape(batch.shape)
@@ -128,8 +127,19 @@ def test_expm_pade_matches_scipy():
                 assert maxabs(got[i] - ref) < 1e-13 * max(1.0, maxabs(ref))
 
 
+def test_expm_refuses_non_anti_hermitian():
+    """A Hermitian part beyond roundoff, relative to the largest entry, raises;
+    one at roundoff is accepted, and x = 0 gives exactly Id."""
+    x = random_lie(RNG, 3, shape=(5,))
+    for bad in (random_fiber(RNG, 3), np.eye(3), x + 1e-9 * random_fiber(RNG, 3)):
+        with pytest.raises(ValueError):
+            expm(bad)
+    assert group_defect(expm(x + 1e-15 * np.eye(3))) < 1e-13
+    assert np.array_equal(expm(np.zeros((4, 3, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
 def test_expm_small_argument_stable():
-    """Tiny x takes the lowest Pade degree with no cancellation:
+    """Tiny x keeps its order-x part through expm1 with no cancellation:
     e^x = I + x + x^2/2 + O(x^3). The entries of order x agree to 1e-20; the
     real diagonal, 1 - O(x^2), to one unit in the last place of 1."""
     x = 1e-8 * random_lie(RNG, 2)
@@ -143,7 +153,7 @@ def test_expm_small_argument_stable():
 def test_exp_lie_matches_scipy(n):
     """exp_lie of su_basis coordinates vs scipy.linalg.expm of their matrices.
 
-    x = 0 gives exactly Id (N = 2 and N = 3 closed forms and Pade alike);
+    x = 0 gives exactly Id (N = 2 and N = 3 closed forms and spectral expm alike);
     |x| ~ 1e-9, O(1) and O(3) coordinates agree to 1e-14 and land in the group.
     """
     k = n * n - 1

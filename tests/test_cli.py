@@ -80,6 +80,19 @@ def test_bad_set_override_is_exit_2(tmp_path):
     assert "gradient/free_end_cases" in proc.stderr, proc.stderr
 
 
+def test_malformed_overrides_are_exit_2(tmp_path):
+    """A list index that is not an integer and a config file that is not a JSON
+    object are config errors, refused before any output is written."""
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "string.json").write_text('"x"')
+    for args in (["--set", "curves.x=1"], ["--config", "list.json"],
+                 ["--config", "string.json"]):
+        proc = run_cli(["transport", "--out", "out", *args], tmp_path)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("config error:"), (args, proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
 def test_transport_outputs(tmp_path):
     cfg = write_config(tmp_path, TRANSPORT_ONLY)
     proc = run_cli(

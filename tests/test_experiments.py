@@ -16,13 +16,14 @@ from gaugeflow.experiments import (
     DEFAULT_CONFIG,
     EXPERIMENTS,
     ConfigError,
+    _discrete_rate,
     resolve_config,
     rng_for,
     run_experiment,
     set_by_path,
     validate_config,
 )
-from gaugeflow.field import AnalyticField, LatticeField, Torus
+from gaugeflow.field import AnalyticField, LatticeField, Torus, stencil_d1
 from gaugeflow.heatflow import flow
 from gaugeflow.levy import levy_laplacian_transport
 from gaugeflow.path import make_curve
@@ -205,6 +206,21 @@ def test_experiment_registry():
         assert name in EXPERIMENTS
     with pytest.raises(KeyError):
         run_experiment("no-such-experiment", resolve_config(), 42)
+
+
+@pytest.mark.parametrize("grid, k", [(8, [2, 0]), (16, [1, 3]), (32, [1, 0])])
+def test_discrete_rate_is_the_stencil_applied_twice(grid, k):
+    """The flow's semi-discrete decay rate of a mode: stencil_d1 applied twice
+    along each axis of the sampled plane wave exp(2 pi i k.x / L) multiplies it
+    by -_discrete_rate, to 1e-12 relative."""
+    torus = Torus(2, 1.5)
+    a = torus.L / grid
+    x = np.stack(np.meshgrid(*[a * np.arange(grid)] * 2, indexing="ij"), axis=-1)
+    wave = np.exp(2j * np.pi * (x @ np.asarray(k, dtype=float)) / torus.L)
+    second = sum(stencil_d1(stencil_d1(wave, ax, a), ax, a) for ax in range(2))
+    rate = _discrete_rate(k, torus, grid)
+    assert rate > 0.0
+    assert maxabs(second + rate * wave) <= 1e-12 * rate
 
 
 def test_transport_report_structure_and_determinism():

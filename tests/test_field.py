@@ -733,7 +733,8 @@ def test_finite_difference_oracles_write_no_stencil_denominator():
     src = pathlib.Path(gaugeflow.__file__).parent
     for name in ("experiments.py", "levy.py", "heatflow.py"):
         text = (src / name).read_text()
-        for denominator in ("/ (2.0 *", "/ (2 *", "/ (4 *", "/ (12.0 *", "/ (eps * eps)"):
+        for denominator in ("/ (2.0 *", "/ (2 *", "/ (4 *", "/ (6.0 *", "/ (12.0 *",
+                            "/ (eps * eps)"):
             assert denominator not in text, f"{name} writes a stencil denominator {denominator!r}"
 
 

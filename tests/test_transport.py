@@ -132,10 +132,10 @@ def test_rotating_frame_closed_form():
 @pytest.mark.parametrize("n", [2, 3])
 def test_unitarity_and_adjoint(su2_field, su3_field, wiggly_curve, n):
     """Magnus factors keep U_{t,0} in SU(N) with no projection (N = 3 runs the
-    Pade expm). The adjoint matrices are orthogonal, and `to_start` carries
-    coordinates as U_{t,0}^-1 C U_{t,0} carries their matrices. Measured at
-    N = 2 and 3: orthogonality defects 1.0e-14 and 3.8e-14, `to_start` gaps
-    2.4e-16 and 4.4e-16 relative to max|C|."""
+    Cayley-Hamilton closed form). The adjoint matrices are orthogonal, and
+    `to_start` carries coordinates as U_{t,0}^-1 C U_{t,0} carries their
+    matrices. Measured at N = 2 and 3: orthogonality defects 1.0e-14 and
+    3.8e-14, `to_start` gaps 2.4e-16 and 4.4e-16 relative to max|C|."""
     field = {2: su2_field, 3: su3_field}[n]
     ctx = TransportContext(field, wiggly_curve, step=1.0 / 1024)
     assert group_defect(ctx.from_start) < 1e-12
@@ -464,37 +464,40 @@ def test_transport_variations_match_nested_perturb_bitwise(torus2, wiggly_curve,
         variation_transports(analytic, wiggly_curve, step=0.0)
 
 
-def test_su3_transports_take_no_pade_or_lapack(monkeypatch, su3_field, wiggly_curve):
-    """Every N = 3 transport takes the closed-form exponential, and the Duhamel
-    formula takes P^-1 as P^+: with the Pade `expm`, `np.linalg.solve` and
-    `np.linalg.inv` made to raise, the context, `transport`,
-    `variation_transports`, `propagator` and `duhamel_derivative` still run and
-    give group elements."""
+@pytest.mark.parametrize("n", [2, 3])
+def test_transports_take_no_lapack(monkeypatch, su2_field, su3_field, wiggly_curve, n):
+    """Every N = 2 and N = 3 transport takes a closed-form exponential, and the
+    Duhamel formula takes P^-1 as P^+: with the spectral `expm`,
+    `np.linalg.eigh`, `np.linalg.solve` and `np.linalg.inv` made to raise, the
+    context, `transport`, `variation_transports`, `propagator` and
+    `duhamel_derivative` still run and give group elements."""
     from gaugeflow import algebra
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Pade or LAPACK reached at N = 3")
+        raise AssertionError(f"expm or LAPACK reached at N = {n}")
 
+    field = {2: su2_field, 3: su3_field}[n]
     rng = np.random.default_rng(33)
     x = random_vanishing_field(rng, 2, modes=2, amplitude=0.5)
-    z0, z1 = random_lie(rng, 3), random_lie(rng, 3)
-    dz = random_lie(rng, 3, scale=0.5)
+    z0, z1 = random_lie(rng, n), random_lie(rng, n)
+    dz = random_lie(rng, n, scale=0.5)
 
     def zfun(t):
         return z0 + np.multiply.outer(np.cos(np.asarray(t, dtype=float)), z1)
 
-    for name, module in (("expm", algebra), ("solve", np.linalg), ("inv", np.linalg)):
+    for name, module in (("expm", algebra), ("eigh", np.linalg), ("solve", np.linalg),
+                         ("inv", np.linalg)):
         monkeypatch.setattr(module, name, refuse)
     step = 1.0 / 256
-    ctx = TransportContext(su3_field, wiggly_curve, step=step)
-    u = transport(su3_field, wiggly_curve, step=step)
-    varied = variation_transports(su3_field, wiggly_curve, step=step)([[(x, 1e-3)], []])
+    ctx = TransportContext(field, wiggly_curve, step=step)
+    u = transport(field, wiggly_curve, step=step)
+    varied = variation_transports(field, wiggly_curve, step=step)([[(x, 1e-3)], []])
     _, p = propagator(zfun, step=step)
     dp = duhamel_derivative(zfun, lambda t: np.broadcast_to(dz, np.shape(t) + dz.shape), step=step)
     assert np.array_equal(varied[1], u)
     for g in (ctx.from_start, u, varied, p):
         assert group_defect(g) < 1e-12
-    assert dp.shape == (3, 3) and np.all(np.isfinite(dp))
+    assert dp.shape == (n, n) and np.all(np.isfinite(dp))
 
 
 def test_package_root_hides_no_module():
