@@ -191,6 +191,8 @@ def main(argv=None):
 
 def _main(args):
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = _load_config(args)
         if args.subcommand == "heatflow":
             _apply_heatflow_flags(cfg, args)

@@ -36,7 +36,7 @@ from .field import (
     cov_div_curvature,
     make_field,
 )
-from .heatflow import abelian_oracle, cfl_bound, flow
+from .heatflow import abelian_oracle, cfl_bound, flow, ym_rhs
 from .levy import (
     assemble_bilinear,
     cesaro_levy_estimate,
@@ -60,6 +60,7 @@ from .path import (
 )
 from .transport import (
     TransportContext,
+    _even_steps,
     duhamel_derivative,
     propagator_endpoint,
     transport,
@@ -325,7 +326,8 @@ def _spec_keys(value, default, path):
 
 def _validate_cross_fields(cfg):
     """Constraints between entries: point lengths and circle axes against d, flow
-    steps against grids, the diagnostic window inside [0, 1], Cesàro checkpoints
+    steps against grids, the diagnostic window inside [0, 1], every r of R(r) on
+    an even node of its step grid, Cesàro checkpoints
     within n_modes, kernel curves within the curve list, flow checkpoints on the
     snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
@@ -355,6 +357,11 @@ def _validate_cross_fields(cfg):
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"config invalid at r_diagnostic/window: need 0 <= lo < hi <= 1, "
                           f"got [{lo:g}, {hi:g}]")
+    # R(r) integrates over [0, r], which must end on an even node of the step grid
+    nodes, divisions = _even_steps(1.0, rd["step"]), rd["r_divisions"]
+    if nodes % (2 * divisions):
+        raise ConfigError(f"config invalid at r_diagnostic/r_divisions: r = 1/{divisions} is "
+                          f"not an even node of the {nodes} steps of r_diagnostic.step")
     n_modes = cfg["cesaro"]["n_modes"]
     for i, k in enumerate(cfg["cesaro"]["checkpoints"]):
         if k > n_modes:
@@ -1022,24 +1029,31 @@ def run_theorem(cfg, seed):
     curves = _curves(cfg, tcfg["curves"])
     checkpoints = list(tcfg["checkpoint_steps"])
     ds, every = tcfg["ds"], tcfg["save_every"]
-    fields = {cstep: (traj.field(cstep * ds), traj.ds_field(cstep * ds)) for cstep in checkpoints}
-    combos = [(ci, cstep) for ci in range(len(curves)) for cstep in checkpoints]
 
-    def combo_row(item):
-        ci, cstep = item
-        fld, vel = fields[cstep]
-        curve = curves[ci]
-        ctx = TransportContext(fld, curve, step=step)
-        lap = levy_laplacian_transport(fld, curve, ctx=ctx, check=False)
-        route_i = transport_s_derivative(fld, vel, curve, ctx=ctx)
-        # route ii: the snapshots one save_every on either side
-        route_ii = central_difference(lambda ks: [transport(
-            traj.field((cstep + k * every) * ds), curve, step=step) for k in ks], every * ds)
-        return [ci, cstep, _rel(route_i - lap.value, lap.value),
-                _rel(route_ii - lap.value, lap.value), maxabs(route_i - lap.value),
-                maxabs(lap.value)]
+    def lattice(cstep):
+        # a lattice on the snapshot's coordinates: its spline tables go when
+        # it is dropped, where the snapshot's would stay with the trajectory
+        return LatticeField.from_coords(torus, traj.field(cstep * ds).coords)
 
-    rows = [combo_row(item) for item in combos]
+    def checkpoint_rows(cstep):
+        # a checkpoint's lattices and velocity live only while its rows are formed
+        fld, near = lattice(cstep), {k: lattice(cstep + k * every) for k in (-1, 1)}
+        vel = ym_rhs(fld)
+        rows = []
+        for ci, curve in enumerate(curves):
+            ctx = TransportContext(fld, curve, step=step)
+            lap = levy_laplacian_transport(fld, curve, ctx=ctx, check=False)
+            route_i = transport_s_derivative(fld, vel, curve, ctx=ctx)
+            # route ii: the snapshots one save_every on either side
+            route_ii = central_difference(
+                lambda ks: [transport(near[k], curve, step=step) for k in ks], every * ds)
+            rows.append([ci, cstep, _rel(route_i - lap.value, lap.value),
+                         _rel(route_ii - lap.value, lap.value), maxabs(route_i - lap.value),
+                         maxabs(lap.value)])
+        return rows
+
+    by_checkpoint = [checkpoint_rows(cstep) for cstep in checkpoints]
+    rows = [row for per_curve in zip(*by_checkpoint) for row in per_curve]
     forward = max(r[2] for r in rows)
     fd = max(r[3] for r in rows)
 
@@ -1121,42 +1135,44 @@ def run_r_diagnostic(cfg, seed):
     divisions = rcfg["r_divisions"]
     r_values = [j / divisions for j in range(divisions + 1)]
 
-    def r_profile(trajectory, with_def_route):
-        fld = trajectory.field(s_mid)
-        vel_fd, _ = trajectory.fd_ds_field(s_mid)
-        ctx = TransportContext(fld, curve, step=step)
+    def checkpoint(trajectory):
+        """The checkpoint snapshot and its finite-difference velocity: all that
+        is read of a trajectory, which the caller then drops."""
+        return trajectory.field(s_mid), trajectory.fd_ds_field(s_mid)[0]
 
+    def r_integral(fld, vel_fd):
         # R(r) by the integral formula: each prefix integral over [0, r]
         # carries the U_{1,t} factors to the curve end
+        ctx = TransportContext(fld, curve, step=step)
         div_f = np.einsum("tmk,tm->tk", cov_div_curvature(fld, ctx.points), ctx.velocities)
         gap = vel_fd.generator(ctx.points, ctx.velocities) - div_f
-        r_int = [ctx.integrate_transported(gap, upto=r) for r in r_values]
+        return [ctx.integrate_transported(gap, upto=r) for r in r_values]
 
-        r_def = []
-        if with_def_route:
-            for r in r_values:
-                if r == 0.0:
-                    r_def.append(np.zeros((n, n), np.complex128))
-                    continue
-                pcurve = plateau(curve, r)
-                pctx = TransportContext(fld, pcurve, step=step)
-                plap = levy_laplacian_transport(fld, pcurve, ctx=pctx, check=False)
-                pds = transport_s_derivative(fld, vel_fd, pcurve, ctx=pctx)
-                u_tail = transport(fld, curve, t=1.0, s=r, step=step)  # Id at r = 1
-                r_def.append(u_tail @ (plap.value - pds))
-        return r_int, r_def
+    def r_definition(fld, vel_fd):
+        r_def = [np.zeros((n, n), np.complex128)]  # r = 0
+        for r in r_values[1:]:
+            pcurve = plateau(curve, r)
+            pctx = TransportContext(fld, pcurve, step=step)
+            plap = levy_laplacian_transport(fld, pcurve, ctx=pctx, check=False)
+            pds = transport_s_derivative(fld, vel_fd, pcurve, ctx=pctx)
+            u_tail = transport(fld, curve, t=1.0, s=r, step=step)  # Id at r = 1
+            r_def.append(u_tail @ (plap.value - pds))
+        return r_def
 
-    # exact flow: R should vanish within the finite-difference budget
-    traj = flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"])
-    r_int, r_def = r_profile(traj, with_def_route=True)
+    # exact flow: R should vanish within the finite-difference budget. Its
+    # snapshots go before R(r) is formed, and R(r)'s context before the
+    # definition route builds the plateau contexts.
+    fld, vel_fd = checkpoint(flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"]))
+    r_int = r_integral(fld, vel_fd)
+    r_def = r_definition(fld, vel_fd)
+    del fld, vel_fd
     exact_max = max(maxabs(v) for v in r_int)
     route_gap = max(maxabs(a - b) for a, b in zip(r_int, r_def))
     origin = maxabs(r_int[0])
 
     # driven flow: the same diagnostic must localize the injected term
-    traj_p = flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"],
-                  forcing=bump)
-    r_int_p, _ = r_profile(traj_p, with_def_route=False)
+    r_int_p = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds,
+                                          save_every=rcfg["save_every"], forcing=bump)))
 
     dr = 1.0 / divisions
     slopes = [maxabs(r_int_p[j + 1] - r_int_p[j]) / dr for j in range(divisions)]

@@ -439,9 +439,10 @@ class LatticeField(GaugeField):
     Held as su_basis coordinates `coords` (d, K, *grid), the flow state's
     layout. `LatticeField(torus, values)` takes matrices grid + (d, N, N),
     refusing a non-su(N) part beyond roundoff (ValueError), and `values`
-    derives them back. Stencil grids and spline tables hold coordinates;
-    off-grid reads interpolate them with periodic cubic splines, a block of
-    points at a time.
+    derives them back. Besides `coords` it keeps only spline tables of
+    coordinates, built on first read; each key's stencil grid is formed while
+    its columns are filled, then dropped. Off-grid reads interpolate the
+    tables with periodic cubic splines, a block of points at a time.
     """
 
     def __init__(self, torus, values):
@@ -468,7 +469,6 @@ class LatticeField(GaugeField):
         self.n = math.isqrt(coords.shape[1] + 1)
         self.m = coords.shape[2]
         self.a = torus.L / self.m
-        self._grids = {"val": coords}
         self._splines = {}
 
     @property
@@ -485,24 +485,32 @@ class LatticeField(GaugeField):
         coords = np.moveaxis(field.coord_jets(pts, 0)[0], (-2, -1), (0, 1))
         return cls.from_coords(torus, np.ascontiguousarray(coords))
 
-    def _grid(self, key):
-        if key not in self._grids:
-            if key[0] == "d":
-                arr = stencil_d1(self.coords, 2 + key[1], self.a)
-            elif key[0] == "dd":
-                arr = stencil_d1(self._grid(("d", key[1])), 2 + key[2], self.a)
-            else:
-                raise KeyError(key)
-            self._grids[key] = arr
-        return self._grids[key]
+    def _grid(self, key, first=None):
+        """The grid of `key`, formed anew: "val" is `coords`, ("d", a) their
+        partial along site axis a and ("dd", a, b) the partial of ("d", a)
+        along b, with `first(a)` giving ("d", a) when the caller holds it."""
+        if key == "val":
+            return self.coords
+        if key[0] == "d":
+            return stencil_d1(self.coords, 2 + key[1], self.a)
+        if key[0] == "dd":
+            inner = first(key[1]) if first else self._grid(("d", key[1]))
+            return stencil_d1(inner, 2 + key[2], self.a)
+        raise KeyError(key)
 
     def _spline(self, keys):
-        """Spline coefficients of the grids `keys`, one (m^d, components) table."""
+        """Spline coefficients of the grids `keys`, one (m^d, components) table,
+        filled a key at a time: one grid, one `spline_filter`, one block of
+        columns. A second-derivative table forms each first partial once."""
         if keys not in self._splines:
-            d = self.torus.d
-            grids = np.stack([self._grid(k) for k in keys])
-            coeff = spline_filter(grids.reshape((-1,) + grids.shape[-d:]), d)
-            self._splines[keys] = np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
+            d, width = self.torus.d, self.coords.shape[0] * self.coords.shape[1]
+            table = np.empty((self.m**d, len(keys) * width))
+            first = functools.cache(lambda a: self._grid(("d", a)))
+            for i, key in enumerate(keys):
+                grid = self._grid(key, first)
+                coeff = spline_filter(grid.reshape((width,) + grid.shape[-d:]), d)
+                table[:, i * width:(i + 1) * width] = coeff.reshape(width, -1).T
+            self._splines[keys] = table
         return self._splines[keys]
 
     def _interp(self, keysets, x):

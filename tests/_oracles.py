@@ -22,6 +22,9 @@ The `einsum_*` functions are the derivative-tensor kernels written term by
 term as explicit index contractions, the reference the broadcast-product
 kernels are held to, and the `matrix_*` curvature kernels are the complex
 N x N forms the su(N)-coordinate curvature kernels replaced.
+`stacked_spline_table` builds a lattice's spline table from one stack of
+all its keys' grids, the build the key-by-key tables are held to bit for
+bit.
 """
 
 import json
@@ -33,7 +36,7 @@ import numpy as np
 from gaugeflow.algebra import (
     _matmul, _structure, dagger, exp_lie, expm, lie_coords, lie_matrix, maxabs, trace,
 )
-from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature
+from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature, spline_filter
 from gaugeflow.heatflow import _BRACKET_FLOATS
 from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
 
@@ -245,6 +248,16 @@ def load_field(base):
     if header["kind"] == "analytic":
         return AnalyticField.from_dict(header)
     raise ValueError(f"unknown serialized field kind {header['kind']!r}")
+
+
+def stacked_spline_table(lat, keys):
+    """The (m^d, components) spline table of the grids `keys` of `lat`, formed
+    as one stack: every key's grid, one `spline_filter` over all of them and
+    one transposed copy."""
+    d = lat.torus.d
+    grids = np.stack([lat._grid(k) for k in keys])
+    coeff = spline_filter(grids.reshape((-1,) + grids.shape[-d:]), d)
+    return np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
 
 
 def analytic_mode_sum(field, x, order):

@@ -156,7 +156,7 @@ D3_HEATFLOW = {"grid": 16, "steps": 4, "save_every": 2, "su2_grid": 8, "su2_step
 
 
 def test_bad_heatflow_inputs_are_exit_2(tmp_path):
-    """Flags, point lengths and flow steps are all checked before any numerics."""
+    """Flags, the seed, point lengths and flow steps are all checked before any numerics."""
     cfg = write_config(tmp_path, REDUCED_CONFIG)
     # d = 3 is refused at torus.d before the reduced order_time.ds, which exceeds
     # the 8^3 bound, is checked
@@ -179,6 +179,7 @@ def test_bad_heatflow_inputs_are_exit_2(tmp_path):
         [cfg.name, "--set", "heatflow.ds=NaN"],
         [cfg.name, "--ds", "nan"],
         [cfg.name, "--set", "gauge_rank=4"],
+        [cfg.name, "--seed", "-1"],
     ]
     for args in cases:
         proc = run_cli(["heatflow", "--out", "out", "--config", *args], tmp_path)

@@ -133,7 +133,8 @@ D3_CONFIG = {
 
 
 def test_validate_cross_field_constraints():
-    """Point lengths must equal torus.d; flow steps must meet the CFL bound."""
+    """Point lengths must equal torus.d; flow steps must meet the CFL bound; every
+    r of R(r) must be an even node of the diagnostic's step grid."""
     with pytest.raises(ConfigError, match="torus/d"):
         resolve_config(D3_CONFIG)  # consistent at d = 3, but d = 3 is refused
     bad = [
@@ -149,6 +150,10 @@ def test_validate_cross_field_constraints():
         ({"r_diagnostic": {"window": [0.6, 0.4]}}, "r_diagnostic/window"),
         ({"r_diagnostic": {"window": [-0.1, 0.5]}}, "r_diagnostic/window"),
         ({"cesaro": {"n_modes": 32}}, "cesaro/checkpoints/4"),  # default list ends at 64
+        # r = 1/5 falls between nodes of the 4 096 default steps; r = 1/8 on
+        # node 125 of 1 000
+        ({"r_diagnostic": {"r_divisions": 5}}, "r_diagnostic/r_divisions"),
+        ({"r_diagnostic": {"r_divisions": 8, "step": 0.001}}, "r_diagnostic/r_divisions"),
     ]
     for overrides, path in bad:
         with pytest.raises(ConfigError, match=path):

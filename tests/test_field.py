@@ -29,6 +29,7 @@ from _oracles import (
     load_field,
     matrix_cov_div_curvature,
     matrix_curvature_and_cov_deriv,
+    stacked_spline_table,
 )
 import gaugeflow
 from gaugeflow.algebra import dagger, group_defect, lie_coords, lie_matrix, maxabs
@@ -606,6 +607,23 @@ def test_lattice_blocked_read_equals_one_block(monkeypatch, d):
     blocked = lat._interp(keysets, x)
     for got, want in zip(blocked, whole, strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_tables_equal_stacked_build(n):
+    """The key-by-key spline tables have the bits of one stacked build for all
+    three key sets, and after a full read the field holds no stencil grid:
+    nothing but its coordinates, those tables and its scalars."""
+    torus = Torus(2, 1.0)
+    rng = rng_for(n, "unit/spline-tables")
+    lat = LatticeField.sample(AnalyticField.random_su(rng, torus, n=n, amplitude=0.3), 16)
+    lat.coord_jets(random_points(rng, torus, (7,)), 2)
+    keysets = _jet_keys(2)[0]
+    assert set(lat._splines) == set(keysets)
+    for keys in keysets:
+        got, want = lat._splines[keys], stacked_spline_table(lat, keys)
+        assert got.shape == want.shape and np.array_equal(got, want), keys
+    assert set(vars(lat)) == {"torus", "n", "m", "a", "coords", "_splines"}
 
 
 def test_lattice_interpolation_error(torus2, su2_field):
