@@ -92,8 +92,8 @@ def _save_heatflow_extras(outdir, extras):
         return
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
-    for step, snapshot in (traj.snapshots[0], traj.snapshots[-1]):
-        snapshot.save(snapdir / f"step_{step:06d}")
+    for step in (0, max(traj.snapshots)):
+        traj.field(step).save(snapdir / f"step_{step:06d}")
     initial = extras.get("initial_field")
     if initial is not None:
         save_field(initial, snapdir / "initial_series")

@@ -139,7 +139,7 @@ DEFAULT_CONFIG = {
     "theorem": {
         "grid": 64,
         "ds": 1.25e-5,
-        "steps": 560,
+        "steps": 520,
         "save_every": 40,
         "checkpoint_steps": [160, 320, 480],
         "field": {"kind": "random_su", "seed": 29, "modes": 1, "amplitude": 0.025, "kmax": 1},
@@ -151,7 +151,7 @@ DEFAULT_CONFIG = {
     "r_diagnostic": {
         "grid": 64,
         "ds": 1.25e-5,
-        "steps": 240,
+        "steps": 128,
         "save_every": 8,
         "checkpoint_step": 120,
         "field": {"kind": "random_su", "seed": 31, "modes": 1, "amplitude": 0.04, "kmax": 1},
@@ -325,9 +325,9 @@ def _spec_keys(value, default, path):
     return dict(required, kind=kind), dict(required, kind=kind, **optional)
 
 def _validate_cross_fields(cfg):
-    """Constraints between entries: point lengths and circle axes against d, flow
-    steps against grids, the diagnostic window inside [0, 1], every r of R(r) on
-    an even node of its step grid, Cesàro checkpoints
+    """Constraints between entries: point lengths and circle axes against d, order
+    flows that move, flow steps against grids, the diagnostic window inside
+    [0, 1], every r of R(r) on an even node of its step grid, Cesàro checkpoints
     within n_modes, kernel curves within the curve list, flow checkpoints on the
     snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
@@ -341,6 +341,18 @@ def _validate_cross_fields(cfg):
         if len(vec) != d:
             raise ConfigError(f"config invalid at {path}: needs {d} entries (torus.d), "
                               f"got {len(vec)}")
+    # an order factor divides one flow's error by another's, so each flow must
+    # move: the stencil maps a mode at frequency 0 or pi along every axis to 0,
+    # and the continuum decay rate of k = 0 is 0
+    if all(2 * k % ot["grid"] == 0 for k in ot["k"]):
+        raise ConfigError(f"config invalid at heatflow/order_time/k: the mode {ot['k']} does "
+                          f"not move on a {ot['grid']}-site grid")
+    if not any(osp["k"]):
+        raise ConfigError("config invalid at heatflow/order_space/k: a zero wave vector "
+                          "does not decay")
+    if int(round(osp["total_s"] / osp["ds"])) == 0:
+        raise ConfigError(f"config invalid at heatflow/order_space/total_s: {osp['total_s']:g} "
+                          f"is 0 steps of order_space.ds {osp['ds']:g}")
     for i, spec in enumerate(cfg["curves"]):
         axes = spec.get("axes", [0, 1])
         if not (len(axes) == 2 and axes[0] != axes[1] and all(0 <= a < d for a in axes)):
@@ -909,10 +921,10 @@ def run_heatflow(cfg, seed):
     traj = flow(lat0, hcfg["steps"], hcfg["ds"], save_every=hcfg["save_every"])
     scale = 1.0 + maxabs(lat0.values)
     worst_ab = 0.0
-    for step_idx, snap in traj.snapshots:
+    for step_idx in traj.snapshots:
         s = step_idx * hcfg["ds"]
         oracle = LatticeField.sample(abelian_oracle(ab, s), hcfg["grid"])
-        worst_ab = max(worst_ab, maxabs(snap.values - oracle.values) / scale)
+        worst_ab = max(worst_ab, maxabs(traj.field(step_idx).values - oracle.values) / scale)
 
     tables["flow"] = {
         "columns": ["s", "action", "rhs_norm"],
@@ -939,7 +951,7 @@ def run_heatflow(cfg, seed):
     csteps = hcfg["critical_steps"]
     zero_lat = LatticeField.sample(AnalyticField.zero(torus, n), 16)
     traj_zero = flow(zero_lat, csteps, 1e-5, save_every=csteps)
-    zero_drift = maxabs(traj_zero.snapshots[-1][1].values - zero_lat.values)
+    zero_drift = maxabs(traj_zero.field(csteps).values - zero_lat.values)
 
     # A_mu = 0.3 (mu + 1) su_basis(n)[0], whose coordinate 0 is 1
     const_coords = np.zeros((torus.d, n * n - 1) + (16,) * torus.d)
@@ -947,7 +959,7 @@ def run_heatflow(cfg, seed):
         const_coords[mu, 0] = 0.3 * (mu + 1)
     const_lat = LatticeField.from_coords(torus, const_coords)
     traj_const = flow(const_lat, csteps, 1e-5, save_every=csteps)
-    const_drift = maxabs(traj_const.snapshots[-1][1].values - const_lat.values)
+    const_drift = maxabs(traj_const.field(csteps).values - const_lat.values)
 
     # two factors varying along different axes, so the sampled field is a
     # genuinely multi-dimensional flat connection (nonzero lattice residue)
@@ -962,7 +974,7 @@ def run_heatflow(cfg, seed):
     ds_pg = 0.9 * cfl_bound(pg_lat.a, torus.d)
     traj_pg = flow(pg_lat, csteps, ds_pg, save_every=csteps, guard=False)
     pg_vals = pg_lat.values
-    pg_drift = maxabs(traj_pg.snapshots[-1][1].values - pg_vals) / (1.0 + maxabs(pg_vals))
+    pg_drift = maxabs(traj_pg.field(csteps).values - pg_vals) / (1.0 + maxabs(pg_vals))
 
     # --- RK4 order in flow time against the semi-discrete closed form ---
     ot = hcfg["order_time"]
@@ -977,7 +989,7 @@ def run_heatflow(cfg, seed):
         ds_t = ot["ds"] / div
         tr = flow(lat_t, steps_t, ds_t, save_every=steps_t)
         exact = lat_t.values * np.exp(-rate * steps_t * ds_t)
-        errs_t.append(maxabs(tr.snapshots[-1][1].values - exact))
+        errs_t.append(maxabs(tr.field(steps_t).values - exact))
     time_factor = errs_t[0] / errs_t[1]
 
     # --- stencil order in space against the continuum closed form ---
@@ -991,7 +1003,7 @@ def run_heatflow(cfg, seed):
         steps_m = int(round(osp["total_s"] / osp["ds"]))
         tr = flow(lat_m, steps_m, osp["ds"], save_every=steps_m)
         exact = lat_m.values * np.exp(-lam * steps_m * osp["ds"])
-        errs_s.append(maxabs(tr.snapshots[-1][1].values - exact))
+        errs_s.append(maxabs(tr.field(steps_m).values - exact))
     space_factor = errs_s[0] / errs_s[1]
 
     checks = [
@@ -1030,14 +1042,9 @@ def run_theorem(cfg, seed):
     checkpoints = list(tcfg["checkpoint_steps"])
     ds, every = tcfg["ds"], tcfg["save_every"]
 
-    def lattice(cstep):
-        # a lattice on the snapshot's coordinates: its spline tables go when
-        # it is dropped, where the snapshot's would stay with the trajectory
-        return LatticeField.from_coords(torus, traj.field(cstep * ds).coords)
-
     def checkpoint_rows(cstep):
         # a checkpoint's lattices and velocity live only while its rows are formed
-        fld, near = lattice(cstep), {k: lattice(cstep + k * every) for k in (-1, 1)}
+        fld, near = traj.field(cstep), {k: traj.field(cstep + k * every) for k in (-1, 1)}
         vel = ym_rhs(fld)
         rows = []
         for ci, curve in enumerate(curves):
@@ -1130,15 +1137,17 @@ def run_r_diagnostic(cfg, seed):
     radius = 0.5 * (hi - lo) * speed
     bump = _bump_field(torus, rcfg["grid"], center, radius, rcfg["bump_height"], n)
 
-    cstep = rcfg["checkpoint_step"]
-    s_mid = cstep * ds
+    cstep, every = rcfg["checkpoint_step"], rcfg["save_every"]
     divisions = rcfg["r_divisions"]
     r_values = [j / divisions for j in range(divisions + 1)]
 
     def checkpoint(trajectory):
-        """The checkpoint snapshot and its finite-difference velocity: all that
-        is read of a trajectory, which the caller then drops."""
-        return trajectory.field(s_mid), trajectory.fd_ds_field(s_mid)[0]
+        """The checkpoint snapshot and its velocity, the centered difference of
+        the snapshots one save_every on either side: all that is read of a
+        trajectory, which the caller then drops."""
+        rate = central_difference(
+            lambda ks: [trajectory.snapshots[cstep + k * every] for k in ks], every * ds)
+        return trajectory.field(cstep), LatticeField.from_coords(torus, rate)
 
     def r_integral(fld, vel_fd):
         # R(r) by the integral formula: each prefix integral over [0, r]
@@ -1162,7 +1171,7 @@ def run_r_diagnostic(cfg, seed):
     # exact flow: R should vanish within the finite-difference budget. Its
     # snapshots go before R(r) is formed, and R(r)'s context before the
     # definition route builds the plateau contexts.
-    fld, vel_fd = checkpoint(flow(lat0, rcfg["steps"], ds, save_every=rcfg["save_every"]))
+    fld, vel_fd = checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every))
     r_int = r_integral(fld, vel_fd)
     r_def = r_definition(fld, vel_fd)
     del fld, vel_fd
@@ -1171,8 +1180,8 @@ def run_r_diagnostic(cfg, seed):
     origin = maxabs(r_int[0])
 
     # driven flow: the same diagnostic must localize the injected term
-    r_int_p = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds,
-                                          save_every=rcfg["save_every"], forcing=bump)))
+    r_int_p = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every,
+                                          forcing=bump)))
 
     dr = 1.0 / divisions
     slopes = [maxabs(r_int_p[j + 1] - r_int_p[j]) / dr for j in range(divisions)]

@@ -10,7 +10,8 @@ action guard and the next step's k1 share one curvature grid, so an RK4
 step builds four curvature grids, not five.
 
 The flow state is the `LatticeField` coordinate array (d, K, *sites),
-K = N^2 - 1, and each snapshot is a `LatticeField` on it. Every product is
+K = N^2 - 1. A trajectory keeps the states it saved, keyed by step, and a
+reader reads one through a new `LatticeField` on it. Every product is
 a commutator, taken from `algebra`'s structure constants (`_bracket`), and
 only the curvature components F_mn with m < n are formed. A driven flow
 adds a constant forcing lattice to the velocity. `ym_rhs` runs the same
@@ -44,7 +45,7 @@ import math
 import numpy as np
 
 from .algebra import _structure, maxabs
-from .field import AnalyticField, LatticeField, central_difference, stencil_d1
+from .field import AnalyticField, LatticeField, Torus, stencil_d1
 
 
 MAX_ACTION_GROWTH = 1e-6
@@ -149,40 +150,20 @@ def ym_rhs(field):
 
 @dataclasses.dataclass
 class FlowTrajectory:
-    ds: float
-    snapshots: list  # (step_index, LatticeField)
+    torus: Torus
+    snapshots: dict  # step index -> coordinates (d, K, *sites), step 0 first
     table: list      # dict rows: step, s, action, rhs_max
 
-    def _index_at(self, s):
-        steps = np.array([step for step, _ in self.snapshots], dtype=float)
-        gaps = np.abs(steps * self.ds - s)
-        k = int(np.argmin(gaps))
-        if gaps[k] > 0.5 * self.ds:
-            raise KeyError(f"no snapshot near s={s}")
-        return k
-
-    def field(self, s):
-        return self.snapshots[self._index_at(s)][1]
-
-    def ds_field(self, s):
-        """Flow velocity at snapshot time s (the equation's right side)."""
-        return ym_rhs(self.field(s))
-
-    def fd_ds_field(self, s, width=1):
-        """Centered finite difference of the trajectory across snapshots."""
-        k = self._index_at(s)
-        if k - width < 0 or k + width >= len(self.snapshots):
-            raise KeyError("finite difference needs snapshots on both sides")
-        delta = 0.5 * (self.snapshots[k + width][0] - self.snapshots[k - width][0]) * self.ds
-        rate = central_difference(
-            lambda offsets: [self.snapshots[k + j * width][1].coords for j in offsets], delta)
-        return LatticeField.from_coords(self.snapshots[k][1].torus, rate), delta
+    def field(self, step):
+        """A new lattice on the coordinates saved at `step` (KeyError if none):
+        its spline tables go when the reader drops it."""
+        return LatticeField.from_coords(self.torus, self.snapshots[step])
 
 
 def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
     """Integrate the gradient flow from the LatticeField `field0` for `steps` RK4 steps.
 
-    Snapshots are LatticeFields on the state arrays, the first is `field0`.
+    Snapshots are the state arrays keyed by step, the first `field0.coords`.
     `forcing`, a LatticeField on the torus and grid of `field0` (ValueError
     otherwise), is a constant term added to the flow velocity: the driven
     variant. The action-monotonicity guard defaults to on for the plain flow
@@ -212,7 +193,7 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
     v = field0.coords
     f = _curvature(v, a)
     action = _action(torus, f)
-    snapshots = [(0, field0)]
+    snapshots = {0: v}
     table = []
     for i in range(1, steps + 1):
         k1 = rhs(v, f)
@@ -231,10 +212,10 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
             )
         action = new_action
         if i % save_every == 0 or i == steps:
-            snapshots.append((i, LatticeField.from_coords(torus, v)))
+            snapshots[i] = v
     table.append({"step": steps, "s": steps * ds, "action": action,
                   "rhs_max": maxabs(LatticeField.from_coords(torus, rhs(v, f)).values)})
-    return FlowTrajectory(ds, snapshots, table)
+    return FlowTrajectory(torus, snapshots, table)
 
 
 def abelian_oracle(field, s):

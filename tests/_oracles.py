@@ -454,7 +454,7 @@ HAND_STENCILS = {
                                 / (12.0 * feps * feps)),
     "levy.cesaro_second_trace": (2, 2, lambda eps, up, base, um:
                                  (up - 2.0 * base + um) / (eps * eps)),
-    "FlowTrajectory.fd_ds_field": (1, 2, lambda delta, fp, fm: (fp - fm) / (2.0 * delta)),
+    "run_r_diagnostic": (1, 2, lambda delta, fp, fm: (fp - fm) / (2.0 * delta)),
     "run_theorem.route_ii": (1, 2, lambda delta, u_up, u_dn: (u_up - u_dn) / (2.0 * delta)),
     "run_theorem.ab_rel": (1, 2, lambda dd, u_up, u_dn: (u_up - u_dn) / (2 * dd)),
 }

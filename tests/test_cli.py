@@ -355,15 +355,24 @@ UNCALLED_ALLOWED = {
 def test_every_function_is_called_or_allowed():
     """Each module-level function and method of a `gaugeflow` module is named in
     package code outside its own body (dunder methods aside), or is one of
-    `UNCALLED_ALLOWED`; and each allowed name exists and is still uncalled."""
+    `UNCALLED_ALLOWED`; and each allowed name exists and is still uncalled.
+    A name counts as an attribute, or as a load that no enclosing function
+    binds as a parameter or by assignment: a local of the same name hides nothing."""
     src = pathlib.Path(cli.__file__).parent
 
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
+    def names(node, bound=frozenset()):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            bound = bound | {a.arg for a in params if a} | {
+                sub.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from names(child, bound)
 
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     used = collections.Counter(name for tree in trees.values() for name in names(tree))

@@ -23,8 +23,8 @@ from gaugeflow.experiments import (
     set_by_path,
     validate_config,
 )
-from gaugeflow.field import AnalyticField, LatticeField, Torus, stencil_d1
-from gaugeflow.heatflow import flow
+from gaugeflow.field import AnalyticField, LatticeField, Torus, central_difference, stencil_d1
+from gaugeflow.heatflow import flow, ym_rhs
 from gaugeflow.levy import levy_laplacian_transport
 from gaugeflow.path import make_curve
 from gaugeflow.transport import TransportContext, transport, transport_s_derivative
@@ -43,6 +43,15 @@ def test_resolve_config_defaults():
     assert cfg == DEFAULT_CONFIG
     cfg["transport"]["triples"] = -1
     assert DEFAULT_CONFIG["transport"]["triples"] == 100  # deep copy
+
+
+def test_default_flows_stop_at_their_last_read_snapshot():
+    """theorem.steps and r_diagnostic.steps copy what their checks read: a
+    checkpoint reads the snapshot one save_every past it, and no step after
+    the last such snapshot is integrated."""
+    th, rd = DEFAULT_CONFIG["theorem"], DEFAULT_CONFIG["r_diagnostic"]
+    assert th["steps"] == max(th["checkpoint_steps"]) + th["save_every"]
+    assert rd["steps"] == rd["checkpoint_step"] + rd["save_every"]
 
 
 def test_resolve_config_merges_nested():
@@ -76,10 +85,17 @@ BAD_SETTINGS = [
     ("threads", "2", "threads"),  # the only value is 1: curve loops run serially
     # each of these used to crash with an internal error (exit 4)
     ("theorem.checkpoint_steps", "[100]", "theorem/checkpoint_steps/0"),  # save_every 40
-    ("r_diagnostic.checkpoint_step", "240", "r_diagnostic/checkpoint_step"),  # = steps
+    ("r_diagnostic.checkpoint_step", "128", "r_diagnostic/checkpoint_step"),  # = steps
     ("kernels", '{"pairs": 12, "curves": 12, "fd_eps": 2e-4, "step": 5e-4}',
      "kernels/curves"),  # 10 curves
     ("heatflow.ds", "1" + "0" * 400, "heatflow/ds"),  # overflows a float
+    # an order factor of 0 / 0: a k = 0 mode does not move, nor does one at
+    # frequency pi on the 8-site order_time grid, and total_s under half of
+    # order_space.ds 2e-4 is a 0-step flow
+    ("heatflow.order_time.k", "[0, 0]", "heatflow/order_time/k"),
+    ("heatflow.order_time.k", "[4, -4]", "heatflow/order_time/k"),
+    ("heatflow.order_space.k", "[0, 0]", "heatflow/order_space/k"),
+    ("heatflow.order_space.total_s", "1e-9", "heatflow/order_space/total_s"),
     # each of these used to pass validation and abort in the flow (exit 3)
     ("theorem.ds", "2e-5", "theorem/ds"),  # bound 1.53e-5 on 64^2
     ("r_diagnostic.ds", "2e-5", "r_diagnostic/ds"),
@@ -275,17 +291,15 @@ def test_flow_derivative_identity_second_order():
     ds = 2e-4
     traj = flow(lat, 16, ds, save_every=2)
     curve = make_curve({"kind": "fourier", "seed": 301, "modes": 3, "amplitude": 0.2}, d=2)
-    s_mid = 8 * ds
-    mid = traj.field(s_mid)
+    mid = traj.field(8)
     step = 1.0 / 512
     ctx = TransportContext(mid, curve, step=step)
-    route_i = transport_s_derivative(mid, traj.ds_field(s_mid), curve, ctx=ctx)
+    route_i = transport_s_derivative(mid, ym_rhs(mid), curve, ctx=ctx)
     gaps = []
-    for width in (2, 1):
-        _, delta = traj.fd_ds_field(s_mid, width=width)
-        up = transport(traj.field(s_mid + delta), curve, step=step)
-        dn = transport(traj.field(s_mid - delta), curve, step=step)
-        gaps.append(maxabs((up - dn) / (2 * delta) - route_i))
+    for width in (4, 2):  # steps to either side
+        route_ii = central_difference(lambda ks: [
+            transport(traj.field(8 + k * width), curve, step=step) for k in ks], width * ds)
+        gaps.append(maxabs(route_ii - route_i))
     assert gaps[0] < 1e-4 and gaps[1] < 1e-4
     assert 3.0 < gaps[0] / gaps[1] < 5.0
     # and the flow derivative equals the Laplacian up to lattice truncation

@@ -25,6 +25,7 @@ from gaugeflow.field import (
     AnalyticField,
     LatticeField,
     Torus,
+    central_difference,
     lattice_curvature_grid,
     stencil_d1,
     ym_action,
@@ -109,7 +110,7 @@ def test_flow_rejects_bad_steps():
 def test_zero_field_stationary():
     lat = LatticeField(TORUS, np.zeros((8, 8, 2, 2, 2), dtype=complex))
     traj = flow(lat, 10, ds=5e-4, save_every=10)
-    assert maxabs(traj.snapshots[-1][1].coords) == 0.0
+    assert maxabs(traj.snapshots[10]) == 0.0
     assert all(row["rhs_max"] == 0.0 for row in traj.table)
     assert all(row["action"] == 0.0 for row in traj.table)
 
@@ -121,7 +122,7 @@ def test_constant_commuting_field_stationary():
     vals[..., 1, :, :] = -0.2 * T_BASIS[2]
     lat = LatticeField(TORUS, vals)
     traj = flow(lat, 10, ds=5e-4, save_every=10)
-    assert maxabs(traj.snapshots[-1][1].values - vals) < 1e-14
+    assert maxabs(traj.field(10).values - vals) < 1e-14
     assert traj.table[0]["rhs_max"] < 1e-14
 
 
@@ -140,10 +141,10 @@ def test_flow_matches_rk4_stability_polynomial():
     z = -rate * ds
     r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
     traj = flow(lat, steps, ds, save_every=steps)
-    assert maxabs(traj.snapshots[-1][1].values - r**steps * lat.values) < 1e-13
+    assert maxabs(traj.field(steps).values - r**steps * lat.values) < 1e-13
     # and the continuum exponential is reproduced to the RK4 truncation level
     cont = np.exp(-rate * ds * steps) * lat.values
-    assert maxabs(traj.snapshots[-1][1].values - cont) < 1e-6
+    assert maxabs(traj.field(steps).values - cont) < 1e-6
 
 
 def test_flow_descends_action_and_snapshot_cadence():
@@ -154,8 +155,8 @@ def test_flow_descends_action_and_snapshot_cadence():
     actions = [row["action"] for row in traj.table]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(actions, actions[1:]))
     assert actions[-1] < 0.9 * actions[0]  # measured: 1.12 -> 0.60 over 40 steps
-    assert [idx for idx, _ in traj.snapshots] == [0, 7, 14, 21, 28, 30]
-    assert np.allclose([step * traj.ds for step, _ in traj.snapshots],
+    assert list(traj.snapshots) == [0, 7, 14, 21, 28, 30]
+    assert np.allclose([traj.table[step]["s"] for step in traj.snapshots],
                        [0.0, 7e-4, 14e-4, 21e-4, 28e-4, 30e-4])
     assert len(traj.table) == 31  # one row per step plus the final state
     assert traj.table[0]["step"] == 0 and traj.table[-1]["step"] == 30
@@ -188,7 +189,7 @@ def test_abelian_oracle_vs_lattice_flow():
     traj = flow(lat, steps, ds, save_every=steps)
     exact = abelian_oracle(ab, ds * steps)
     pts = np.random.default_rng(9).uniform(0, 1, size=(30, 2))
-    end = traj.snapshots[-1][1]
+    end = traj.field(steps)
     assert maxabs(end.eval(pts) - exact.eval(pts)) < 1e-5
 
 
@@ -224,26 +225,30 @@ def test_abelian_oracle_rejects_bad_input():
         abelian_oracle(non_commuting, 0.01)
 
 
+def trajectory_difference(traj, step, width, ds):
+    """The centered difference of the snapshots `width` steps either side of
+    `step`, as a lattice: the trajectory's own flow velocity."""
+    rate = central_difference(lambda ks: [traj.snapshots[step + k * width] for k in ks],
+                              width * ds)
+    return LatticeField.from_coords(traj.torus, rate)
+
+
 def test_trajectory_lookup_and_fd():
     fld = AnalyticField.random_su(rng_for(7, "unit/su-flow"), TORUS, modes=2,
                                   amplitude=0.2, kmax=1)
     lat = LatticeField.sample(fld, 16)
     ds = 1e-4
     traj = flow(lat, 40, ds, save_every=10)
-    mid = 20 * ds
-    assert traj.field(mid) is traj.snapshots[2][1]
+    # each read is a new lattice on the saved coordinates
+    assert traj.field(20) is not traj.field(20)
+    assert traj.field(20).coords is traj.snapshots[20]
     with pytest.raises(KeyError):
-        traj.field(15 * ds)  # between snapshots
-    fd, delta = traj.fd_ds_field(mid)
-    assert delta == pytest.approx(10 * ds)
-    rhs = traj.ds_field(mid)
+        traj.field(15)  # between snapshots
+    fd = trajectory_difference(traj, 20, 10, ds)
+    rhs = ym_rhs(traj.field(20))
     scale = maxabs(rhs.values)
     # measured: gap 9.2e-3 against scale 7.4 (rel 1.3e-3) at delta = 1e-3
     assert maxabs(fd.values - rhs.values) < 5e-3 * scale
-    with pytest.raises(KeyError):
-        traj.fd_ds_field(0.0)  # no left neighbor
-    with pytest.raises(KeyError):
-        traj.fd_ds_field(40 * ds)  # no right neighbor
 
 
 def test_fd_ds_field_second_order():
@@ -255,9 +260,8 @@ def test_fd_ds_field_second_order():
     gaps = []
     for save_every in (10, 5):
         traj = flow(lat, 40, ds, save_every=save_every)
-        mid = 20 * ds
-        fd, _ = traj.fd_ds_field(mid)
-        gaps.append(maxabs(fd.values - traj.ds_field(mid).values))
+        fd = trajectory_difference(traj, 20, save_every, ds)
+        gaps.append(maxabs(fd.values - ym_rhs(traj.field(20)).values))
     assert gaps[0] / gaps[1] > 3.0
 
 
@@ -297,9 +301,9 @@ def assert_matches_oracle_flow(traj, lat, forcing=0.0):
     the snapshots, the action at each of them and every step's `rhs_max`."""
     saved, rates = rk4_trajectory(lambda v: oracle_rhs(v, lat.a) + forcing, lat.values,
                                   12, 1e-4, 4)
-    assert [s for s, _ in traj.snapshots] == [s for s, _ in saved] == [0, 4, 8, 12]
-    for (step, got), (_, want) in zip(traj.snapshots, saved):
-        assert rel_gap(got.values, want) <= 1e-13
+    assert list(traj.snapshots) == [s for s, _ in saved] == [0, 4, 8, 12]
+    for step, want in saved:
+        assert rel_gap(traj.field(step).values, want) <= 1e-13
         action = oracle_action(want, lat.torus, lat.a)
         assert abs(traj.table[step]["action"] / action - 1.0) <= 1e-13
     assert len(traj.table) == len(rates) == 13
@@ -326,7 +330,7 @@ def test_driven_flow_matches_oracle_rhs():
     driven = flow(lat, 12, 1e-4, save_every=4, forcing=bump)
     assert_matches_oracle_flow(driven, lat, bump.values)
     plain = flow(lat, 12, 1e-4)
-    assert rel_gap(driven.snapshots[-1][1].values, plain.snapshots[-1][1].values) > 1e-3
+    assert rel_gap(driven.field(12).values, plain.field(12).values) > 1e-3
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -372,11 +376,11 @@ def assert_flow_matches_pair_stacks(lat, steps, ds, save_every, forcing=None):
     states, rates = rk4_trajectory(rhs, lat.coords, steps, ds, 1)
     traj = flow(lat, steps, ds, save_every=save_every, forcing=forcing)
     saved = [i for i in range(steps + 1) if i % save_every == 0 or i == steps]
-    assert [step for step, _ in traj.snapshots] == saved
-    for step, snap in traj.snapshots:
+    assert list(traj.snapshots) == saved
+    for step, coords in traj.snapshots.items():
         want = states[step][1]
-        assert np.array_equal(snap.coords, want)
-        assert np.array_equal(np.signbit(snap.coords), np.signbit(want))
+        assert np.array_equal(coords, want)
+        assert np.array_equal(np.signbit(coords), np.signbit(want))
     assert traj.table == [
         {"step": i, "s": i * ds, "action": _action(torus, pair_stack_curvature(y, a)),
          "rhs_max": maxabs(LatticeField.from_coords(torus, rate).values)}
