@@ -326,10 +326,10 @@ def _spec_keys(value, default, path):
 
 def _validate_cross_fields(cfg):
     """Constraints between entries: point lengths and circle axes against d, order
-    flows that move, flow steps against grids, the diagnostic window inside
-    [0, 1], every r of R(r) on an even node of its step grid, Cesàro checkpoints
-    within n_modes, kernel curves within the curve list, flow checkpoints on the
-    snapshot cadence."""
+    flows whose mode moves on every grid, flow steps against grids, the diagnostic
+    window inside [0, 1], every r of R(r) on an even node of its step grid, Cesàro
+    checkpoints within n_modes, kernel curves within the curve list, flow
+    checkpoints on the snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
     h, th, rd = cfg["heatflow"], cfg["theorem"], cfg["r_diagnostic"]
     ot, osp = h["order_time"], h["order_space"]
@@ -347,9 +347,11 @@ def _validate_cross_fields(cfg):
     if all(2 * k % ot["grid"] == 0 for k in ot["k"]):
         raise ConfigError(f"config invalid at heatflow/order_time/k: the mode {ot['k']} does "
                           f"not move on a {ot['grid']}-site grid")
-    if not any(osp["k"]):
-        raise ConfigError("config invalid at heatflow/order_space/k: a zero wave vector "
-                          "does not decay")
+    # the coarser grid must resolve the mode: at its Nyquist frequency the
+    # stencil does not move it, beyond that it aliases, and k = 0 does not decay
+    if not 0 < 2 * max(abs(k) for k in osp["k"]) < min(osp["grids"]):
+        raise ConfigError(f"config invalid at heatflow/order_space/k: the mode {osp['k']} needs "
+                          f"0 < 2 max|k_i| < {min(osp['grids'])}, the coarsest order_space grid")
     if int(round(osp["total_s"] / osp["ds"])) == 0:
         raise ConfigError(f"config invalid at heatflow/order_space/total_s: {osp['total_s']:g} "
                           f"is 0 steps of order_space.ds {osp['ds']:g}")
@@ -581,7 +583,7 @@ def run_gradient(cfg, seed):
 
     def deriv_case(case, ctx):
         i, free, x = case
-        formula = transport_derivative(a_field, ctx.curve, x, ctx=ctx)
+        formula = transport_derivative(ctx, x)
         fd = central_difference(lambda ks: variation_transports(a_field, ctx.curve, step)(
             [[(x, k * eps)] for k in ks]), eps)
         return free, _rel(formula - fd, fd)
@@ -590,7 +592,7 @@ def run_gradient(cfg, seed):
     def riesz_gaps(fname, fld, ci, ctx):
         """Worst pairing and formula gaps of the Riesz pairs on curve ci."""
         curve = ctx.curve
-        grad = h0_gradient_transport(fld, curve, ctx=ctx)
+        grad = h0_gradient_transport(ctx)
         rng_p = rng_for(seed, f"gradient/riesz/{fname}/{ci}")
         worst = gap = 0.0
         for _ in range(gcfg["riesz_pairs"]):
@@ -600,7 +602,7 @@ def run_gradient(cfg, seed):
             fd = central_difference(lambda ks: [fiber_metric(u, phi) for u in variation_transports(
                 fld, curve, step)([[(x, k * eps)] for k in ks])], eps)
             worst = max(worst, _rel(paired - fd, fd))
-            direct = fiber_metric(transport_derivative(fld, curve, x, ctx=ctx), phi)
+            direct = fiber_metric(transport_derivative(ctx, x), phi)
             gap = max(gap, abs(paired - direct) / (1.0 + abs(direct)))
         return worst, gap
 
@@ -1050,7 +1052,7 @@ def run_theorem(cfg, seed):
         for ci, curve in enumerate(curves):
             ctx = TransportContext(fld, curve, step=step)
             lap = levy_laplacian_transport(fld, curve, ctx=ctx, check=False)
-            route_i = transport_s_derivative(fld, vel, curve, ctx=ctx)
+            route_i = transport_s_derivative(ctx, vel)
             # route ii: the snapshots one save_every on either side
             route_ii = central_difference(
                 lambda ks: [transport(near[k], curve, step=step) for k in ks], every * ds)
@@ -1068,7 +1070,7 @@ def run_theorem(cfg, seed):
     zero_field = AnalyticField.zero(torus, n)
     zctx = TransportContext(zero_field, curves[0], step=step)
     zlap = levy_laplacian_transport(zero_field, curves[0], ctx=zctx, check=False)
-    zs = transport_s_derivative(zero_field, zero_field, curves[0], ctx=zctx)
+    zs = transport_s_derivative(zctx, zero_field)
     critical = max(maxabs(zlap.value), maxabs(zs))
 
     # commuting flow in closed form: FD across oracle fields vs Laplacian
@@ -1163,7 +1165,7 @@ def run_r_diagnostic(cfg, seed):
             pcurve = plateau(curve, r)
             pctx = TransportContext(fld, pcurve, step=step)
             plap = levy_laplacian_transport(fld, pcurve, ctx=pctx, check=False)
-            pds = transport_s_derivative(fld, vel_fd, pcurve, ctx=pctx)
+            pds = transport_s_derivative(pctx, vel_fd)
             u_tail = transport(fld, curve, t=1.0, s=r, step=step)  # Id at r = 1
             r_def.append(u_tail @ (plap.value - pds))
         return r_def

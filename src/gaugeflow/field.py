@@ -22,10 +22,9 @@ K = N^2 - 1. Three representations:
   real K x K matrix Ad(e_j^-1) and adds d theta_j T_j. A direction T_j
   outside su(N) raises ValueError.
 
-The matrix reads derive from `coord_jets` by one `algebra.lie_matrix`:
-`eval(x)` maps points (..., d) to (..., d, N, N), `partial_all` adds a
-leading derivative axis, `second_all` two of them. No package code reads
-them; `generator` contracts the coordinates directly.
+A field is read only in coordinates: `generator` contracts them with a
+velocity, and a caller that needs matrices forms them once with
+`algebra.lie_matrix`.
 
 Derived local quantities (`curvature`, `cov_deriv_curvature`,
 `cov_div_curvature`) are free functions of `coord_jets`, so they work for
@@ -175,8 +174,7 @@ class GaugeField:
     """Interface: torus, n and `coord_jets(x, order)`, A, dA, ..., d^order A at
     points x (..., d) as su_basis coordinates. Entry k has shape
     (..., d^k, d, K), the derivative axes first, and does not depend on
-    `order`. `generator` derives from it; so do the matrix reads `eval`,
-    `partial_all` and `second_all`, one `lie_matrix` each.
+    `order`. `generator` derives from it.
     """
 
     torus: Torus
@@ -267,19 +265,10 @@ class AnalyticField(GaugeField):
     def coord_jets(self, x, order=2):
         return [self._order_coords(x, k) for k in range(order + 1)]
 
-    def eval(self, x):
-        return lie_matrix(self._order_coords(x, 0))
-
     def generator(self, x, v):
         """One real product: sum_m trig_m(x) v^{mu_m} c_m with c_m the coefficient coordinates."""
         weights = _trig(x, self._w, self.phases, 0) * np.asarray(v, dtype=float)[..., self.mus]
         return weights @ self._coords
-
-    def partial_all(self, x):
-        return lie_matrix(self._order_coords(x, 1))
-
-    def second_all(self, x):
-        return lie_matrix(self._order_coords(x, 2))
 
     @property
     def kmax(self):
@@ -551,13 +540,9 @@ class LatticeField(GaugeField):
     def coord_jets(self, x, order=2):
         return self._jets(x, range(order + 1))
 
-    def eval(self, x):
-        return lie_matrix(self._jets(x, (0,))[0])
-
-    def partial_all(self, x):
-        return lie_matrix(self._jets(x, (1,))[0])
-
     def second_all(self, x):
+        """The matrices (..., d, d, d, N, N) of d^2 A at points x, read from the
+        second-derivative table alone."""
         return lie_matrix(self._jets(x, (2,))[0])
 
     # --- serialization: JSON header + flat little-endian binary ---
@@ -674,15 +659,6 @@ class TransformedField(GaugeField):
             u = [np.einsum("abp,...bp->...ap", r, vk) + th[j + 1][..., None, :] * t[:, None]
                  for j, vk in enumerate(v)]
         return [np.moveaxis(jet, -1, 0).reshape(x.shape[:-1] + jet.shape[:-1]) for jet in u]
-
-    def eval(self, x):
-        return lie_matrix(self.coord_jets(x, 0)[0])
-
-    def partial_all(self, x):
-        return lie_matrix(self.coord_jets(x, 1)[1])
-
-    def second_all(self, x):
-        return lie_matrix(self.coord_jets(x, 2)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,8 @@ class GradientField:
         return float(fiber_metric(-self.ctx.integrate_transported(gx), phi))
 
 
-def h0_gradient_transport(field, curve, step=DEFAULT_STEP, ctx=None):
-    if ctx is None:
-        ctx = TransportContext(field, curve, step=step)
+def h0_gradient_transport(ctx):
+    """The H^0 gradient of the transport along the context's curve in its field."""
     return GradientField(ctx, np.einsum("tmvk,tv->tmk", ctx.curvature, ctx.velocities))
 
 

@@ -36,8 +36,9 @@ roundoff, with no projection. `propagator` takes a matrix-valued Z and
 refuses one with a non-su(N) part beyond roundoff, so `duhamel_derivative`
 takes P^-1 as P^+. No transport calls LAPACK.
 
-A `TransportContext` caches U_{t_i, lo} on the nodes of one curve, and
-every integral formula in this package is a quadrature over those nodes.
+A `TransportContext` caches U_{t_i, 0} on the nodes of one curve over
+[0, 1], and every integral formula in this package is a quadrature over
+those nodes.
 Its quadrature layout `ts` lists each segment's nodes in turn, so a
 junction node appears twice: once as the last node of the
 segment before it, carrying the velocity limit from below, and once as
@@ -47,7 +48,7 @@ weights per segment, so `integrate` is one weighted sum and kinked curves
 keep full order. `cumulative` is a trapezoid sum whose step across a
 junction has zero width. This module alone knows the layout. A context
 also caches the curvature coordinates at its points, which the
-first-derivative formulas share. Their integrals of U_{hi,t} c U_{t,lo} run
+first-derivative formulas share. Their integrals of U_{1,t} c U_{t,0} run
 over the real adjoint action on c's su_basis coordinates and form one matrix
 at the end (`integrate_transported`).
 """
@@ -155,10 +156,10 @@ def _magnus_factors(z, h):
     return exp_lie(np.moveaxis(omega, -2, 0))
 
 
-def _lie_factors(zfun, c, d, step):
-    """Grid nodes and Magnus-4 factors on [c, d] of a matrix-valued Z; ValueError on a
+def _lie_factors(zfun, step):
+    """Grid nodes and Magnus-4 factors on [0, 1] of a matrix-valued Z; ValueError on a
     non-su(N) part."""
-    nodes, _, t, h = _magnus_grid([c, d], step)
+    nodes, _, t, h = _magnus_grid([0.0, 1.0], step)
     return nodes, _magnus_factors(lie_coords(zfun(t), check=True), h)
 
 
@@ -183,23 +184,20 @@ class TransportContext:
     docstring), shape (K, ...).
 
     Attributes:
-        nodes: (M+1,) integrator node parameters covering [lo, hi].
-        from_start: (M+1, N, N), U_{t_i, lo}.
-        endpoint: U_{hi, lo}.
+        nodes: (M+1,) integrator node parameters covering [0, 1].
+        from_start: (M+1, N, N), U_{t_i, 0}.
+        endpoint: U_{1, 0}.
         ts: (K,) quadrature nodes, each segment's nodes in turn.
         weights: (K,) composite Simpson weights of each segment.
         points, velocities: (K, d) curve points and one-sided velocities at `ts`.
-        adjoint: (K, N^2 - 1, N^2 - 1), Ad(U_{t, lo}^-1) at `ts`, built on first use.
+        adjoint: (K, N^2 - 1, N^2 - 1), Ad(U_{t, 0}^-1) at `ts`, built on first use.
     """
 
-    def __init__(self, field, curve, step=DEFAULT_STEP, lo=0.0, hi=1.0):
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("need 0 <= lo < hi <= 1")
+    def __init__(self, field, curve, step=DEFAULT_STEP):
         self.field, self.curve, self.step = field, curve, step
-        self.lo, self.hi = float(lo), float(hi)
         self.n = field.n
 
-        self.nodes, segments, factors = _curve_factors(field, curve, step, self.lo, self.hi)
+        self.nodes, segments, factors = _curve_factors(field, curve, step, 0.0, 1.0)
         self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
 
@@ -230,7 +228,7 @@ class TransportContext:
 
     @functools.cached_property
     def adjoint(self):
-        """Entry i: `algebra.adjoint` of U = U_{t_i,lo}, the coordinates of U^-1 T_b U in
+        """Entry i: `algebra.adjoint` of U = U_{t_i,0}, the coordinates of U^-1 T_b U in
         column b, taken over a fixed split of the nodes into 8 (N^2 - 1) blocks: the split
         fixes the partition of the matrix products, and with it their last bits."""
         k = self.n * self.n - 1
@@ -240,19 +238,19 @@ class TransportContext:
         return out
 
     def to_start(self, c):
-        """U_{t,lo}^-1 c(t) U_{t,lo} on `ts`, in su_basis coordinates c (K, ..., N^2 - 1)."""
+        """U_{t,0}^-1 c(t) U_{t,0} on `ts`, in su_basis coordinates c (K, ..., N^2 - 1)."""
         adjoint = self.adjoint[(slice(None),) + (None,) * (c.ndim - 2)]
         return _matmul(adjoint, c[..., None])[..., 0]
 
     def integrate_transported(self, c, upto=None):
-        """`integrate` of U_{hi,t} c U_{t,lo} = U_{hi,lo} U_{t,lo}^-1 c U_{t,lo} for su_basis
-        coordinates c (K, ..., N^2 - 1): U_{hi,lo} times the integral of `to_start(c)`."""
+        """`integrate` of U_{1,t} c U_{t,0} = U_{1,0} U_{t,0}^-1 c U_{t,0} for su_basis
+        coordinates c (K, ..., N^2 - 1): U_{1,0} times the integral of `to_start(c)`."""
         return _matmul(self.endpoint, lie_matrix(self.integrate(self.to_start(c), upto)))
 
     def integrate(self, values, upto=None):
-        """Composite Simpson integral over [lo, hi] of values sampled on `ts`.
+        """Composite Simpson integral over [0, 1] of values sampled on `ts`.
 
-        With `upto`, the integral over [lo, upto] instead. `upto` is taken to
+        With `upto`, the integral over [0, upto] instead. `upto` is taken to
         the nearest node, which must lie an even number of steps into its
         segment.
         """
@@ -271,7 +269,7 @@ class TransportContext:
         return w
 
     def cumulative(self, values):
-        """Trapezoid integral from lo to every node of `ts`, shape (K, ...)."""
+        """Trapezoid integral from 0 to every node of `ts`, shape (K, ...)."""
         widths = self._widths.reshape((-1,) + (1,) * (values.ndim - 1))
         steps = 0.5 * widths * (values[1:] + values[:-1])
         return np.concatenate([np.zeros_like(values[:1]), np.cumsum(steps, axis=0)])
@@ -281,7 +279,7 @@ def transport(field, curve, t=1.0, s=0.0, step=DEFAULT_STEP):
     """Parallel transport U_{t,s} along the curve, an (N, N) group element.
 
     The product of the Magnus-4 factors on [s, t], reduced without the node
-    scan; equal bit for bit to `TransportContext(..., lo=s, hi=t).endpoint`.
+    scan; on [0, 1] equal bit for bit to `TransportContext(...).endpoint`.
     """
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("need 0 <= s <= t <= 1")
@@ -312,8 +310,8 @@ def variation_transports(field, curve, step=DEFAULT_STEP):
     return transports
 
 
-def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
-    """Solve dP/dt = -Z(t) P on [c, d], P(c) = Id, for Z(t) in su(N).
+def propagator(zfun, step=DEFAULT_STEP):
+    """Solve dP/dt = -Z(t) P on [0, 1], P(0) = Id, for Z(t) in su(N).
 
     zfun maps parameters (T,) to matrices (T, N, N); a non-su(N) part beyond
     roundoff (`algebra.LIE_TOL` relative to the largest entry) raises
@@ -322,54 +320,52 @@ def propagator(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
     Ros 2009; Iserles & Norsett 1999) and their product scan, the scheme of
     `TransportContext`.
     """
-    nodes, factors = _lie_factors(zfun, c, d, step)
+    nodes, factors = _lie_factors(zfun, step)
     return nodes, prefix_products(factors)
 
 
-def propagator_endpoint(zfun, c=0.0, d=1.0, step=DEFAULT_STEP):
-    """P(d) of `propagator`, bit for bit, reduced in M products without the node scan."""
-    return _endpoint_product(_lie_factors(zfun, c, d, step)[1])
+def propagator_endpoint(zfun, step=DEFAULT_STEP):
+    """P(1) of `propagator`, bit for bit, reduced in M products without the node scan."""
+    return _endpoint_product(_lie_factors(zfun, step)[1])
 
 
-def duhamel_derivative(zfun, dzfun, c=0.0, d=1.0, step=DEFAULT_STEP):
-    """Directional derivative of P(Z; d) along a perturbation dZ:
+def duhamel_derivative(zfun, dzfun, step=DEFAULT_STEP):
+    """Directional derivative of P(Z; 1) along a perturbation dZ:
 
-        <DP(Z; d), dZ> = -P(d) integral_c^d P(t)^-1 dZ(t) P(t) dt.
+        <DP(Z; 1), dZ> = -P(1) integral_0^1 P(t)^-1 dZ(t) P(t) dt.
 
     Z must lie in su(N), as in `propagator`, so P is special-unitary to roundoff
     and P^-1 is taken as P^+; dZ may be any matrix.
     """
-    nodes, p = propagator(zfun, c, d, step)
+    nodes, p = propagator(zfun, step)
     integrand = _matmul(_matmul(dagger(p), np.asarray(dzfun(nodes))), p)
-    w = simpson_weights(len(nodes), (d - c) / (len(nodes) - 1))
+    w = simpson_weights(len(nodes), 1.0 / (len(nodes) - 1))
     integral = np.einsum("t,tij->ij", w, integrand)
     return -_matmul(p[-1], integral)
 
 
-def transport_derivative(field, curve, x_field, step=DEFAULT_STEP, ctx=None):
-    """Derivative of U_{1,0}(gamma) along a curve variation X.
+def transport_derivative(ctx, x_field):
+    """Derivative of U_{1,0}(gamma) along a curve variation X, for the context's
+    field and curve gamma.
 
     Bulk term -int U_{1,t} F_mn(gamma) X^m gammadot^n U_{t,0} dt plus the
     endpoint terms -A_m(gamma(1)) X^m(1) U_{1,0} + U_{1,0} A_m(gamma(0)) X^m(0);
     the endpoint terms vanish for H^1_{0,0} variations.
     """
-    if ctx is None:
-        ctx = TransportContext(field, curve, step=step)
     t = np.einsum("tmvk,tm,tv->tk", ctx.curvature, x_field.value(ctx.ts), ctx.velocities)
-    t1, t0 = np.asarray(ctx.hi), np.asarray(ctx.lo)
-    a1 = lie_matrix(field.generator(ctx.curve.point(t1), x_field.value(t1)))
-    a0 = lie_matrix(field.generator(ctx.curve.point(t0), x_field.value(t0)))
+    t1, t0 = np.asarray(1.0), np.asarray(0.0)
+    a1 = lie_matrix(ctx.field.generator(ctx.curve.point(t1), x_field.value(t1)))
+    a0 = lie_matrix(ctx.field.generator(ctx.curve.point(t0), x_field.value(t0)))
     return ctx.integrate_transported(-t) - _matmul(a1, ctx.endpoint) + _matmul(ctx.endpoint, a0)
 
 
-def transport_s_derivative(field, ds_field, curve, step=DEFAULT_STEP, ctx=None):
+def transport_s_derivative(ctx, ds_field):
     """d/ds of the transport when the connection depends on a flow time:
 
         d_s U_{1,0} = -int U_{1,t} (d_s A)_m(gamma(t)) gammadot^m U_{t,0} dt.
 
-    `field` is the connection at the flow time, `ds_field` its s-derivative
-    (any gauge field: its `generator` gives the coordinates of the integrand).
+    The context holds the connection at the flow time and the curve gamma,
+    `ds_field` the connection's s-derivative (any gauge field: its `generator`
+    gives the coordinates of the integrand).
     """
-    if ctx is None:
-        ctx = TransportContext(field, curve, step=step)
     return ctx.integrate_transported(-ds_field.generator(ctx.points, ctx.velocities))

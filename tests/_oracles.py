@@ -24,7 +24,8 @@ kernels are held to, and the `matrix_*` curvature kernels are the complex
 N x N forms the su(N)-coordinate curvature kernels replaced.
 `stacked_spline_table` builds a lattice's spline table from one stack of
 all its keys' grids, the build the key-by-key tables are held to bit for
-bit.
+bit. `matrix_jet` is the matrix read of one order of a field's `coord_jets`,
+which the matrix oracles take and return.
 """
 
 import json
@@ -260,9 +261,14 @@ def stacked_spline_table(lat, keys):
     return np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
 
 
+def matrix_jet(field, x, k):
+    """The matrices (..., d^k, d, N, N) of entry k of the field's `coord_jets` at x."""
+    return lie_matrix(field.coord_jets(x, k)[k])
+
+
 def analytic_mode_sum(field, x, order):
-    """eval (order 0), partial_all (1) or second_all (2) of an AnalyticField,
-    summed mode by mode as complex matrices into each mode's direction slot."""
+    """`matrix_jet` of an AnalyticField at `order` (0, 1 or 2), summed mode by
+    mode as complex matrices into each mode's direction slot."""
     x = np.asarray(x, dtype=float)
     d, n = field.torus.d, field.n
     out = np.zeros(x.shape[:-1] + (d,) * order + (d, n, n), dtype=np.complex128)
@@ -338,13 +344,11 @@ def einsum_gauge_map_derivs(gauge_map, x):
 
 
 def einsum_transformed(field, x):
-    """(eval, partial_all, second_all) of a TransformedField, term by term."""
+    """`matrix_jet` of a TransformedField at orders 0, 1 and 2, term by term."""
     x = np.asarray(x, dtype=float)
     psi = einsum_gauge_map_derivs(field.map, x)
     inv = [dagger(p) for p in psi]
-    a0 = field.base.eval(x)
-    a1 = field.base.partial_all(x)
-    a2 = field.base.second_all(x)
+    a0, a1, a2 = (matrix_jet(field.base, x, k) for k in range(3))
     e = np.einsum
     val = e("...ij,...mjk,...kl->...mil", inv[0], a0, psi[0])
     val = val + e("...ij,...mjk->...mik", inv[0], psi[1])
@@ -380,7 +384,7 @@ def matrix_curvature(a0, p):
 
 def matrix_curvature_and_cov_deriv(field, x):
     """F_mn and nabla_l F_mn (..., d, d, d, N, N) from the field's matrix reads."""
-    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    a0, p, s = (matrix_jet(field, x, k) for k in range(3))
     f = matrix_curvature(a0, p)
     y = s + _matmul(p[..., :, :, None, :, :], a0[..., None, None, :, :, :])
     y += _matmul(a0[..., None, :, None, :, :], p[..., :, None, :, :, :])
@@ -390,7 +394,7 @@ def matrix_curvature_and_cov_deriv(field, x):
 
 def matrix_cov_div_curvature(field, x):
     """(div F)_n (..., d, N, N) from the field's matrix reads, without nabla F."""
-    a0, p, s = field.eval(x), field.partial_all(x), field.second_all(x)
+    a0, p, s = (matrix_jet(field, x, k) for k in range(3))
     g = p + matrix_curvature(a0, p)
     div_a = np.einsum("...mmij->...ij", p)[..., None, :, :]
     am = a0[..., :, None, :, :]

@@ -47,7 +47,7 @@ REDUCED_CONFIG = {
         "grid": 32,
         "save_every": 20,
         "step": 0.00048828125,
-        "steps": 120,
+        "steps": 100,
     },
     "r_diagnostic": {
         "checkpoint_step": 24,
@@ -56,7 +56,7 @@ REDUCED_CONFIG = {
         "r_divisions": 8,
         "save_every": 4,
         "step": 0.00048828125,
-        "steps": 48,
+        "steps": 28,
     },
     "tolerances": {
         "abelian_flow": 1e-05,

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from _reduced import REDUCED_CONFIG
 from gaugeflow.algebra import maxabs
 from gaugeflow.experiments import (
     ALL_ORDER,
@@ -45,11 +46,12 @@ def test_resolve_config_defaults():
     assert DEFAULT_CONFIG["transport"]["triples"] == 100  # deep copy
 
 
-def test_default_flows_stop_at_their_last_read_snapshot():
-    """theorem.steps and r_diagnostic.steps copy what their checks read: a
-    checkpoint reads the snapshot one save_every past it, and no step after
-    the last such snapshot is integrated."""
-    th, rd = DEFAULT_CONFIG["theorem"], DEFAULT_CONFIG["r_diagnostic"]
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, REDUCED_CONFIG], ids=["default", "reduced"])
+def test_default_flows_stop_at_their_last_read_snapshot(cfg):
+    """theorem.steps and r_diagnostic.steps copy what their checks read, in the
+    default and in the reduced config: a checkpoint reads the snapshot one
+    save_every past it, and no step after the last such snapshot is integrated."""
+    th, rd = cfg["theorem"], cfg["r_diagnostic"]
     assert th["steps"] == max(th["checkpoint_steps"]) + th["save_every"]
     assert rd["steps"] == rd["checkpoint_step"] + rd["save_every"]
 
@@ -95,6 +97,11 @@ BAD_SETTINGS = [
     ("heatflow.order_time.k", "[0, 0]", "heatflow/order_time/k"),
     ("heatflow.order_time.k", "[4, -4]", "heatflow/order_time/k"),
     ("heatflow.order_space.k", "[0, 0]", "heatflow/order_space/k"),
+    # each of these used to pass validation and exit 1: on the 8-site order_space
+    # grid 16 aliases to 0, and 4 is the Nyquist frequency, where the stencil
+    # does not move the mode
+    ("heatflow.order_space.k", "[16, 0]", "heatflow/order_space/k"),
+    ("heatflow.order_space.k", "[4, 0]", "heatflow/order_space/k"),
     ("heatflow.order_space.total_s", "1e-9", "heatflow/order_space/total_s"),
     # each of these used to pass validation and abort in the flow (exit 3)
     ("theorem.ds", "2e-5", "theorem/ds"),  # bound 1.53e-5 on 64^2
@@ -294,7 +301,7 @@ def test_flow_derivative_identity_second_order():
     mid = traj.field(8)
     step = 1.0 / 512
     ctx = TransportContext(mid, curve, step=step)
-    route_i = transport_s_derivative(mid, ym_rhs(mid), curve, ctx=ctx)
+    route_i = transport_s_derivative(ctx, ym_rhs(mid))
     gaps = []
     for width in (4, 2):  # steps to either side
         route_ii = central_difference(lambda ks: [

@@ -29,10 +29,11 @@ from _oracles import (
     load_field,
     matrix_cov_div_curvature,
     matrix_curvature_and_cov_deriv,
+    matrix_jet,
     stacked_spline_table,
 )
 import gaugeflow
-from gaugeflow.algebra import dagger, group_defect, lie_coords, lie_matrix, maxabs
+from gaugeflow.algebra import dagger, group_defect, lie_matrix, maxabs
 from gaugeflow.experiments import rng_for
 from gaugeflow.field import (
     AnalyticField,
@@ -138,24 +139,25 @@ def test_analytic_field_shapes_and_zero():
     torus = Torus(3, 1.0)
     z = AnalyticField.zero(torus, 2)
     x = random_points(RNG, torus, (4, 5))
-    assert z.eval(x).shape == (4, 5, 3, 2, 2)
-    assert z.partial_all(x).shape == (4, 5, 3, 3, 2, 2)
-    assert z.second_all(x).shape == (4, 5, 3, 3, 3, 2, 2)
-    assert maxabs(z.eval(x)) == 0.0
+    assert matrix_jet(z, x, 0).shape == (4, 5, 3, 2, 2)
+    assert matrix_jet(z, x, 1).shape == (4, 5, 3, 3, 2, 2)
+    assert matrix_jet(z, x, 2).shape == (4, 5, 3, 3, 3, 2, 2)
+    assert maxabs(matrix_jet(z, x, 0)) == 0.0
 
 
 def test_analytic_field_derivatives_vs_fd(torus2, su2_field):
-    """partial_all and second_all vs central differences of eval."""
+    """The first and second derivative matrices vs central differences of the values."""
     x = random_points(RNG, torus2, (6,))
     h = 1e-6
     eye = np.eye(2)
-    p = su2_field.partial_all(x)
-    s = su2_field.second_all(x)
+    p = matrix_jet(su2_field, x, 1)
+    s = matrix_jet(su2_field, x, 2)
     for a in range(2):
-        fd = (su2_field.eval(x + h * eye[a]) - su2_field.eval(x - h * eye[a])) / (2 * h)
+        fd = (matrix_jet(su2_field, x + h * eye[a], 0)
+              - matrix_jet(su2_field, x - h * eye[a], 0)) / (2 * h)
         assert maxabs(p[:, a] - fd) < 1e-7
         fd2 = (
-            su2_field.partial_all(x + h * eye[a]) - su2_field.partial_all(x - h * eye[a])
+            matrix_jet(su2_field, x + h * eye[a], 1) - matrix_jet(su2_field, x - h * eye[a], 1)
         ) / (2 * h)
         assert maxabs(s[:, a] - fd2) < 1e-6
     # mixed partials commute
@@ -165,19 +167,19 @@ def test_analytic_field_derivatives_vs_fd(torus2, su2_field):
 def test_analytic_field_periodicity(torus2, su2_field):
     x = random_points(RNG, torus2, (5,))
     shift = np.array([torus2.L, 0.0])
-    assert maxabs(su2_field.eval(x) - su2_field.eval(x + shift)) < 1e-12
+    assert maxabs(matrix_jet(su2_field, x, 0) - matrix_jet(su2_field, x + shift, 0)) < 1e-12
 
 
 def test_random_su_lands_in_lie_algebra(torus2, su2_field):
     x = random_points(RNG, torus2, (5,))
-    assert lie_defect(su2_field.eval(x)) < 1e-13
+    assert lie_defect(matrix_jet(su2_field, x, 0)) < 1e-13
     assert lie_defect(su2_field.coeffs) < 1e-13
 
 
 def test_random_abelian_commutes(torus2):
     fld = AnalyticField.random_abelian(RNG, torus2, modes=4, kmax=2)
     x = random_points(RNG, torus2, (6,))
-    a = fld.eval(x)
+    a = matrix_jet(fld, x, 0)
     assert maxabs(commutator(a[..., 0, :, :], a[..., 1, :, :])) < 1e-14
     for i in range(len(fld.coeffs)):
         for j in range(len(fld.coeffs)):
@@ -199,7 +201,7 @@ def test_random_abelian_draws_every_mode():
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_analytic_field_matches_mode_sum(d, n):
-    """eval, partial_all and second_all (one coordinate product each) vs the
+    """The matrices of each order (one coordinate product each) vs the
     plain per-mode matrix sum, to 1e-15 relative; the zero field gives zeros."""
     torus = Torus(d, 1.0)
     rng = rng_for(10 * d + n, "unit/mode-sum")
@@ -207,8 +209,8 @@ def test_analytic_field_matches_mode_sum(d, n):
     for fld in (AnalyticField.random_su(rng, torus, n=n, modes=3, amplitude=0.5, kmax=2),
                 AnalyticField.random_abelian(rng, torus, n=n, modes=4, kmax=2),
                 AnalyticField.zero(torus, n)):
-        for order, got in enumerate((fld.eval(x), fld.partial_all(x), fld.second_all(x))):
-            want = analytic_mode_sum(fld, x, order)
+        for order in range(3):
+            got, want = matrix_jet(fld, x, order), analytic_mode_sum(fld, x, order)
             assert got.shape == want.shape == (6, 5) + (d,) * (order + 1) + (n, n)
             assert maxabs(got - want) <= 1e-15 * maxabs(want)
 
@@ -248,7 +250,8 @@ def test_trig_matches_where_formula_bitwise():
 @pytest.mark.parametrize("n", [2, 3])
 def test_analytic_generator_matches_default(torus2, n):
     """AnalyticField's one real product for the coordinates of A_mu(x) v^mu
-    agrees with the interface default (eval, contract, convert) to 1e-15."""
+    agrees with the interface default (the order-0 jet contracted with v) to
+    1e-15."""
     fld = AnalyticField.random_su(RNG, torus2, n=n, modes=3, amplitude=0.5, kmax=2)
     x = random_points(RNG, torus2, (9, 4))
     v = RNG.standard_normal((9, 4, 2))
@@ -263,7 +266,7 @@ def test_analytic_generator_matches_default(torus2, n):
 def test_analytic_round_trip(torus2, su2_field):
     clone = AnalyticField.from_dict(su2_field.to_dict())
     x = random_points(RNG, torus2, (5,))
-    assert maxabs(clone.eval(x) - su2_field.eval(x)) < 1e-15
+    assert maxabs(matrix_jet(clone, x, 0) - matrix_jet(su2_field, x, 0)) < 1e-15
     assert clone.kmax == su2_field.kmax == 2
 
 
@@ -278,14 +281,14 @@ def test_curvature_vs_fd(torus2, su2_field):
     assert maxabs(f + np.swapaxes(f, -4, -3)) < 1e-13  # antisymmetry
     h = 1e-6
     eye = np.eye(2)
-    a0 = su2_field.eval(x)
+    a0 = matrix_jet(su2_field, x, 0)
     for m in range(2):
         for n in range(2):
             dm_an = (
-                su2_field.eval(x + h * eye[m]) - su2_field.eval(x - h * eye[m])
+                matrix_jet(su2_field, x + h * eye[m], 0) - matrix_jet(su2_field, x - h * eye[m], 0)
             )[:, n] / (2 * h)
             dn_am = (
-                su2_field.eval(x + h * eye[n]) - su2_field.eval(x - h * eye[n])
+                matrix_jet(su2_field, x + h * eye[n], 0) - matrix_jet(su2_field, x - h * eye[n], 0)
             )[:, m] / (2 * h)
             want = dm_an - dn_am + commutator(a0[:, m], a0[:, n])
             assert maxabs(f[:, m, n] - want) < 1e-7
@@ -294,7 +297,7 @@ def test_curvature_vs_fd(torus2, su2_field):
 def test_curvature_abelian_drops_commutator(torus2):
     fld = AnalyticField.random_abelian(RNG, torus2, modes=3, kmax=2)
     x = random_points(RNG, torus2, (5,))
-    p = fld.partial_all(x)
+    p = matrix_jet(fld, x, 1)
     want = p - np.swapaxes(p, -4, -3)
     assert maxabs(lie_matrix(curvature(fld, x)) - want) < 1e-14
 
@@ -305,7 +308,7 @@ def test_cov_deriv_curvature_vs_fd(torus2, su2_field):
     df = lie_matrix(cov_deriv_curvature(su2_field, x))
     h = 1e-6
     eye = np.eye(2)
-    a0 = su2_field.eval(x)
+    a0 = matrix_jet(su2_field, x, 0)
     f = lambda y: lie_matrix(curvature(su2_field, y))
     f0 = f(x)
     for l in range(2):
@@ -380,24 +383,23 @@ def test_transformed_field_derivatives_vs_fd(torus2, su2_field):
     x = random_points(RNG, torus2, (3,))
     h = 1e-5
     eye = np.eye(2)
-    p = fld.partial_all(x)
-    s = fld.second_all(x)
+    p = matrix_jet(fld, x, 1)
+    s = matrix_jet(fld, x, 2)
     for a in range(2):
-        fd = (fld.eval(x + h * eye[a]) - fld.eval(x - h * eye[a])) / (2 * h)
+        fd = (matrix_jet(fld, x + h * eye[a], 0) - matrix_jet(fld, x - h * eye[a], 0)) / (2 * h)
         assert maxabs(p[:, a] - fd) < 1e-7
-        fd2 = (fld.partial_all(x + h * eye[a]) - fld.partial_all(x - h * eye[a])) / (2 * h)
+        fd2 = (matrix_jet(fld, x + h * eye[a], 1) - matrix_jet(fld, x - h * eye[a], 1)) / (2 * h)
         assert maxabs(s[:, a] - fd2) < 1e-6
 
 
-def test_transformed_field_jets_match_single_reads_bitwise(torus2, su2_field):
-    """`eval`, `partial_all` and `second_all` are the matrices of `coord_jets`
-    bit for bit."""
-    fld = TransformedField(su2_field, gauge_map(torus2))
-    x = random_points(RNG, torus2, (4, 3))
-    jets = fld.coord_jets(x)
-    reads = (fld.eval(x), fld.partial_all(x), fld.second_all(x))
-    for got, want in zip(jets, reads, strict=True):
-        assert np.array_equal(lie_matrix(got), want)
+def test_lattice_second_all_is_the_order_two_jet_bitwise(torus2, su2_field):
+    """`LatticeField.second_all`, which reads the second-derivative table alone,
+    gives the matrices of entry 2 of `coord_jets` bit for bit, over more than
+    one gather block."""
+    lat = LatticeField.sample(su2_field, 16)
+    x = random_points(RNG, torus2, (60, 12))
+    assert x[..., 0].size > _gather_block(2, len(_jet_keys(2)[0][2]) * 2 * 3)
+    assert np.array_equal(lat.second_all(x), matrix_jet(lat, x, 2))
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -460,9 +462,9 @@ def test_kernels_match_einsum_oracles(d, n):
 
     fld = TransformedField(base, psi)
     want = einsum_transformed(fld, x)
-    for got, w in zip((fld.eval(x), fld.partial_all(x), fld.second_all(x)), want):
-        close(got, w)
-    plain = (base.eval(x), base.partial_all(x), base.second_all(x))
+    for k, w in enumerate(want):
+        close(matrix_jet(fld, x, k), w)
+    plain = [matrix_jet(base, x, k) for k in range(3)]
     for field, (a0, p, s) in ((fld, want), (base, plain)):
         df = einsum_cov_deriv_curvature(a0, p, s)
         close(lie_matrix(curvature(field, x)), einsum_curvature(a0, p))
@@ -500,20 +502,18 @@ def test_coordinate_curvature_matches_matrix_kernels(torus2, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_coord_jets_are_the_coordinates_of_the_matrix_reads(torus2, n):
-    """Entry k of `coord_jets` is `lie_coords` of eval, partial_all or
-    second_all, and the same bits whatever `order` asks for."""
+def test_coord_jets_entries_do_not_depend_on_order(torus2, n):
+    """Entry k of `coord_jets(x, order)` has its shape and the same bits for
+    every order >= k, for each kind of field."""
     x = random_points(rng_for(n, "unit/coord-jets/x"), torus2, (5, 3))
     for fld in _three_kinds(torus2, n, "unit/coord-jets"):
         full = fld.coord_jets(x)
+        for k, jet in enumerate(full):
+            assert jet.shape == (5, 3) + (2,) * (k + 1) + (n * n - 1,)
         for order in range(3):
             jets = fld.coord_jets(x, order)
             assert len(jets) == order + 1
             assert all(np.array_equal(got, want) for got, want in zip(jets, full))
-        reads = (fld.eval(x), fld.partial_all(x), fld.second_all(x))
-        for k, (got, read) in enumerate(zip(full, reads, strict=True)):
-            assert got.shape == (5, 3) + (2,) * (k + 1) + (n * n - 1,)
-            assert maxabs(got - lie_coords(read)) <= 1e-15 * maxabs(got)
 
 
 def test_coord_jets_refuse_non_su_matrices(torus2):
@@ -543,9 +543,9 @@ def test_lattice_exact_at_nodes(torus2, su2_field):
     lat = LatticeField.sample(su2_field, 32)
     axes = [np.arange(32) / 32.0] * 2
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    assert maxabs(lat.values - su2_field.eval(pts)) < 1e-15
+    assert maxabs(lat.values - matrix_jet(su2_field, pts, 0)) < 1e-15
     # spline interpolation reproduces the stored node values
-    assert maxabs(lat.eval(pts) - lat.values) < 1e-12
+    assert maxabs(matrix_jet(lat, pts, 0) - lat.values) < 1e-12
 
 
 def _scipy_spline_read(lat, key, x):
@@ -577,17 +577,16 @@ def test_lattice_spline_matches_scipy(d, n):
     edges = np.array([np.zeros(d), np.full(d, torus.L), np.full(d, -lat.a), np.full(d, 1.5)])
     x = np.concatenate([sites, edges, rng.uniform(-1.0, 2.0, size=(21, d))]).reshape(3, 10, d)
     read = functools.partial(_scipy_spline_read, lat, x=x)
-    refs = {
-        "eval": read("val"),
-        "partial_all": np.stack([read(("d", a)) for a in range(d)], axis=-4),
-        "second_all": np.stack(
-            [np.stack([read(("dd", min(a, b), max(a, b))) for b in range(d)], axis=-4)
-             for a in range(d)], axis=-5),
-    }
-    for name, ref in refs.items():
-        got = getattr(lat, name)(x)
-        assert got.shape == ref.shape, name
-        assert maxabs(got - ref) < 1e-14 * max(1.0, maxabs(ref)), name
+    refs = [
+        read("val"),
+        np.stack([read(("d", a)) for a in range(d)], axis=-4),
+        np.stack([np.stack([read(("dd", min(a, b), max(a, b))) for b in range(d)], axis=-4)
+                  for a in range(d)], axis=-5),
+    ]
+    for k, ref in enumerate(refs):
+        got = matrix_jet(lat, x, k)
+        assert got.shape == ref.shape, k
+        assert maxabs(got - ref) < 1e-14 * max(1.0, maxabs(ref)), k
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -634,9 +633,9 @@ def test_lattice_interpolation_error(torus2, su2_field):
     """
     lat = LatticeField.sample(su2_field, 64)
     x = random_points(np.random.default_rng(5), torus2, (40,))
-    assert maxabs(lat.eval(x) - su2_field.eval(x)) < 1e-6
-    assert maxabs(lat.partial_all(x) - su2_field.partial_all(x)) < 1e-4
-    assert maxabs(lat.second_all(x) - su2_field.second_all(x)) < 2e-3
+    assert maxabs(matrix_jet(lat, x, 0) - matrix_jet(su2_field, x, 0)) < 1e-6
+    assert maxabs(matrix_jet(lat, x, 1) - matrix_jet(su2_field, x, 1)) < 1e-4
+    assert maxabs(matrix_jet(lat, x, 2) - matrix_jet(su2_field, x, 2)) < 2e-3
 
 
 def test_lattice_validation(torus2):
@@ -833,7 +832,7 @@ def test_save_field_dispatch(tmp_path, torus2, su2_field):
     save_field(su2_field, tmp_path / "analytic")
     back = load_field(tmp_path / "analytic")
     x = random_points(RNG, torus2, (4,))
-    assert maxabs(back.eval(x) - su2_field.eval(x)) < 1e-15
+    assert maxabs(matrix_jet(back, x, 0) - matrix_jet(su2_field, x, 0)) < 1e-15
     lat = LatticeField.sample(su2_field, 8)
     save_field(lat, tmp_path / "lat")
     assert np.array_equal(load_field(tmp_path / "lat").values, lat.values)
@@ -842,21 +841,21 @@ def test_save_field_dispatch(tmp_path, torus2, su2_field):
 
 
 def test_make_field_kinds(torus2):
-    assert maxabs(make_field({"kind": "zero"}, torus2).eval(np.zeros((1, 2)))) == 0.0
+    assert maxabs(matrix_jet(make_field({"kind": "zero"}, torus2), np.zeros((1, 2)), 0)) == 0.0
     f1 = make_field({"kind": "random_su", "seed": 3, "modes": 2}, torus2)
     f2 = make_field({"kind": "random_su", "seed": 3, "modes": 2}, torus2)
     x = random_points(RNG, torus2, (4,))
-    assert np.array_equal(f1.eval(x), f2.eval(x))
+    assert np.array_equal(matrix_jet(f1, x, 0), matrix_jet(f2, x, 0))
     ab = make_field({"kind": "abelian", "seed": 5}, torus2)
-    a = ab.eval(x)
+    a = matrix_jet(ab, x, 0)
     assert maxabs(commutator(a[..., 0, :, :], a[..., 1, :, :])) < 1e-14
     pg = make_field({"kind": "pure_gauge", "seed": 9}, torus2)
     assert maxabs(lie_matrix(curvature(pg, x))) < 1e-11
     # kmax reaches the gauge map's angles: kmax 1 is the default, 4 draws other wave vectors
     pg1 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 1}, torus2)
     pg4 = make_field({"kind": "pure_gauge", "seed": 9, "kmax": 4}, torus2)
-    assert np.array_equal(pg1.eval(x), pg.eval(x))
-    assert not np.array_equal(pg4.eval(x), pg1.eval(x))
+    assert np.array_equal(matrix_jet(pg1, x, 0), matrix_jet(pg, x, 0))
+    assert not np.array_equal(matrix_jet(pg4, x, 0), matrix_jet(pg1, x, 0))
     lat = make_field({"kind": "lattice", "base": {"kind": "random_su", "seed": 3}, "grid": 8}, torus2)
     assert isinstance(lat, LatticeField) and lat.m == 8
     with pytest.raises(ValueError):

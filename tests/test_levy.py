@@ -65,7 +65,7 @@ STEP = 1.0 / 1024
 
 def test_gradient_pair_vs_fd(su2_field, wiggly_curve):
     """<grad U, X phi>_{H^0} vs FD of eps -> <U(gamma + eps X), phi>."""
-    grad = h0_gradient_transport(su2_field, wiggly_curve, step=STEP)
+    grad = h0_gradient_transport(TransportContext(su2_field, wiggly_curve, step=STEP))
     rng = np.random.default_rng(64)
     eps = 1e-5
     for i in range(3):
@@ -83,11 +83,11 @@ def test_gradient_pair_matches_derivative_formula(su2_field, su3_field, wiggly_c
     coordinates: 3.9e-16 and 6.7e-16; the su(3) bound has a 150x margin."""
     for field, bound in ((su2_field, 1e-12), (su3_field, 1e-13)):
         ctx = TransportContext(field, wiggly_curve, step=STEP)
-        grad = h0_gradient_transport(field, wiggly_curve, ctx=ctx)
+        grad = h0_gradient_transport(ctx)
         rng = np.random.default_rng(65)
         x = random_vanishing_field(rng, 2, modes=3)
         phi = random_lie(rng, field.n)
-        dv = transport_derivative(field, wiggly_curve, x, ctx=ctx)
+        dv = transport_derivative(ctx, x)
         assert abs(grad.pair(x, phi) - fiber_metric(dv, phi)) < bound, field.n
 
 

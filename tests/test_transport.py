@@ -39,6 +39,7 @@ from gaugeflow.path import (
 )
 from gaugeflow.transport import (
     TransportContext,
+    _curve_factors,
     _endpoint_product,
     duhamel_derivative,
     prefix_products,
@@ -83,8 +84,6 @@ def test_transport_identity_and_validation(su2_field, wiggly_curve):
         transport(su2_field, wiggly_curve, step=0.0)
     with pytest.raises(ValueError):
         TransportContext(su2_field, wiggly_curve, step=0.0)
-    with pytest.raises(ValueError):
-        TransportContext(su2_field, wiggly_curve, lo=0.5, hi=0.5)
 
 
 def test_convergence_order_smooth(su2_field, wiggly_curve):
@@ -259,7 +258,7 @@ def test_transport_derivative_vs_fd(su2_field, wiggly_curve, plateau_r):
         random_field(np.random.default_rng(22), 2, modes=3),
     ]
     for x in fields:
-        got = transport_derivative(su2_field, curve, x, step=1.0 / 1024)
+        got = transport_derivative(TransportContext(su2_field, curve, step=1.0 / 1024), x)
         up = transport(su2_field, perturb(curve, x, +eps), step=1.0 / 1024)
         dn = transport(su2_field, perturb(curve, x, -eps), step=1.0 / 1024)
         assert maxabs(got - (up - dn) / (2 * eps)) < 1e-6
@@ -279,7 +278,7 @@ def test_transport_s_derivative_vs_fd(torus2, su2_field, wiggly_curve):
             np.concatenate([su2_field.phases, b.phases]),
         )
 
-    got = transport_s_derivative(su2_field, b, wiggly_curve, step=1.0 / 1024)
+    got = transport_s_derivative(TransportContext(su2_field, wiggly_curve, step=1.0 / 1024), b)
     eps = 1e-5
     up = transport(family(+eps), wiggly_curve, step=1.0 / 1024)
     dn = transport(family(-eps), wiggly_curve, step=1.0 / 1024)
@@ -408,14 +407,16 @@ def test_integrate_transported_matches_matrix_quadrature(su2_field, su3_field, w
 
 
 def test_transport_matches_context_endpoint_bitwise(su2_field, wiggly_curve):
-    """Endpoint-only transport equals the full context's endpoint bit for bit."""
-    from gaugeflow.path import plateau
-
-    cases = [(plateau(wiggly_curve, 0.375), 0.0, 1.0), (wiggly_curve, 0.2, 0.7)]
-    for curve, s, t in cases:
-        u = transport(su2_field, curve, t=t, s=s, step=1.0 / 512)
-        ctx = TransportContext(su2_field, curve, step=1.0 / 512, lo=s, hi=t)
-        assert np.array_equal(u, ctx.endpoint)
+    """Endpoint-only transport equals the full node scan's endpoint bit for bit:
+    the context's on [0, 1], and the scan of the factors on a sub-interval."""
+    step = 1.0 / 512
+    curve = plateau(wiggly_curve, 0.375)
+    u = transport(su2_field, curve, step=step)
+    assert np.array_equal(u, TransportContext(su2_field, curve, step=step).endpoint)
+    s, t = 0.2, 0.7
+    u = transport(su2_field, wiggly_curve, t=t, s=s, step=step)
+    scan = prefix_products(_curve_factors(su2_field, wiggly_curve, step, s, t)[2])
+    assert np.array_equal(u, scan[-1])
 
 
 def test_propagator_matches_context_bitwise(su2_field, wiggly_curve):
