@@ -52,7 +52,6 @@ from .path import (
     curve_integral,
     gauss_legendre,
     make_curve,
-    plateau,
     random_field,
     random_vanishing_field,
     reparametrize,
@@ -326,8 +325,9 @@ def _spec_keys(value, default, path):
 
 def _validate_cross_fields(cfg):
     """Constraints between entries: point lengths and circle axes against d, order
-    flows whose mode moves on every grid, flow steps against grids, the diagnostic
-    window inside [0, 1], every r of R(r) on an even node of its step grid, Cesàro
+    flows whose mode moves on every grid, flow steps against grids, a diagnostic
+    line of nonzero length, the diagnostic window inside [0, 1] with a division of
+    r outside it, every r of R(r) on an even node of its step grid, Cesàro
     checkpoints within n_modes, kernel curves within the curve list, flow
     checkpoints on the snapshot cadence."""
     d, L = cfg["torus"]["d"], cfg["torus"]["L"]
@@ -341,6 +341,10 @@ def _validate_cross_fields(cfg):
         if len(vec) != d:
             raise ConfigError(f"config invalid at {path}: needs {d} entries (torus.d), "
                               f"got {len(vec)}")
+    # the bump's radius is a share of the line's length
+    if rd["line_p0"] == rd["line_p1"]:
+        raise ConfigError("config invalid at r_diagnostic/line_p1: equals line_p0, a line of "
+                          "zero length")
     # an order factor divides one flow's error by another's, so each flow must
     # move: the stencil maps a mode at frequency 0 or pi along every axis to 0,
     # and the continuum decay rate of k = 0 is 0
@@ -376,6 +380,9 @@ def _validate_cross_fields(cfg):
     if nodes % (2 * divisions):
         raise ConfigError(f"config invalid at r_diagnostic/r_divisions: r = 1/{divisions} is "
                           f"not an even node of the {nodes} steps of r_diagnostic.step")
+    if not any(_outside_window(divisions, rd["window"])):
+        raise ConfigError(f"config invalid at r_diagnostic/window: [{lo:g}, {hi:g}] leaves none "
+                          f"of the {divisions} divisions of r outside it")
     n_modes = cfg["cesaro"]["n_modes"]
     for i, k in enumerate(cfg["cesaro"]["checkpoints"]):
         if k > n_modes:
@@ -920,7 +927,7 @@ def run_heatflow(cfg, seed):
     # --- commuting field vs closed-form trajectory ---
     ab = make_field(hcfg["field"], torus=torus, n=n)
     lat0 = LatticeField.sample(ab, hcfg["grid"])
-    traj = flow(lat0, hcfg["steps"], hcfg["ds"], save_every=hcfg["save_every"])
+    traj = flow(lat0, hcfg["steps"], hcfg["ds"], save_every=hcfg["save_every"], rhs_max=True)
     scale = 1.0 + maxabs(lat0.values)
     worst_ab = 0.0
     for step_idx in traj.snapshots:
@@ -1122,6 +1129,13 @@ def _bump_field(torus, grid, center, radius, height, n):
     return LatticeField.from_coords(torus, coords)
 
 
+def _outside_window(divisions, window):
+    """Whether each division [j, j + 1] / divisions of R(r)'s grid lies outside `window`."""
+    lo, hi = window
+    dr = 1.0 / divisions
+    return [(j + 1) * dr <= lo or j * dr >= hi for j in range(divisions)]
+
+
 def run_r_diagnostic(cfg, seed):
     torus = _torus(cfg)
     n = cfg["gauge_rank"]
@@ -1152,45 +1166,47 @@ def run_r_diagnostic(cfg, seed):
         return trajectory.field(cstep), LatticeField.from_coords(torus, rate)
 
     def r_integral(fld, vel_fd):
-        # R(r) by the integral formula: each prefix integral over [0, r]
-        # carries the U_{1,t} factors to the curve end
-        ctx = TransportContext(fld, curve, step=step)
+        """R(r) by the integral formula: each prefix integral over [0, r] carries
+        the U_{1,t} factors to the curve end. Also returns the line's plateau map
+        and the two integrands the definition route takes from it; the line's
+        context and its adjoint are dropped on return."""
+        ctx, plateaus = TransportContext.with_plateaus(fld, curve, step=step)
         div_f = np.einsum("tmk,tm->tk", cov_div_curvature(fld, ctx.points), ctx.velocities)
-        gap = vel_fd.generator(ctx.points, ctx.velocities) - div_f
-        return [ctx.integrate_transported(gap, upto=r) for r in r_values]
+        ds_a = vel_fd.generator(ctx.points, ctx.velocities)
+        gap = ds_a - div_f
+        return [ctx.integrate_transported(gap, upto=r) for r in r_values], (plateaus, div_f, ds_a)
 
-    def r_definition(fld, vel_fd):
+    def r_definition(plateaus, div_f, ds_a):
+        """R(r) = U_{1,r} (Levy Laplacian - d/ds) of the transport along
+        plateau(curve, r), each term in its closed form: the plateau's context,
+        its integrands and U_{1,r} all come from the line's, with no new read."""
         r_def = [np.zeros((n, n), np.complex128)]  # r = 0
         for r in r_values[1:]:
-            pcurve = plateau(curve, r)
-            pctx = TransportContext(fld, pcurve, step=step)
-            plap = levy_laplacian_transport(fld, pcurve, ctx=pctx, check=False)
-            pds = transport_s_derivative(pctx, vel_fd)
-            u_tail = transport(fld, curve, t=1.0, s=r, step=step)  # Id at r = 1
-            r_def.append(u_tail @ (plap.value - pds))
+            pctx, u_tail, p_div_f, p_ds_a = plateaus(r, div_f, ds_a)
+            plap = pctx.integrate_transported(-p_div_f)
+            pds = pctx.integrate_transported(-p_ds_a)
+            r_def.append(u_tail @ (plap - pds))
         return r_def
 
     # exact flow: R should vanish within the finite-difference budget. Its
     # snapshots go before R(r) is formed, and R(r)'s context before the
     # definition route builds the plateau contexts.
-    fld, vel_fd = checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every))
-    r_int = r_integral(fld, vel_fd)
-    r_def = r_definition(fld, vel_fd)
-    del fld, vel_fd
+    r_int, line = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every)))
+    r_def = r_definition(*line)
+    del line
     exact_max = max(maxabs(v) for v in r_int)
     route_gap = max(maxabs(a - b) for a, b in zip(r_int, r_def))
     origin = maxabs(r_int[0])
 
     # driven flow: the same diagnostic must localize the injected term
-    r_int_p = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every,
-                                          forcing=bump)))
+    r_int_p, _ = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every,
+                                             forcing=bump)))
 
     dr = 1.0 / divisions
     slopes = [maxabs(r_int_p[j + 1] - r_int_p[j]) / dr for j in range(divisions)]
-    outside = [s for j, s in enumerate(slopes)
-               if (j + 1) * dr <= lo or j * dr >= hi]
-    inside = [s for j, s in enumerate(slopes)
-              if not ((j + 1) * dr <= lo or j * dr >= hi)]
+    away = _outside_window(divisions, rcfg["window"])
+    outside = [s for s, out in zip(slopes, away) if out]
+    inside = [s for s, out in zip(slopes, away) if not out]
     outside_max = max(outside)
     ratio = max(inside) / max(outside_max, 1e-300)
 

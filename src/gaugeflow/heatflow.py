@@ -15,8 +15,8 @@ reader reads one through a new `LatticeField` on it. Every product is
 a commutator, taken from `algebra`'s structure constants (`_bracket`), and
 only the curvature components F_mn with m < n are formed. A driven flow
 adds a constant forcing lattice to the velocity. `ym_rhs` runs the same
-kernel on one lattice. The flow table's `rhs_max` is the largest matrix
-entry of the velocity.
+kernel on one lattice. The flow table's `rhs_max`, the largest matrix
+entry of the velocity, is formed only when the caller asks for it.
 
 On small grids a step costs numpy calls, not arithmetic, so the kernels
 make few of them and build no stacks. `stencil_d1` pads through a periodic
@@ -152,7 +152,7 @@ def ym_rhs(field):
 class FlowTrajectory:
     torus: Torus
     snapshots: dict  # step index -> coordinates (d, K, *sites), step 0 first
-    table: list      # dict rows: step, s, action, rhs_max
+    table: list      # dict rows: step, s, action (and rhs_max if asked for)
 
     def field(self, step):
         """A new lattice on the coordinates saved at `step` (KeyError if none):
@@ -160,10 +160,13 @@ class FlowTrajectory:
         return LatticeField.from_coords(self.torus, self.snapshots[step])
 
 
-def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
+def flow(field0, steps, ds, save_every=1, forcing=None, guard=None, rhs_max=False):
     """Integrate the gradient flow from the LatticeField `field0` for `steps` RK4 steps.
 
     Snapshots are the state arrays keyed by step, the first `field0.coords`.
+    The table has a row per step and one for the final state; with `rhs_max`
+    each row also holds the velocity's largest matrix entry, which for the
+    final row takes one more velocity.
     `forcing`, a LatticeField on the torus and grid of `field0` (ValueError
     otherwise), is a constant term added to the flow velocity: the driven
     variant. The action-monotonicity guard defaults to on for the plain flow
@@ -190,6 +193,12 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
             out += forcing.coords
         return out
 
+    def row(i, action, velocity):
+        out = {"step": i, "s": i * ds, "action": action}
+        if rhs_max:
+            out["rhs_max"] = maxabs(LatticeField.from_coords(torus, velocity).values)
+        return out
+
     v = field0.coords
     f = _curvature(v, a)
     action = _action(torus, f)
@@ -197,8 +206,7 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
     table = []
     for i in range(1, steps + 1):
         k1 = rhs(v, f)
-        table.append({"step": i - 1, "s": (i - 1) * ds, "action": action,
-                      "rhs_max": maxabs(LatticeField.from_coords(torus, k1).values)})
+        table.append(row(i - 1, action, k1))
         k2 = rhs(v + (0.5 * ds) * k1)
         k3 = rhs(v + (0.5 * ds) * k2)
         k4 = rhs(v + ds * k3)
@@ -213,8 +221,7 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None):
         action = new_action
         if i % save_every == 0 or i == steps:
             snapshots[i] = v
-    table.append({"step": steps, "s": steps * ds, "action": action,
-                  "rhs_max": maxabs(LatticeField.from_coords(torus, rhs(v, f)).values)})
+    table.append(row(steps, action, rhs(v, f) if rhs_max else None))
     return FlowTrajectory(torus, snapshots, table)
 
 

@@ -51,6 +51,15 @@ also caches the curvature coordinates at its points, which the
 first-derivative formulas share. Their integrals of U_{1,t} c U_{t,0} run
 over the real adjoint action on c's su_basis coordinates and form one matrix
 at the end (`integrate_transported`).
+
+A context derives its plateaus (`TransportContext.with_plateaus`): the
+curve's plateau at r follows it up to r and then stands still, so its
+factors are the curve's up to r and exactly Id after it, U_{1,r} is the
+product of the curve's factors past r, and an integrand linear in the
+velocity is the curve's up to r and zero after it. So a sweep over r,
+like R(r)'s definition route, reads the field once, along the curve, and
+each derived context has the bits of one built along the plateau where
+the two grids agree bit for bit (a step of 1/2^j on a line).
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ import numpy as np
 
 from .algebra import _matmul, adjoint, bracket, dagger, exp_lie, lie_coords, lie_matrix
 from .field import curvature
-from .path import CurveSample
+from .path import CurveSample, plateau
 
 DEFAULT_STEP = 1.0 / 4096
 
@@ -194,10 +203,14 @@ class TransportContext:
     """
 
     def __init__(self, field, curve, step=DEFAULT_STEP):
+        self._setup(field, curve, step, *_curve_factors(field, curve, step, 0.0, 1.0))
+
+    def _setup(self, field, curve, step, nodes, segments, factors):
+        """The node products of `factors` and the quadrature layout of `segments`."""
         self.field, self.curve, self.step = field, curve, step
         self.n = field.n
 
-        self.nodes, segments, factors = _curve_factors(field, curve, step, 0.0, 1.0)
+        self.nodes = nodes
         self.from_start = prefix_products(factors)
         self.endpoint = self.from_start[-1]
 
@@ -210,6 +223,54 @@ class TransportContext:
         self._node = np.arange(len(self.ts)) - np.repeat(np.arange(len(sizes)), sizes)
         self._widths = np.repeat(self._steps, sizes)[:-1]
         self._widths[self._ends[:-1]] = 0.0
+
+    @classmethod
+    def with_plateaus(cls, field, curve, step=DEFAULT_STEP):
+        """The context of the curve and the map (r, *samples) -> (context of
+        `path.plateau(curve, r)`, U_{1,r}, *samples on that context's layout),
+        built from the curve's Magnus factors.
+
+        The plateau follows the curve up to r and then stands still, so its
+        factors are the curve's up to node r and exactly Id after it, and U_{1,r}
+        is the product of the curve's factors past r: neither reads the field.
+        Where the plateau's grid is the curve's bit for bit (a step of 1/2^j on a
+        line), both equal `TransportContext(field, plateau(curve, r), step)` and
+        `transport(field, curve, 1, r, step)` bit for bit; elsewhere they agree
+        to roundoff. `samples` are arrays on the curve context's `ts` of
+        integrands linear in the velocity, such as A_mu(gamma) gammadot^mu: on
+        the plateau's layout they are the same up to r and zero after it. r must
+        be an even node of the curve's grid, to roundoff (ValueError otherwise).
+        The map holds the factors, not the curve's context.
+        """
+        nodes, segments, factors = _curve_factors(field, curve, step, 0.0, 1.0)
+        ctx = cls.__new__(cls)
+        ctx._setup(field, curve, step, nodes, segments, factors)
+        ident = np.eye(field.n, dtype=factors.dtype)
+
+        def at(r, *samples):
+            pcurve = plateau(curve, r)
+            pnodes, psegments, _, _ = _curve_grid(pcurve, step, 0.0, 1.0)
+            k = int(np.searchsorted(pnodes, r))  # the plateau's steps on [0, r]
+            if len(pnodes) != len(nodes) or np.abs(pnodes[:k + 1] - nodes[:k + 1]).max() > 1e-12:
+                raise ValueError(f"r = {r!r} is not an even node of the curve's grid")
+            pfactors = factors.copy()
+            pfactors[k:] = ident
+            pctx = cls.__new__(cls)
+            pctx._setup(field, pcurve, step, pnodes, psegments, pfactors)
+            # the layout entries up to the junction's first copy are the curve's;
+            # past it the plateau stands still
+            if k == len(factors):
+                live, tail = len(pctx.ts), ident.copy()
+            else:
+                live, tail = pctx._ends[-2] + 1 if k else 0, _endpoint_product(factors[k:])
+            lifted = []
+            for sample in samples:
+                out = np.zeros((len(pctx.ts),) + sample.shape[1:])
+                out[:live] = sample[:live]
+                lifted.append(out)
+            return (pctx, tail, *lifted)
+
+        return ctx, at
 
     @functools.cached_property
     def points(self):

@@ -106,6 +106,11 @@ BAD_SETTINGS = [
     # each of these used to pass validation and abort in the flow (exit 3)
     ("theorem.ds", "2e-5", "theorem/ds"),  # bound 1.53e-5 on 64^2
     ("r_diagnostic.ds", "2e-5", "r_diagnostic/ds"),
+    # this one crashed with an internal error (exit 4): no division of r lies
+    # outside the window, so r_outside_slope has nothing to take the max of
+    ("r_diagnostic.window", "[0.0, 1.0]", "r_diagnostic/window"),
+    # ... and this one exited 1: a zero-length line gives the bump radius 0
+    ("r_diagnostic.line_p1", "[0.15, 0.35]", "r_diagnostic/line_p1"),
 ]
 
 
@@ -312,3 +317,26 @@ def test_flow_derivative_identity_second_order():
     # and the flow derivative equals the Laplacian up to lattice truncation
     lap = levy_laplacian_transport(mid, curve, ctx=ctx, check=False).value
     assert maxabs(lap - route_i) < 1e-4  # measured 4.4e-6 on a 16^2 grid
+
+
+def test_r_diagnostic_reads_the_line_once_per_flow(monkeypatch):
+    """The definition route of R(r) reads no lattice: its plateau contexts and
+    integrands come from the line's, so the points read do not depend on how
+    many r the diagnostic takes."""
+    read = []
+    jets = LatticeField.coord_jets
+
+    def counting(self, x, order=2):
+        read.append(np.asarray(x).size // self.torus.d)
+        return jets(self, x, order)
+
+    monkeypatch.setattr(LatticeField, "coord_jets", counting)
+    counts = []
+    for divisions in (4, 8):
+        cfg = resolve_config(REDUCED_CONFIG)
+        cfg["r_diagnostic"]["r_divisions"] = divisions
+        validate_config(cfg)
+        read.clear()
+        run_experiment("r-diagnostic", cfg, 42)
+        counts.append(sum(read))
+    assert counts[0] == counts[1] > 0

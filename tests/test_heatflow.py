@@ -110,7 +110,7 @@ def test_flow_rejects_bad_steps():
 
 def test_zero_field_stationary():
     lat = LatticeField(TORUS, np.zeros((8, 8, 2, 2, 2), dtype=complex))
-    traj = flow(lat, 10, ds=5e-4, save_every=10)
+    traj = flow(lat, 10, ds=5e-4, save_every=10, rhs_max=True)
     assert maxabs(traj.snapshots[10]) == 0.0
     assert all(row["rhs_max"] == 0.0 for row in traj.table)
     assert all(row["action"] == 0.0 for row in traj.table)
@@ -122,7 +122,7 @@ def test_constant_commuting_field_stationary():
     vals[..., 0, :, :] = 0.3 * T_BASIS[2]
     vals[..., 1, :, :] = -0.2 * T_BASIS[2]
     lat = LatticeField(TORUS, vals)
-    traj = flow(lat, 10, ds=5e-4, save_every=10)
+    traj = flow(lat, 10, ds=5e-4, save_every=10, rhs_max=True)
     assert maxabs(traj.field(10).values - vals) < 1e-14
     assert traj.table[0]["rhs_max"] < 1e-14
 
@@ -161,7 +161,12 @@ def test_flow_descends_action_and_snapshot_cadence():
                        [0.0, 7e-4, 14e-4, 21e-4, 28e-4, 30e-4])
     assert len(traj.table) == 31  # one row per step plus the final state
     assert traj.table[0]["step"] == 0 and traj.table[-1]["step"] == 30
-    assert set(traj.table[0]) == {"step", "s", "action", "rhs_max"}
+    assert set(traj.table[0]) == {"step", "s", "action"}
+    # rhs_max only adds its column: the states and actions keep their bits
+    with_max = flow(lat, 30, ds=1e-4, save_every=7, rhs_max=True)
+    assert all(np.array_equal(traj.snapshots[k], with_max.snapshots[k]) for k in traj.snapshots)
+    assert [row["action"] for row in with_max.table] == actions
+    assert all(set(row) == {"step", "s", "action", "rhs_max"} for row in with_max.table)
 
 
 def test_blowup_guard_on_driven_flat_start():
@@ -321,7 +326,7 @@ def test_flow_curvature_reuse_matches_oracle_rhs():
     for d in (2, 3):
         for n in (2, 3):
             lat = su_flow_start(d, n)
-            assert_matches_oracle_flow(flow(lat, 12, 1e-4, save_every=4), lat)
+            assert_matches_oracle_flow(flow(lat, 12, 1e-4, save_every=4, rhs_max=True), lat)
 
 
 def test_driven_flow_matches_oracle_rhs():
@@ -329,7 +334,7 @@ def test_driven_flow_matches_oracle_rhs():
     einsum oracle plus the same bump."""
     lat = su_flow_start(2, 2)
     bump = _bump_field(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
-    driven = flow(lat, 12, 1e-4, save_every=4, forcing=bump)
+    driven = flow(lat, 12, 1e-4, save_every=4, forcing=bump, rhs_max=True)
     assert_matches_oracle_flow(driven, lat, bump.values)
     plain = flow(lat, 12, 1e-4)
     assert rel_gap(driven.field(12).values, plain.field(12).values) > 1e-3
@@ -376,7 +381,7 @@ def assert_flow_matches_pair_stacks(lat, steps, ds, save_every, forcing=None):
         return pair_stack_velocity(v, a, pair_stack_curvature(v, a)) + push
 
     states, rates = rk4_trajectory(rhs, lat.coords, steps, ds, 1)
-    traj = flow(lat, steps, ds, save_every=save_every, forcing=forcing)
+    traj = flow(lat, steps, ds, save_every=save_every, forcing=forcing, rhs_max=True)
     saved = [i for i in range(steps + 1) if i % save_every == 0 or i == steps]
     assert list(traj.snapshots) == saved
     for step, coords in traj.snapshots.items():

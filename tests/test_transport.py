@@ -27,7 +27,14 @@ from gaugeflow.algebra import (
     random_lie,
 )
 from gaugeflow.experiments import rng_for
-from gaugeflow.field import AnalyticField, GaugeMap, LatticeField, TransformedField
+from gaugeflow.field import (
+    AnalyticField,
+    GaugeMap,
+    LatticeField,
+    TransformedField,
+    _gather_block,
+    cov_div_curvature,
+)
 from gaugeflow.path import (
     Line,
     SineReparam,
@@ -417,6 +424,60 @@ def test_transport_matches_context_endpoint_bitwise(su2_field, wiggly_curve):
     u = transport(su2_field, wiggly_curve, t=t, s=s, step=step)
     scan = prefix_products(_curve_factors(su2_field, wiggly_curve, step, s, t)[2])
     assert np.array_equal(u, scan[-1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_context_plateaus_match_direct_contexts_bitwise(torus2, n):
+    """A line context's plateau at r, built from the line's own Magnus factors,
+    equals the context built along `plateau(line, r)` bit for bit, its U_{1,r}
+    equals `transport(field, line, 1, r)`, and the integrands it lifts from the
+    line's layout equal the ones read along the plateau: at r = 1, r = 1/2, an r
+    whose junction opens a block of the order-2 lattice read (at N >= 3 a
+    product's last bits follow the rows of its block) and r = 0. An r that is
+    not an even node of the grid raises ValueError."""
+    rng = rng_for(5, f"unit/plateaus/{n}")
+    field = AnalyticField.random_su(rng, torus2, n=n, modes=2, amplitude=0.3, kmax=1)
+    lat = LatticeField.sample(field, 16)
+    line, step = Line([0.15, 0.35], [0.55, 0.65]), 1.0 / 1024
+
+    def integrands(ctx):
+        div_f = np.einsum("tmk,tm->tk", cov_div_curvature(lat, ctx.points), ctx.velocities)
+        return div_f, lat.generator(ctx.points, ctx.velocities)
+
+    ctx, plateaus = TransportContext.with_plateaus(lat, line, step=step)
+    assert np.array_equal(ctx.from_start, TransportContext(lat, line, step=step).from_start)
+    block = _gather_block(2, 3 * 2 * (n * n - 1))  # points per block of a curvature read
+    for r in (1.0, 0.5, 2 * block * step, 0.0):
+        got, tail, *lifted = plateaus(r, *integrands(ctx))
+        want = TransportContext(lat, plateau(line, r), step=step)
+        for name in ("from_start", "endpoint", "ts", "weights", "points", "velocities",
+                     "adjoint"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (r, name)
+        for mine, read in zip(lifted, integrands(want)):
+            assert np.array_equal(mine, read), r
+            assert np.array_equal(got.integrate_transported(mine),
+                                  want.integrate_transported(read)), r
+        assert np.array_equal(tail, transport(lat, line, 1.0, r, step=step)), r
+    for r in (0.3, 3 * step):
+        with pytest.raises(ValueError):
+            plateaus(r)
+
+
+def test_context_plateaus_take_nodes_off_by_roundoff(su2_field):
+    """At a step that is not 1/2^j the line's node 100 and r = 1/3 differ in the
+    last bits; r is still that node, and the derived plateau agrees with the
+    direct one to roundoff (r_diagnostic.step = 1/3000 with r_divisions = 5
+    ended in a ValueError)."""
+    line, step, r = Line([0.15, 0.35], [0.55, 0.65]), 1.0 / 300, 1.0 / 3
+    ctx, plateaus = TransportContext.with_plateaus(su2_field, line, step=step)
+    want = TransportContext(su2_field, plateau(line, r), step=step)
+    assert ctx.nodes[100] != r
+    got, tail, lifted = plateaus(r, su2_field.generator(ctx.points, ctx.velocities))
+    read = su2_field.generator(want.points, want.velocities)
+    assert maxabs(got.from_start - want.from_start) < 1e-14
+    assert maxabs(lifted - read) < 1e-14
+    assert maxabs(got.integrate_transported(lifted) - want.integrate_transported(read)) < 1e-14
+    assert maxabs(tail - transport(su2_field, line, 1.0, r, step=step)) < 1e-14
 
 
 def test_propagator_matches_context_bitwise(su2_field, wiggly_curve):
