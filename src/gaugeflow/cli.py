@@ -2,9 +2,11 @@
 
 Each subcommand runs one experiment family from `experiments`, writes a
 deterministic JSON report plus CSV plot data under the output directory,
-and exits 0 only if every check passed. Reports never contain wall-clock
-times; timing goes to a `timings.json` sidecar so the reports themselves
-bit-reproduce for a fixed config and seed.
+and exits 0 only if every check passed. An experiment also returns the
+fields it wants written, keyed by path (heatflow's snapshots), and `all`
+drops them once written. Reports never contain wall-clock times; timing
+goes to a `timings.json` sidecar so the reports themselves bit-reproduce
+for a fixed config and seed.
 
 Exit codes: 0 all checks pass; 1 at least one check failed; 2 the config
 is missing or invalid; 3 the numerics aborted (stability bound or blow-up);
@@ -86,28 +88,15 @@ def _summary_lines(report):
     return lines
 
 
-def _save_heatflow_extras(outdir, extras):
-    traj = extras.get("trajectory")
-    if traj is None:
-        return
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(parents=True, exist_ok=True)
-    for step in (0, max(traj.snapshots)):
-        traj.field(step).save(snapdir / f"step_{step:06d}")
-    initial = extras.get("initial_field")
-    if initial is not None:
-        save_field(initial, snapdir / "initial_series")
-
-
-def _emit(outdir, report, extras, seconds):
-    outdir.mkdir(parents=True, exist_ok=True)
+def _emit(outdir, report, outputs, seconds):
     name = report["subcommand"]
     _dump_json(outdir / f"{name}.report.json", report)
     _write_tables(outdir, report)
     (outdir / "summary.txt").write_text("\n".join(_summary_lines(report)) + "\n")
     _dump_json(outdir / "timings.json", {"subcommand": name, "seconds": seconds})
-    if name == "heatflow":
-        _save_heatflow_extras(outdir, extras)
+    for path, field in outputs.items():
+        (outdir / path).parent.mkdir(parents=True, exist_ok=True)
+        save_field(field, outdir / path)
 
 
 def _load_config(args):
@@ -207,9 +196,9 @@ def _main(args):
     try:
         for name in names:
             t0 = time.perf_counter()
-            report, extras = run_experiment(name, cfg, args.seed)
-            seconds = {name: time.perf_counter() - t0}
-            _emit(root / name, report, extras, seconds)
+            report, outputs = run_experiment(name, cfg, args.seed)
+            _emit(root / name, report, outputs, {name: time.perf_counter() - t0})
+            del outputs  # written: the next experiment runs without them
             reports.append(report)
             for line in _summary_lines(report):
                 print(line)

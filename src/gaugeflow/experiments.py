@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 
 from . import algebra
-from .algebra import fiber_metric, group_defect, maxabs, random_fiber, su_basis
+from .algebra import _matmul, fiber_metric, group_defect, lie_matrix, maxabs, random_fiber, su_basis
 from .field import (
     AnalyticField,
     GaugeMap,
@@ -323,6 +323,12 @@ def _spec_keys(value, default, path):
     required, optional = kinds[kind]
     return dict(required, kind=kind), dict(required, kind=kind, **optional)
 
+
+def _checkpoint_reads(c, every):
+    """The flow steps checkpoint c reads: c and one save_every on either side."""
+    return c - every, c, c + every
+
+
 def _validate_cross_fields(cfg):
     """Constraints between entries: point lengths and circle axes against d, order
     flows whose mode moves on every grid, flow steps against grids, a diagnostic
@@ -397,7 +403,7 @@ def _validate_cross_fields(cfg):
     checkpoints["r_diagnostic/checkpoint_step"] = (rd["checkpoint_step"], rd)
     for path, (c, run) in checkpoints.items():
         every, steps = run["save_every"], run["steps"]
-        if not (c % every == 0 and every <= c <= steps - every):
+        if not (c % every == 0 and all(0 <= k <= steps for k in _checkpoint_reads(c, every))):
             raise ConfigError(f"config invalid at {path}: {c} is not a multiple of save_every "
                               f"{every} in [{every}, {steps - every}]")
 
@@ -521,7 +527,7 @@ def run_transport(cfg, seed):
         _check("group_law", law, _tol(cfg, "group_law")),
         _check("reparametrization", reparam, _tol(cfg, "reparametrization")),
     ]
-    return _report("transport", seed, cfg, checks)
+    return _report("transport", seed, cfg, checks), {}
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +569,7 @@ def run_duhamel(cfg, seed):
     # sequential: all pairs share one stream by design
     worst = max(one_pair(i) for i in range(pairs))
     checks = [_check("duhamel_fd", worst, _tol(cfg, "duhamel_fd"))]
-    return _report("verify-duhamel", seed, cfg, checks)
+    return _report("verify-duhamel", seed, cfg, checks), {}
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +647,7 @@ def run_gradient(cfg, seed):
         _check("riesz_pairing", riesz_worst, _tol(cfg, "riesz_pairing")),
         _check("riesz_formula_gap", formula_gap, _tol(cfg, "riesz_formula_gap")),
     ]
-    return _report("verify-gradient", seed, cfg, checks)
+    return _report("verify-gradient", seed, cfg, checks), {}
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +830,7 @@ def run_levy(cfg, seed):
         _check("heat_single_mode", single_gap, _tol(cfg, "heat_single_mode")),
         _check("heat_constant", const_res, _tol(cfg, "heat_constant")),
     ]
-    return _report("levy", seed, cfg, checks, tables=tables)
+    return _report("levy", seed, cfg, checks, tables=tables), {}
 
 
 def _functional_scalar(fcfg, seed, torus):
@@ -927,7 +933,8 @@ def run_heatflow(cfg, seed):
     # --- commuting field vs closed-form trajectory ---
     ab = make_field(hcfg["field"], torus=torus, n=n)
     lat0 = LatticeField.sample(ab, hcfg["grid"])
-    traj = flow(lat0, hcfg["steps"], hcfg["ds"], save_every=hcfg["save_every"], rhs_max=True)
+    steps, every = hcfg["steps"], hcfg["save_every"]
+    traj = flow(lat0, steps, hcfg["ds"], save=[*range(0, steps, every), steps], rhs_max=True)
     scale = 1.0 + maxabs(lat0.values)
     worst_ab = 0.0
     for step_idx in traj.snapshots:
@@ -945,8 +952,7 @@ def run_heatflow(cfg, seed):
                                   modes=2, amplitude=hcfg["su2_amplitude"], kmax=1)
     lat_su2 = LatticeField.sample(su2, hcfg["su2_grid"])
     ds_su2 = 0.9 * cfl_bound(lat_su2.a, torus.d)
-    traj_su2 = flow(lat_su2, hcfg["su2_steps"], ds_su2,
-                    save_every=hcfg["su2_steps"])
+    traj_su2 = flow(lat_su2, hcfg["su2_steps"], ds_su2)
     actions = [row["action"] for row in traj_su2.table]
     actions_ab = [row["action"] for row in traj.table]
     growth = 0.0
@@ -959,7 +965,7 @@ def run_heatflow(cfg, seed):
     # --- stationarity of critical data ---
     csteps = hcfg["critical_steps"]
     zero_lat = LatticeField.sample(AnalyticField.zero(torus, n), 16)
-    traj_zero = flow(zero_lat, csteps, 1e-5, save_every=csteps)
+    traj_zero = flow(zero_lat, csteps, 1e-5, save=[csteps])
     zero_drift = maxabs(traj_zero.field(csteps).values - zero_lat.values)
 
     # A_mu = 0.3 (mu + 1) su_basis(n)[0], whose coordinate 0 is 1
@@ -967,7 +973,7 @@ def run_heatflow(cfg, seed):
     for mu in range(torus.d):
         const_coords[mu, 0] = 0.3 * (mu + 1)
     const_lat = LatticeField.from_coords(torus, const_coords)
-    traj_const = flow(const_lat, csteps, 1e-5, save_every=csteps)
+    traj_const = flow(const_lat, csteps, 1e-5, save=[csteps])
     const_drift = maxabs(traj_const.field(csteps).values - const_lat.values)
 
     # two factors varying along different axes, so the sampled field is a
@@ -981,7 +987,7 @@ def run_heatflow(cfg, seed):
     pg = TransformedField(AnalyticField.zero(torus, n), psi)
     pg_lat = LatticeField.sample(pg, hcfg["grid"])
     ds_pg = 0.9 * cfl_bound(pg_lat.a, torus.d)
-    traj_pg = flow(pg_lat, csteps, ds_pg, save_every=csteps, guard=False)
+    traj_pg = flow(pg_lat, csteps, ds_pg, save=[csteps], guard=False)
     pg_vals = pg_lat.values
     pg_drift = maxabs(traj_pg.field(csteps).values - pg_vals) / (1.0 + maxabs(pg_vals))
 
@@ -996,7 +1002,7 @@ def run_heatflow(cfg, seed):
     for div in (1, 2):
         steps_t = ot["steps"] * div
         ds_t = ot["ds"] / div
-        tr = flow(lat_t, steps_t, ds_t, save_every=steps_t)
+        tr = flow(lat_t, steps_t, ds_t, save=[steps_t])
         exact = lat_t.values * np.exp(-rate * steps_t * ds_t)
         errs_t.append(maxabs(tr.field(steps_t).values - exact))
     time_factor = errs_t[0] / errs_t[1]
@@ -1010,7 +1016,7 @@ def run_heatflow(cfg, seed):
     for m in osp["grids"]:
         lat_m = LatticeField.sample(mode_s, m)
         steps_m = int(round(osp["total_s"] / osp["ds"]))
-        tr = flow(lat_m, steps_m, osp["ds"], save_every=steps_m)
+        tr = flow(lat_m, steps_m, osp["ds"], save=[steps_m])
         exact = lat_m.values * np.exp(-lam * steps_m * osp["ds"])
         errs_s.append(maxabs(tr.field(steps_m).values - exact))
     space_factor = errs_s[0] / errs_s[1]
@@ -1028,8 +1034,9 @@ def run_heatflow(cfg, seed):
         _check("space_order_factor", space_factor, _tol(cfg, "order_factor"),
                kind="range"),
     ]
-    extras = {"trajectory": traj, "initial_field": ab}
-    return _report("heatflow", seed, cfg, checks, tables=tables), extras
+    outputs = {f"snapshots/step_{step:06d}": traj.field(step) for step in (0, steps)}
+    outputs["snapshots/initial_series"] = ab
+    return _report("heatflow", seed, cfg, checks, tables=tables), outputs
 
 
 # ---------------------------------------------------------------------------
@@ -1045,11 +1052,12 @@ def run_theorem(cfg, seed):
 
     su2 = make_field(tcfg["field"], torus=torus, n=n)
     lat0 = LatticeField.sample(su2, tcfg["grid"])
-    traj = flow(lat0, tcfg["steps"], tcfg["ds"], save_every=tcfg["save_every"])
-
-    curves = _curves(cfg, tcfg["curves"])
     checkpoints = list(tcfg["checkpoint_steps"])
     ds, every = tcfg["ds"], tcfg["save_every"]
+    traj = flow(lat0, tcfg["steps"], ds,
+                save=[k for c in checkpoints for k in _checkpoint_reads(c, every)])
+
+    curves = _curves(cfg, tcfg["curves"])
 
     def checkpoint_rows(cstep):
         # a checkpoint's lattices and velocity live only while its rows are formed
@@ -1108,7 +1116,7 @@ def run_theorem(cfg, seed):
         "forward_consistency uses a single snapshot (no dependence on the "
         "flow step); fd_consistency shrinks with the snapshot spacing.",
     ]
-    return _report("verify-theorem", seed, cfg, checks, tables=tables, notes=notes)
+    return _report("verify-theorem", seed, cfg, checks, tables=tables, notes=notes), {}
 
 
 # ---------------------------------------------------------------------------
@@ -1154,6 +1162,7 @@ def run_r_diagnostic(cfg, seed):
     bump = _bump_field(torus, rcfg["grid"], center, radius, rcfg["bump_height"], n)
 
     cstep, every = rcfg["checkpoint_step"], rcfg["save_every"]
+    reads = _checkpoint_reads(cstep, every)  # the steps each of the two flows keeps
     divisions = rcfg["r_divisions"]
     r_values = [j / divisions for j in range(divisions + 1)]
 
@@ -1166,15 +1175,17 @@ def run_r_diagnostic(cfg, seed):
         return trajectory.field(cstep), LatticeField.from_coords(torus, rate)
 
     def r_integral(fld, vel_fd):
-        """R(r) by the integral formula: each prefix integral over [0, r] carries
-        the U_{1,t} factors to the curve end. Also returns the line's plateau map
-        and the two integrands the definition route takes from it; the line's
-        context and its adjoint are dropped on return."""
+        """R(r) by the integral formula: the gap, moved to the curve start once,
+        is integrated over each [0, r] and carried to the curve end by U_{1,0},
+        as `integrate_transported` does over [0, 1]. Also returns the line's
+        plateau map and the two integrands the definition route takes from it;
+        the line's context and its adjoint are dropped on return."""
         ctx, plateaus = TransportContext.with_plateaus(fld, curve, step=step)
         div_f = np.einsum("tmk,tm->tk", cov_div_curvature(fld, ctx.points), ctx.velocities)
         ds_a = vel_fd.generator(ctx.points, ctx.velocities)
-        gap = ds_a - div_f
-        return [ctx.integrate_transported(gap, upto=r) for r in r_values], (plateaus, div_f, ds_a)
+        moved = ctx.to_start(ds_a - div_f)
+        r_int = [_matmul(ctx.endpoint, lie_matrix(ctx.integrate(moved, upto=r))) for r in r_values]
+        return r_int, (plateaus, div_f, ds_a)
 
     def r_definition(plateaus, div_f, ds_a):
         """R(r) = U_{1,r} (Levy Laplacian - d/ds) of the transport along
@@ -1191,7 +1202,7 @@ def run_r_diagnostic(cfg, seed):
     # exact flow: R should vanish within the finite-difference budget. Its
     # snapshots go before R(r) is formed, and R(r)'s context before the
     # definition route builds the plateau contexts.
-    r_int, line = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every)))
+    r_int, line = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save=reads)))
     r_def = r_definition(*line)
     del line
     exact_max = max(maxabs(v) for v in r_int)
@@ -1199,7 +1210,7 @@ def run_r_diagnostic(cfg, seed):
     origin = maxabs(r_int[0])
 
     # driven flow: the same diagnostic must localize the injected term
-    r_int_p, _ = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save_every=every,
+    r_int_p, _ = r_integral(*checkpoint(flow(lat0, rcfg["steps"], ds, save=reads,
                                              forcing=bump)))
 
     dr = 1.0 / divisions
@@ -1233,7 +1244,7 @@ def run_r_diagnostic(cfg, seed):
         "trajectory itself (centered differences across snapshots), so the "
         "diagnostic tests the trajectory, not the integrator's own right side.",
     ]
-    return _report("r-diagnostic", seed, cfg, checks, tables=tables, notes=notes)
+    return _report("r-diagnostic", seed, cfg, checks, tables=tables, notes=notes), {}
 
 
 EXPERIMENTS = {
@@ -1250,9 +1261,5 @@ ALL_ORDER = list(EXPERIMENTS)
 
 
 def run_experiment(name, cfg, seed):
-    """Run one named experiment; returns (report, extras)."""
-    fn = EXPERIMENTS[name]
-    out = fn(cfg, seed)
-    if isinstance(out, tuple):
-        return out
-    return out, {}
+    """Run one named experiment: (report, outputs), the fields to write keyed by path."""
+    return EXPERIMENTS[name](cfg, seed)

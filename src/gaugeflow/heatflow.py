@@ -10,7 +10,7 @@ action guard and the next step's k1 share one curvature grid, so an RK4
 step builds four curvature grids, not five.
 
 The flow state is the `LatticeField` coordinate array (d, K, *sites),
-K = N^2 - 1. A trajectory keeps the states it saved, keyed by step, and a
+K = N^2 - 1. A trajectory keeps only the states asked for, by step, and a
 reader reads one through a new `LatticeField` on it. Every product is
 a commutator, taken from `algebra`'s structure constants (`_bracket`), and
 only the curvature components F_mn with m < n are formed. A driven flow
@@ -151,7 +151,7 @@ def ym_rhs(field):
 @dataclasses.dataclass
 class FlowTrajectory:
     torus: Torus
-    snapshots: dict  # step index -> coordinates (d, K, *sites), step 0 first
+    snapshots: dict  # step index -> coordinates (d, K, *sites), in step order
     table: list      # dict rows: step, s, action (and rhs_max if asked for)
 
     def field(self, step):
@@ -160,13 +160,13 @@ class FlowTrajectory:
         return LatticeField.from_coords(self.torus, self.snapshots[step])
 
 
-def flow(field0, steps, ds, save_every=1, forcing=None, guard=None, rhs_max=False):
+def flow(field0, steps, ds, save=(), forcing=None, guard=None, rhs_max=False):
     """Integrate the gradient flow from the LatticeField `field0` for `steps` RK4 steps.
 
-    Snapshots are the state arrays keyed by step, the first `field0.coords`.
-    The table has a row per step and one for the final state; with `rhs_max`
-    each row also holds the velocity's largest matrix entry, which for the
-    final row takes one more velocity.
+    Snapshots are the states at exactly the steps in `save` (each in [0, steps],
+    else ValueError), keyed by step in order. The table has a row per step and
+    one for the final state; with `rhs_max` each row also holds the velocity's
+    largest matrix entry, which for the final row takes one more velocity.
     `forcing`, a LatticeField on the torus and grid of `field0` (ValueError
     otherwise), is a constant term added to the flow velocity: the driven
     variant. The action-monotonicity guard defaults to on for the plain flow
@@ -183,6 +183,9 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None, rhs_max=Fals
     if forcing is not None and (forcing.torus != torus
                                 or forcing.coords.shape != field0.coords.shape):
         raise ValueError("forcing must be a lattice on the start field's torus and grid")
+    save = set(save)
+    if not save <= set(range(steps + 1)):
+        raise ValueError(f"save steps {sorted(save)} not all in [0, {steps}]")
     if guard is None:
         guard = forcing is None
 
@@ -202,7 +205,7 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None, rhs_max=Fals
     v = field0.coords
     f = _curvature(v, a)
     action = _action(torus, f)
-    snapshots = {0: v}
+    snapshots = {0: v} if 0 in save else {}
     table = []
     for i in range(1, steps + 1):
         k1 = rhs(v, f)
@@ -219,7 +222,7 @@ def flow(field0, steps, ds, save_every=1, forcing=None, guard=None, rhs_max=Fals
                 f"action grew from {action:.12g} to {new_action:.12g} at step {i}"
             )
         action = new_action
-        if i % save_every == 0 or i == steps:
+        if i in save:
             snapshots[i] = v
     table.append(row(steps, action, rhs(v, f) if rhs_max else None))
     return FlowTrajectory(torus, snapshots, table)

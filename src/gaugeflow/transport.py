@@ -303,10 +303,10 @@ class TransportContext:
         adjoint = self.adjoint[(slice(None),) + (None,) * (c.ndim - 2)]
         return _matmul(adjoint, c[..., None])[..., 0]
 
-    def integrate_transported(self, c, upto=None):
+    def integrate_transported(self, c):
         """`integrate` of U_{1,t} c U_{t,0} = U_{1,0} U_{t,0}^-1 c U_{t,0} for su_basis
         coordinates c (K, ..., N^2 - 1): U_{1,0} times the integral of `to_start(c)`."""
-        return _matmul(self.endpoint, lie_matrix(self.integrate(self.to_start(c), upto)))
+        return _matmul(self.endpoint, lie_matrix(self.integrate(self.to_start(c))))
 
     def integrate(self, values, upto=None):
         """Composite Simpson integral over [0, 1] of values sampled on `ts`.

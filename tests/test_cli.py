@@ -19,13 +19,14 @@ import math
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 
 from _cli_env import cli_env
 from _reduced import REDUCED_CONFIG
 from _oracles import load_field
-from gaugeflow import cli, heatflow
+from gaugeflow import cli, experiments, heatflow
 from gaugeflow.field import LatticeField
 
 TRANSPORT_ONLY = {
@@ -305,6 +306,30 @@ def test_heatflow_outputs(tmp_path):
     assert np.max(np.abs(LatticeField.sample(initial, first.m).values - first.values)) < 1e-15
     # the flow moved things
     assert np.max(np.abs(last.values - first.values)) > 1e-6
+
+
+def test_all_drops_each_experiments_outputs_before_the_next(tmp_path, monkeypatch):
+    """In `all`, the fields heatflow hands over to be written (its first and
+    last lattice snapshots and its initial series) are no longer referenced
+    once verify-theorem, the next experiment, starts."""
+    written, alive = [], []
+    save_field = cli.save_field
+
+    def noting(field, base):
+        written.append(weakref.ref(field))
+        save_field(field, base)
+
+    run_theorem = experiments.EXPERIMENTS["verify-theorem"]
+
+    def checking(cfg, seed):
+        alive.extend(ref() is not None for ref in written)
+        return run_theorem(cfg, seed)
+
+    monkeypatch.setattr(cli, "save_field", noting)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "verify-theorem", checking)
+    cfg = write_config(tmp_path, REDUCED_CONFIG)
+    assert cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert alive == [False] * 3
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

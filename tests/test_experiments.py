@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _reduced import REDUCED_CONFIG
+from gaugeflow import experiments
 from gaugeflow.algebra import maxabs
 from gaugeflow.experiments import (
     ALL_ORDER,
@@ -25,7 +26,7 @@ from gaugeflow.experiments import (
     validate_config,
 )
 from gaugeflow.field import AnalyticField, LatticeField, Torus, central_difference, stencil_d1
-from gaugeflow.heatflow import flow, ym_rhs
+from gaugeflow.heatflow import FlowTrajectory, flow, ym_rhs
 from gaugeflow.levy import levy_laplacian_transport
 from gaugeflow.path import make_curve
 from gaugeflow.transport import TransportContext, transport, transport_s_derivative
@@ -46,14 +47,57 @@ def test_resolve_config_defaults():
     assert DEFAULT_CONFIG["transport"]["triples"] == 100  # deep copy
 
 
+class _ReadSteps(dict):
+    """A trajectory's snapshots that note each step read from them."""
+
+    def __init__(self, items, read):
+        super().__init__(items)
+        self.read = read
+
+    def __getitem__(self, step):
+        self.read.add(step)
+        return super().__getitem__(step)
+
+
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, REDUCED_CONFIG], ids=["default", "reduced"])
-def test_default_flows_stop_at_their_last_read_snapshot(cfg):
+def test_default_flows_stop_at_their_last_read_snapshot(cfg, monkeypatch):
     """theorem.steps and r_diagnostic.steps copy what their checks read, in the
     default and in the reduced config: a checkpoint reads the snapshot one
-    save_every past it, and no step after the last such snapshot is integrated."""
+    save_every past it, and no step after the last such snapshot is integrated.
+    Every `flow` call of the seven experiments keeps exactly the steps its
+    checks read and integrates no step past the last of them. The flow is
+    stood in for where `experiments` looks it up: it keeps the start state at
+    each saved step, since only which steps are kept and read matters here.
+    The four experiments that run no flow run only at the reduced sizes."""
     th, rd = cfg["theorem"], cfg["r_diagnostic"]
     assert th["steps"] == max(th["checkpoint_steps"]) + th["save_every"]
     assert rd["steps"] == rd["checkpoint_step"] + rd["save_every"]
+
+    calls = []
+
+    def keeping_start(field0, steps, ds, save=(), forcing=None, guard=None, rhs_max=False):
+        read = set()
+        calls.append((steps, set(save), read))
+        kept = _ReadSteps({k: field0.coords for k in sorted(set(save))}, read)
+        table = [{"step": i, "s": i * ds, "action": 0.0, "rhs_max": 0.0}
+                 for i in range(steps + 1)]
+        return FlowTrajectory(field0.torus, kept, table)
+
+    monkeypatch.setattr(experiments, "flow", keeping_start)
+    resolved = resolve_config(cfg)
+    validate_config(resolved)
+    # the abelian, action, three critical, two time-order and two space-order
+    # flows; the theorem's flow; the exact and driven diagnostic flows
+    flows = {"heatflow": 9, "verify-theorem": 1, "r-diagnostic": 2}
+    if cfg is REDUCED_CONFIG:
+        flows = dict.fromkeys(ALL_ORDER, 0) | flows
+    for name, count in flows.items():
+        del calls[:]
+        run_experiment(name, resolved, 42)
+        assert len(calls) == count, name
+        for steps, saved, read in calls:
+            assert saved == read, (name, sorted(saved), sorted(read))
+            assert max(saved, default=steps) == steps and min(saved, default=0) >= 0, name
 
 
 def test_resolve_config_merges_nested():
@@ -258,7 +302,7 @@ def test_discrete_rate_is_the_stencil_applied_twice(grid, k):
 
 def test_transport_report_structure_and_determinism():
     cfg = resolve_config(SMALL)
-    rep1, extras1 = run_experiment("transport", cfg, 42)
+    rep1, outputs1 = run_experiment("transport", cfg, 42)
     rep2, _ = run_experiment("transport", cfg, 42)
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     assert rep1["schema"] == 1
@@ -274,7 +318,7 @@ def test_transport_report_structure_and_determinism():
         assert set(c) == {"name", "value", "tolerance", "kind", "pass"}
         assert c["pass"] is True
     assert rep1["config"]["transport"]["triples"] == 5
-    assert extras1 == {}
+    assert outputs1 == {}
 
 
 def test_seed_changes_report_values():
@@ -301,7 +345,7 @@ def test_flow_derivative_identity_second_order():
                                   amplitude=0.1, kmax=1)
     lat = LatticeField.sample(fld, 16)
     ds = 2e-4
-    traj = flow(lat, 16, ds, save_every=2)
+    traj = flow(lat, 16, ds, save=(4, 6, 8, 10, 12))
     curve = make_curve({"kind": "fourier", "seed": 301, "modes": 3, "amplitude": 0.2}, d=2)
     mid = traj.field(8)
     step = 1.0 / 512

@@ -106,11 +106,14 @@ def test_flow_rejects_bad_steps():
     for ds in (0.0, float("nan")):
         with pytest.raises(ValueError):
             flow(lat, 5, ds=ds)
+    for save in ([-1], [2, 6]):  # a snapshot outside [0, steps]
+        with pytest.raises(ValueError, match="not all in \\[0, 5\\]"):
+            flow(lat, 5, ds=1e-4, save=save)
 
 
 def test_zero_field_stationary():
     lat = LatticeField(TORUS, np.zeros((8, 8, 2, 2, 2), dtype=complex))
-    traj = flow(lat, 10, ds=5e-4, save_every=10, rhs_max=True)
+    traj = flow(lat, 10, ds=5e-4, save=[10], rhs_max=True)
     assert maxabs(traj.snapshots[10]) == 0.0
     assert all(row["rhs_max"] == 0.0 for row in traj.table)
     assert all(row["action"] == 0.0 for row in traj.table)
@@ -122,7 +125,7 @@ def test_constant_commuting_field_stationary():
     vals[..., 0, :, :] = 0.3 * T_BASIS[2]
     vals[..., 1, :, :] = -0.2 * T_BASIS[2]
     lat = LatticeField(TORUS, vals)
-    traj = flow(lat, 10, ds=5e-4, save_every=10, rhs_max=True)
+    traj = flow(lat, 10, ds=5e-4, save=[10], rhs_max=True)
     assert maxabs(traj.field(10).values - vals) < 1e-14
     assert traj.table[0]["rhs_max"] < 1e-14
 
@@ -141,7 +144,7 @@ def test_flow_matches_rk4_stability_polynomial():
     ds, steps = 8e-4, 12
     z = -rate * ds
     r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-    traj = flow(lat, steps, ds, save_every=steps)
+    traj = flow(lat, steps, ds, save=[steps])
     assert maxabs(traj.field(steps).values - r**steps * lat.values) < 1e-13
     # and the continuum exponential is reproduced to the RK4 truncation level
     cont = np.exp(-rate * ds * steps) * lat.values
@@ -152,7 +155,8 @@ def test_flow_descends_action_and_snapshot_cadence():
     fld = AnalyticField.random_su(rng_for(7, "unit/su-flow"), TORUS, modes=2,
                                   amplitude=0.2, kmax=1)
     lat = LatticeField.sample(fld, 16)
-    traj = flow(lat, 30, ds=1e-4, save_every=7)
+    cadence = [*range(0, 30, 7), 30]
+    traj = flow(lat, 30, ds=1e-4, save=cadence)
     actions = [row["action"] for row in traj.table]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(actions, actions[1:]))
     assert actions[-1] < 0.9 * actions[0]  # measured: 1.12 -> 0.60 over 40 steps
@@ -163,10 +167,23 @@ def test_flow_descends_action_and_snapshot_cadence():
     assert traj.table[0]["step"] == 0 and traj.table[-1]["step"] == 30
     assert set(traj.table[0]) == {"step", "s", "action"}
     # rhs_max only adds its column: the states and actions keep their bits
-    with_max = flow(lat, 30, ds=1e-4, save_every=7, rhs_max=True)
+    with_max = flow(lat, 30, ds=1e-4, save=cadence, rhs_max=True)
     assert all(np.array_equal(traj.snapshots[k], with_max.snapshots[k]) for k in traj.snapshots)
     assert [row["action"] for row in with_max.table] == actions
     assert all(set(row) == {"step", "s", "action", "rhs_max"} for row in with_max.table)
+
+
+def test_flow_keeps_exactly_the_saved_steps():
+    """`flow` keeps the steps in `save` and no others, in step order: neither
+    step 0 nor the last step unless asked for. What it keeps does not change
+    the states or the table."""
+    lat = su_flow_start(2, 2)
+    every = flow(lat, 6, 1e-4, save=range(7))
+    for save in ((), (3,), (5, 1, 3, 1), (0, 6)):
+        traj = flow(lat, 6, 1e-4, save=save)
+        assert list(traj.snapshots) == sorted(set(save))
+        assert all(np.array_equal(traj.snapshots[k], every.snapshots[k]) for k in save)
+        assert traj.table == every.table
 
 
 def test_blowup_guard_on_driven_flat_start():
@@ -192,7 +209,7 @@ def test_abelian_oracle_vs_lattice_flow():
                                       amplitude=0.2, kmax=1)
     lat = LatticeField.sample(ab, 32)
     ds, steps = 5e-5, 40
-    traj = flow(lat, steps, ds, save_every=steps)
+    traj = flow(lat, steps, ds, save=[steps])
     exact = abelian_oracle(ab, ds * steps)
     pts = np.random.default_rng(9).uniform(0, 1, size=(30, 2))
     end = traj.field(steps)
@@ -245,7 +262,7 @@ def test_trajectory_lookup_and_fd():
                                   amplitude=0.2, kmax=1)
     lat = LatticeField.sample(fld, 16)
     ds = 1e-4
-    traj = flow(lat, 40, ds, save_every=10)
+    traj = flow(lat, 40, ds, save=(10, 20, 30))
     # each read is a new lattice on the saved coordinates
     assert traj.field(20) is not traj.field(20)
     assert traj.field(20).coords is traj.snapshots[20]
@@ -266,7 +283,7 @@ def test_fd_ds_field_second_order():
     ds = 1e-4
     gaps = []
     for save_every in (10, 5):
-        traj = flow(lat, 40, ds, save_every=save_every)
+        traj = flow(lat, 40, ds, save=(20 - save_every, 20, 20 + save_every))
         fd = trajectory_difference(traj, 20, save_every, ds)
         gaps.append(maxabs(fd.values - ym_rhs(traj.field(20)).values))
     assert gaps[0] / gaps[1] > 3.0
@@ -326,7 +343,8 @@ def test_flow_curvature_reuse_matches_oracle_rhs():
     for d in (2, 3):
         for n in (2, 3):
             lat = su_flow_start(d, n)
-            assert_matches_oracle_flow(flow(lat, 12, 1e-4, save_every=4, rhs_max=True), lat)
+            assert_matches_oracle_flow(flow(lat, 12, 1e-4, save=range(0, 13, 4), rhs_max=True),
+                                       lat)
 
 
 def test_driven_flow_matches_oracle_rhs():
@@ -334,9 +352,9 @@ def test_driven_flow_matches_oracle_rhs():
     einsum oracle plus the same bump."""
     lat = su_flow_start(2, 2)
     bump = _bump_field(TORUS, lat.m, [0.5, 0.5], 0.3, 5.0, 2)
-    driven = flow(lat, 12, 1e-4, save_every=4, forcing=bump, rhs_max=True)
+    driven = flow(lat, 12, 1e-4, save=range(0, 13, 4), forcing=bump, rhs_max=True)
     assert_matches_oracle_flow(driven, lat, bump.values)
-    plain = flow(lat, 12, 1e-4)
+    plain = flow(lat, 12, 1e-4, save=[12])
     assert rel_gap(driven.field(12).values, plain.field(12).values) > 1e-3
 
 
@@ -371,7 +389,7 @@ def test_coordinates_round_trip_and_bracket(n, tmp_path):
         LatticeField.load(tmp_path / "lat")
 
 
-def assert_flow_matches_pair_stacks(lat, steps, ds, save_every, forcing=None):
+def assert_flow_matches_pair_stacks(lat, steps, ds, save, forcing=None):
     """`flow` reproduces, bit for bit, `rk4_trajectory` over the pair-stack
     reference kernels: every snapshot's coordinates and every table row."""
     a, torus = lat.a, lat.torus
@@ -381,9 +399,8 @@ def assert_flow_matches_pair_stacks(lat, steps, ds, save_every, forcing=None):
         return pair_stack_velocity(v, a, pair_stack_curvature(v, a)) + push
 
     states, rates = rk4_trajectory(rhs, lat.coords, steps, ds, 1)
-    traj = flow(lat, steps, ds, save_every=save_every, forcing=forcing, rhs_max=True)
-    saved = [i for i in range(steps + 1) if i % save_every == 0 or i == steps]
-    assert list(traj.snapshots) == saved
+    traj = flow(lat, steps, ds, save=save, forcing=forcing, rhs_max=True)
+    assert list(traj.snapshots) == sorted(save)
     for step, coords in traj.snapshots.items():
         want = states[step][1]
         assert np.array_equal(coords, want)
@@ -413,7 +430,7 @@ def test_flow_matches_pair_stack_kernels_bitwise(d, n, m, driven):
         push = AnalyticField.random_su(rng_for(7, f"unit/pair-stacks-push-{d}-{n}-{m}"), torus,
                                        n=n, modes=1, amplitude=0.2, kmax=1)
         forcing = LatticeField.sample(push, m)
-    assert_flow_matches_pair_stacks(lat, 5, 0.5 * cfl_bound(lat.a, d), 2, forcing)
+    assert_flow_matches_pair_stacks(lat, 5, 0.5 * cfl_bound(lat.a, d), (0, 2, 4, 5), forcing)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -422,7 +439,7 @@ def test_negative_zero_flow_keeps_signs_of_pair_stacks(n):
     the stacked kernels' 0.0 + t and 0.0 - t keep it so: a velocity formed
     as -t would turn the state's zeros negative."""
     lat = LatticeField.from_coords(TORUS, np.full((2, n * n - 1, 8, 8), -0.0))
-    assert_flow_matches_pair_stacks(lat, 2, 1e-4, 1)
+    assert_flow_matches_pair_stacks(lat, 2, 1e-4, (0, 1, 2))
 
 
 def test_su3_flow_over_several_bracket_blocks_matches_pair_stacks():
@@ -431,7 +448,7 @@ def test_su3_flow_over_several_bracket_blocks_matches_pair_stacks():
     lat = LatticeField.sample(AnalyticField.random_su(
         rng_for(7, "unit/pair-stacks-blocks"), TORUS, n=3, modes=2, amplitude=0.3, kmax=2), 32)
     assert 32 * 32 > _BRACKET_FLOATS // len(_structure(3)[0]) > 0
-    assert_flow_matches_pair_stacks(lat, 4, 0.5 * cfl_bound(lat.a, 2), 2)
+    assert_flow_matches_pair_stacks(lat, 4, 0.5 * cfl_bound(lat.a, 2), (0, 2, 4))
 
 
 def test_stencil_matches_roll_on_views_negative_axes_and_extents():
