@@ -22,8 +22,6 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 from .experiments import (
     ALL_ORDER,
     ConfigError,
@@ -48,21 +46,9 @@ INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, ImportError,
                    MemoryError, NameError, OSError, RuntimeError, TypeError, ValueError)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _dump_json(path, obj):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_tables(outdir, report):

@@ -172,14 +172,6 @@ def levy_laplacian_transport(field, curve, step=DEFAULT_STEP, ctx=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class CesaroResult:
-    estimate: np.ndarray | float
-    n_modes: int
-    partial: dict            # mode count -> running Cesaro mean
-    base: np.ndarray | float
-
-
 def cesaro_second_trace(evaluate, d, n_modes, eps=1e-3, checkpoints=()):
     """Cesaro mean (1/n) sum_{k<=n} sum_axis D^2 evaluate (along sine modes).
 
@@ -188,12 +180,12 @@ def cesaro_second_trace(evaluate, d, n_modes, eps=1e-3, checkpoints=()):
     fields sqrt(2) sin(pi k t) e_axis. `evaluate(variations)` returns the
     map's values (B, ...) along variations of one curve (`path.CurveSample`),
     [()] giving the curve itself; it gets each mode's 2 d variations in one
-    call. The running mean is recorded at each checkpoint so convergence is
-    visible to callers.
+    call. Returns the running means {n: mean} at each checkpoint and at
+    n_modes, so convergence is visible to callers.
     """
     base = evaluate([()])[0]
     total = None
-    partial = {}
+    means = {}
     for k in range(1, n_modes + 1):
         fields = [sine_basis(k, d, axis) for axis in range(d)]
 
@@ -207,12 +199,11 @@ def cesaro_second_trace(evaluate, d, n_modes, eps=1e-3, checkpoints=()):
         sk = sum(dd[1:], dd[0])  # the axes in order, from the first
         total = sk if total is None else total + sk
         if k in checkpoints or k == n_modes:
-            partial[k] = total / k
-    return CesaroResult(total / n_modes, n_modes, partial, base)
+            means[k] = total / k
+    return means
 
 
-def cesaro_levy_estimate(field, curve, n_modes=64, eps=1e-3,
-                         step=DEFAULT_STEP, checkpoints=(4, 8, 16, 32, 64)):
+def cesaro_levy_estimate(field, curve, n_modes, eps, step, checkpoints):
     """Brute-force Cesaro estimate of the Levy Laplacian of the transport.
 
     Uses nothing but whole-transport evaluations (`variation_transports`,

@@ -421,11 +421,11 @@ def einsum_cov_deriv_curvature(a0, p, s):
 
 
 def cesaro_second_trace_per_curve(evaluate, curve, d, n_modes, eps=1e-3, checkpoints=()):
-    """(total / n_modes, {checkpoint: running mean}, base) of `levy.cesaro_second_trace`,
-    with `evaluate` a map of one curve, called on each perturbed curve in turn."""
+    """The running means {n: mean} of `levy.cesaro_second_trace`, with `evaluate`
+    a map of one curve, called on each perturbed curve in turn."""
     base = evaluate(curve)
     total = None
-    partial = {}
+    means = {}
     for k in range(1, n_modes + 1):
         sk = None
         for axis in range(d):
@@ -436,8 +436,8 @@ def cesaro_second_trace_per_curve(evaluate, curve, d, n_modes, eps=1e-3, checkpo
             sk = dd if sk is None else sk + dd
         total = sk if total is None else total + sk
         if k in checkpoints or k == n_modes:
-            partial[k] = total / k
-    return total / n_modes, partial, base
+            means[k] = total / k
+    return means
 
 
 # The eleven finite-difference oracles' stencils as written out by hand before

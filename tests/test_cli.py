@@ -229,6 +229,35 @@ def test_su3_end_to_end_at_reduced_sizes(tmp_path):
         assert report["config"]["gauge_rank"] == 3
 
 
+def test_checkpoints_off_the_save_every_cadence_pass(tmp_path):
+    """A flow keeps each checkpoint c and c +- save_every by name, so c need not
+    be a multiple of save_every: checkpoint 100 at save_every 40 passes at full
+    defaults (the flow cut to the 140 steps it reads), and r-diagnostic's
+    checkpoint 22 at save_every 4 at the reduced sizes."""
+    cfg = write_config(tmp_path, REDUCED_CONFIG)
+    runs = [("verify-theorem", ["--set", "theorem.checkpoint_steps=[100]",
+                                "--set", "theorem.steps=140"]),
+            ("r-diagnostic", ["--config", str(cfg), "--set", "r_diagnostic.checkpoint_step=22"])]
+    for name, args in runs:
+        assert cli.main([name, "--out", str(tmp_path / "out"), *args]) == 0, name
+
+
+def test_cesaro_curve_past_the_laplacian_curves_takes_the_same_reference(tmp_path):
+    """`levy` reads each Cesàro curve's reference from its Laplacian curves and
+    forms its own for a curve past them: with one Laplacian curve and two
+    Cesàro curves, cesaro.csv has the bytes of the run with two of each."""
+    cfg = write_config(tmp_path, REDUCED_CONFIG)
+    tables = []
+    for curves in (2, 1):
+        out = tmp_path / f"out{curves}"
+        args = ["levy", "--config", str(cfg), "--out", str(out),
+                "--set", f"laplacian.curves={curves}", "--set", "cesaro.curves=2"]
+        assert cli.main(args) == 0, curves
+        tables.append((out / "levy" / "cesaro.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 1 + 2 * len(REDUCED_CONFIG["cesaro"]["checkpoints"])
+
+
 def test_zero_field_runs_without_internal_error(tmp_path):
     """A zero field has a zero Laplacian: its relative gaps read 0, not a division
     by zero (exit 4), and no report holds NaN or Infinity. `levy` exits 1, as its

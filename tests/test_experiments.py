@@ -130,7 +130,6 @@ BAD_SETTINGS = [
     ("tolerances.order_factor", "[12.8]", "tolerances/order_factor"),
     ("threads", "2", "threads"),  # the only value is 1: curve loops run serially
     # each of these used to crash with an internal error (exit 4)
-    ("theorem.checkpoint_steps", "[100]", "theorem/checkpoint_steps/0"),  # save_every 40
     ("r_diagnostic.checkpoint_step", "128", "r_diagnostic/checkpoint_step"),  # = steps
     ("kernels", '{"pairs": 12, "curves": 12, "fd_eps": 2e-4, "step": 5e-4}',
      "kernels/curves"),  # 10 curves

@@ -37,6 +37,7 @@ from gaugeflow.heatflow import (
     CflViolation,
     _action,
     _bracket,
+    _curvature,
     abelian_oracle,
     cfl_bound,
     flow,
@@ -295,7 +296,8 @@ def test_fd_ds_field_second_order():
 def test_kernels_match_einsum_oracle(d, n, m):
     """Padded stencil is bit-identical to np.roll; the matrix curvature, the
     F * F^T action and the su(N)-coordinate velocity of ym_rhs match einsum
-    to roundoff (measured at most 2.2e-16, 1.4e-16 and 1.7e-15 relative)."""
+    to roundoff (measured at most 2.2e-16, 1.4e-16 and 1.7e-15 relative), as
+    do the flow's own curvature, pair by pair m < n, and its action."""
     torus = Torus(d, 1.0)
     fld = AnalyticField.random_su(rng_for(7, f"unit/kernels-{d}-{n}-{m}"), torus, n=n,
                                   modes=2, amplitude=0.3, kmax=2)
@@ -303,10 +305,15 @@ def test_kernels_match_einsum_oracle(d, n, m):
     for ax in range(d):
         assert np.array_equal(stencil_d1(lat.values, ax, lat.a),
                               oracle_stencil(lat.values, ax, lat.a))
-    assert rel_gap(lie_matrix(lattice_curvature_grid(lat)),
-                   oracle_curvature(lat.values, lat.a)) <= 1e-13
+    want = oracle_curvature(lat.values, lat.a)
+    assert rel_gap(lie_matrix(lattice_curvature_grid(lat)), want) <= 1e-13
+    f = _curvature(lat.coords, lat.a)
+    for p, (m, n_) in enumerate(zip(*np.triu_indices(d, 1))):
+        assert rel_gap(lie_matrix(np.moveaxis(f[p], 0, -1)), want[..., m, n_, :, :]) <= 1e-13
     assert rel_gap(ym_rhs(lat).values, oracle_rhs(lat.values, lat.a)) <= 1e-13
-    assert abs(ym_action(lat) / oracle_action(lat.values, torus, lat.a) - 1.0) <= 1e-13
+    action = oracle_action(lat.values, torus, lat.a)
+    assert abs(ym_action(lat) / action - 1.0) <= 1e-13
+    assert abs(_action(torus, f) / action - 1.0) <= 1e-13
 
 
 def su_flow_start(d, n):
