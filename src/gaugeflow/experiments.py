@@ -583,38 +583,38 @@ def run_gradient(cfg, seed):
     def riesz_gaps(fname, fld, ci, ctx):
         """The Riesz pairs on curve ci, into the worst pairing and formula gaps."""
         nonlocal riesz_worst, formula_gap
-        curve = ctx.curve
+        vary = variation_transports(fld, ctx.curve, step)
         grad = h0_gradient_transport(ctx)
         rng_p = rng_for(seed, f"gradient/riesz/{fname}/{ci}")
         for _ in range(gcfg["riesz_pairs"]):
             x = random_vanishing_field(rng_p, d, modes=4, amplitude=0.8)
             phi = random_fiber(rng_p, cfg["gauge_rank"])
             paired = grad.pair(x, phi)
-            fd = central_difference(lambda ks: [fiber_metric(u, phi) for u in variation_transports(
-                fld, curve, step)([[(x, k * eps)] for k in ks])], eps)
+            fd = central_difference(lambda ks: [
+                fiber_metric(u, phi) for u in vary([[(x, k * eps)] for k in ks])], eps)
             riesz_worst = max(riesz_worst, _rel(paired - fd, fd))
             direct = fiber_metric(transport_derivative(ctx, x), phi)
             formula_gap = max(formula_gap, abs(paired - direct) / (1.0 + abs(direct)))
 
-    # one context per curve of the su(N) field, shared by the first-derivative
-    # cases and the Riesz pairs on it; one context is alive at a time
+    # one context and one variation map per curve of the su(N) field, shared by the
+    # first-derivative cases and the Riesz pairs on it; one curve's are alive at a time
     for c, curve in enumerate(curves):
         on_curve = range(c, len(cases), len(curves))
         riesz_on_curve = range(c, gcfg["riesz_curves"], len(curves))
         if on_curve or riesz_on_curve:
             ctx = TransportContext(a_field, curve, step=step)
+            vary = variation_transports(a_field, curve, step)
             for i in on_curve:
                 x = cases[i]
                 formula = transport_derivative(ctx, x)
-                fd = central_difference(lambda ks: variation_transports(a_field, curve, step)(
-                    [[(x, k * eps)] for k in ks]), eps)
+                fd = central_difference(lambda ks: vary([[(x, k * eps)] for k in ks]), eps)
                 gap = _rel(formula - fd, fd)
                 worst_all = max(worst_all, gap)
                 if i < free_ends:
                     worst_free = max(worst_free, gap)
             for ci in riesz_on_curve:
                 riesz_gaps("su2", a_field, ci, ctx)
-            del ctx
+            del ctx, vary
     abelian = _field(cfg, "abelian_field")
     for ci in range(gcfg["riesz_curves"]):
         riesz_gaps("abelian", abelian, ci, TransportContext(
@@ -691,15 +691,16 @@ def run_levy(cfg, seed):
         if not pairs:
             break
         kern = second_kernels(a_field, curve, step=kstep)
+        vary = variation_transports(a_field, curve, kstep)
         kl_sym = max(kl_sym, maxabs(kern.levy - np.swapaxes(kern.levy, 1, 2)))
         ks_anti = max(ks_anti, maxabs(kern.singular + np.swapaxes(kern.singular, 1, 2)))
         for x, y in pairs:
             bil = assemble_bilinear(kern, x, y)
             # the mixed second difference over the four corners (+-keps, +-keps)
-            fd = central_difference(lambda ks: variation_transports(a_field, curve, kstep)([
-                [(x, i * keps), (y, j * keps)] for i, j in ks]), keps, deriv=(1, 1))
+            fd = central_difference(lambda ks: vary([[(x, i * keps), (y, j * keps)]
+                                                     for i, j in ks]), keps, deriv=(1, 1))
             hess_worst = max(hess_worst, _rel(bil - fd, fd))
-        del kern
+        del kern, vary
 
     # --- Levy Laplacian: kernel route vs closed form over curves ---
     lstep = cfg["laplacian"]["step"]
@@ -1071,9 +1072,7 @@ def run_theorem(cfg, seed):
 
 def _bump_field(torus, grid, center, radius, height, n):
     """Smooth compact bump h*((1-(rho/rho0)^2)_+)^3 times su_basis(n)[0] in direction 0."""
-    axes = [np.arange(grid) * (torus.L / grid) for _ in range(torus.d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    diff = mesh - np.asarray(center)
+    diff = torus.sites(grid) - np.asarray(center)
     diff -= torus.L * np.round(diff / torus.L)
     rho2 = np.sum(diff * diff, axis=-1) / (radius * radius)
     profile = np.clip(1.0 - rho2, 0.0, None) ** 3

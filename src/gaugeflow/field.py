@@ -14,8 +14,8 @@ K = N^2 - 1. Three representations:
   weights with a coordinate table.
 * `LatticeField`: su_basis coordinates on an m^d grid, in the layout of
   the flow state (ValueError for matrices outside su(N)); derivatives by
-  4th-order central stencils, off-grid reads by periodic cubic spline
-  interpolation of the coordinates, a block of points at a time.
+  4th-order central stencils, reads by periodic cubic spline interpolation
+  of one table per derivative order, a block of points at a time.
 * `TransformedField`: the gauge transform of another field by a gauge map
   psi = e_1 ... e_J, e_j = exp(theta_j T_j), evaluated pointwise exactly (no
   sampling error) in coordinates: each factor rotates the jets of A by the
@@ -27,8 +27,9 @@ velocity, and a caller that needs matrices forms them once with
 `algebra.lie_matrix`.
 
 Derived local quantities (`curvature`, `cov_deriv_curvature`,
-`cov_div_curvature`) are free functions of `coord_jets`, so they work for
-every representation. They run in coordinates, every product an
+`cov_div_curvature`, and `ym_action` from `curvature` at `Torus.sites`) are
+free functions of `coord_jets`, so they work for every representation, a
+lattice on its own sites included. They run in coordinates, every product an
 `algebra.bracket`, over blocks of points the size of one lattice gather
 block, and return coordinates: a caller contracts them first and forms
 matrices once.
@@ -71,6 +72,11 @@ class Torus:
 
     def __eq__(self, other):
         return isinstance(other, Torus) and (self.d, self.L) == (other.d, other.L)
+
+    def sites(self, m):
+        """The m^d sites x_i = i L / m of a uniform grid as points (m, ..., m, d)."""
+        axes = [np.arange(m) * (self.L / m)] * self.d
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _trig(x, w, phases, order):
@@ -405,12 +411,11 @@ def _gather_block(d, components):
 
 
 @functools.cache
-def _jet_keys(d):
-    """The grid keys a lattice read takes for orders 0, 1 and 2, and the index
-    that spreads the order-2 keys (a <= b) over the (d, d) derivative axes."""
-    second = [("dd", a, b) for a in range(d) for b in range(a, d)]
-    pick = [[second.index(("dd", min(a, b), max(a, b))) for b in range(d)] for a in range(d)]
-    return (("val",), tuple(("d", a) for a in range(d)), tuple(second)), pick
+def _axis_pairs(d):
+    """The site-axis pairs a <= b of the order-2 table, and the index that
+    spreads them over the (d, d) derivative axes."""
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    return pairs, [[pairs.index((min(a, b), max(a, b))) for b in range(d)] for a in range(d)]
 
 
 def _cubic_bspline_weights(t):
@@ -428,10 +433,11 @@ class LatticeField(GaugeField):
     Held as su_basis coordinates `coords` (d, K, *grid), the flow state's
     layout. `LatticeField(torus, values)` takes matrices grid + (d, N, N),
     refusing a non-su(N) part beyond roundoff (ValueError), and `values`
-    derives them back. Besides `coords` it keeps only spline tables of
-    coordinates, built on first read; each key's stencil grid is formed while
-    its columns are filled, then dropped. Off-grid reads interpolate the
-    tables with periodic cubic splines, a block of points at a time.
+    derives them back. Besides `coords` it keeps only its spline tables, one
+    per derivative order 0, 1, 2 (the second partials for axis pairs a <= b),
+    keyed by the order and built on first read; each stencil grid is formed
+    while its columns are filled, then dropped. Reads interpolate the tables
+    with periodic cubic splines, a block of points at a time.
     """
 
     def __init__(self, torus, values):
@@ -468,49 +474,44 @@ class LatticeField(GaugeField):
     @classmethod
     def sample(cls, field, m):
         """Sample any gauge field's coordinates on an m^d grid (exact at the sites)."""
-        torus = field.torus
-        axes = [np.arange(m) * (torus.L / m)] * torus.d
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        coords = np.moveaxis(field.coord_jets(pts, 0)[0], (-2, -1), (0, 1))
-        return cls.from_coords(torus, np.ascontiguousarray(coords))
+        coords = np.moveaxis(field.coord_jets(field.torus.sites(m), 0)[0], (-2, -1), (0, 1))
+        return cls.from_coords(field.torus, np.ascontiguousarray(coords))
 
-    def _grid(self, key, first=None):
-        """The grid of `key`, formed anew: "val" is `coords`, ("d", a) their
-        partial along site axis a and ("dd", a, b) the partial of ("d", a)
-        along b, with `first(a)` giving ("d", a) when the caller holds it."""
-        if key == "val":
-            return self.coords
-        if key[0] == "d":
-            return stencil_d1(self.coords, 2 + key[1], self.a)
-        if key[0] == "dd":
-            inner = first(key[1]) if first else self._grid(("d", key[1]))
-            return stencil_d1(inner, 2 + key[2], self.a)
-        raise KeyError(key)
+    def _grids(self, order):
+        """The stencil grids of derivative order 0, 1 or 2 in table column order, formed
+        one at a time; the second partials form each first partial once."""
+        x, a = self.coords, self.a
+        if order == 0:
+            yield x
+        elif order == 1:
+            for ax in range(self.torus.d):
+                yield stencil_d1(x, 2 + ax, a)
+        else:
+            first = functools.cache(lambda ax: stencil_d1(x, 2 + ax, a))
+            for ax, bx in _axis_pairs(self.torus.d)[0]:
+                yield stencil_d1(first(ax), 2 + bx, a)
 
-    def _spline(self, keys):
-        """Spline coefficients of the grids `keys`, one (m^d, components) table,
-        filled a key at a time: one grid, one `spline_filter`, one block of
-        columns. A second-derivative table forms each first partial once."""
-        if keys not in self._splines:
+    def _table(self, order):
+        """The spline coefficients (m^d, components) of the grids of `order`,
+        filled a grid at a time: one grid, one `spline_filter`, one block of columns."""
+        if order not in self._splines:
             d, width = self.torus.d, self.coords.shape[0] * self.coords.shape[1]
-            table = np.empty((self.m**d, len(keys) * width))
-            first = functools.cache(lambda a: self._grid(("d", a)))
-            for i, key in enumerate(keys):
-                grid = self._grid(key, first)
+            count = (1, d, len(_axis_pairs(d)[0]))[order]
+            table = np.empty((self.m**d, count * width))
+            for i, grid in enumerate(self._grids(order)):
                 coeff = spline_filter(grid.reshape((width,) + grid.shape[-d:]), d)
                 table[:, i * width:(i + 1) * width] = coeff.reshape(width, -1).T
-            self._splines[keys] = table
-        return self._splines[keys]
+            self._splines[order] = table
+        return self._splines[order]
 
-    def _interp(self, keysets, x):
-        """Coordinates of the grids of each key tuple in `keysets` at points x:
-        one array (..., len(keys), d, K) per tuple.
+    def _jets(self, x, orders):
+        """Entry k of `coord_jets` at points x for each order k in `orders`.
 
         A 4^d-tap gather, a block of points at a time: each block builds its
-        tap index and weight table once and reads every component of every
-        key with them, one gather per tuple, so no temporary outgrows a block.
+        tap index and weight table once and reads every order's table with
+        them, one gather per order, so no temporary outgrows a block.
         """
-        tables = [self._spline(keys) for keys in keysets]
+        tables = [self._table(k) for k in orders]
         d, m = self.torus.d, self.m
         x = np.asarray(x, dtype=float)
         u = x.reshape(-1, d) / self.a
@@ -527,15 +528,10 @@ class LatticeField(GaugeField):
                 w = (w[:, :, None] * weights[:, ax, None, :]).reshape(len(cell), -1)
             for out, table in zip(outs, tables):
                 out[part] = np.einsum("pk,pkc->pc", w, np.take(table, rows, axis=0))
-        return [out.reshape(x.shape[:-1] + (len(keys),) + self.coords.shape[:2])
-                for out, keys in zip(outs, keysets)]
-
-    def _jets(self, x, orders):
-        """The coordinates of each order in `orders` at points x, from one `_interp` pass."""
-        keys, pick = _jet_keys(self.torus.d)
-        reads = self._interp([keys[k] for k in orders], x)
-        return [r[..., 0, :, :] if k == 0 else r[..., pick, :, :] if k == 2 else r
-                for k, r in zip(orders, reads)]
+        comp, spread = self.coords.shape[:2], _axis_pairs(d)[1]
+        outs = [o.reshape(x.shape[:-1] + (o.shape[1] // math.prod(comp),) + comp) for o in outs]
+        return [r[..., 0, :, :] if k == 0 else r[..., spread, :, :] if k == 2 else r
+                for k, r in zip(orders, outs)]
 
     def coord_jets(self, x, order=2):
         return self._jets(x, range(order + 1))
@@ -668,11 +664,11 @@ class TransformedField(GaugeField):
 def _blockwise(local, field, x, order):
     """local(*field.coord_jets(block, order)), a tuple of arrays, over blocks of
     the points x (..., d): each output's blocks joined, with x's leading axes.
-    A block is one `_interp` block of a lattice field's order-2 read."""
+    A block is one gather block of a lattice's order-2 table: its axis pairs times d K."""
     x = np.asarray(x, dtype=float)
     d = field.torus.d
     pts = x.reshape(-1, d)
-    step = _gather_block(d, len(_jet_keys(d)[0][2]) * d * (field.n**2 - 1))
+    step = _gather_block(d, len(_axis_pairs(d)[0]) * d * (field.n**2 - 1))
     outs = None
     for lo in range(0, max(len(pts), 1), step):
         got = local(*field.coord_jets(pts[lo:lo + step], order))
@@ -740,37 +736,21 @@ def cov_div_curvature(field, x):
 
 
 def lattice_curvature_grid(field):
-    """On-grid curvature coordinates (*grid, d, d, K) of a LatticeField via 4th-order stencils."""
-    d, a = field.torus.d, field.a
-    p = np.stack([stencil_d1(field.coords, 2 + ax, a) for ax in range(d)])  # (d, d, K, *grid)
-    x = np.moveaxis(field.coords, (0, 1), (-2, -1))
-    return _curvature(x, np.moveaxis(p, (0, 1, 2), (-3, -2, -1)))
-
-
-def _curvature_action(torus, f):
-    """Riemann sum of -1/2 sum_mn tr(F_mn F_mn) = 1/4 sum_mn |F_mn|^2 over the sites of
-    curvature coordinates f, as tr(T_a T_b) = -delta_ab / 2."""
-    return float(0.25 * np.mean(np.sum(f * f, axis=(-3, -2, -1))) * torus.volume)
+    """The curvature coordinates (*grid, d, d, K) of a LatticeField at its own sites."""
+    return curvature(field, field.torus.sites(field.m))
 
 
 def ym_action(field, samples=None):
-    """Yang-Mills action -1/2 integral sum_mn tr(F_mn F_mn) dx >= 0.
-
-    Lattice fields use the on-grid stencil curvature and a Riemann sum;
-    other representations sample a grid fine enough that the periodic
-    Riemann sum is spectrally accurate.
-    """
-    torus = field.torus
+    """Yang-Mills action -1/2 int sum_mn tr(F_mn F_mn) dx = 1/4 int sum_mn |F_mn|^2 dx >= 0
+    (tr(T_a T_b) = -delta_ab / 2): a Riemann sum of `curvature` on a lattice's own sites,
+    or for other fields on a grid fine enough for a spectrally accurate periodic sum."""
     if isinstance(field, LatticeField):
         f = lattice_curvature_grid(field)
     else:
-        if samples is None:
-            kmax = field.kmax if isinstance(field, AnalyticField) else 12
-            samples = max(32, 4 * kmax + 3)
-        axes = [np.arange(samples) * (torus.L / samples)] * torus.d
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        f = curvature(field, pts)
-    return _curvature_action(torus, f)
+        kmax = field.kmax if isinstance(field, AnalyticField) else 12
+        samples = max(32, 4 * kmax + 3) if samples is None else samples
+        f = curvature(field, field.torus.sites(samples))
+    return float(0.25 * np.mean(np.sum(f * f, axis=(-3, -2, -1))) * field.torus.volume)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ The `einsum_*` functions are the derivative-tensor kernels written term by
 term as explicit index contractions, the reference the broadcast-product
 kernels are held to, and the `matrix_*` curvature kernels are the complex
 N x N forms the su(N)-coordinate curvature kernels replaced.
-`stacked_spline_table` builds a lattice's spline table from one stack of
-all its keys' grids, the build the key-by-key tables are held to bit for
-bit. `matrix_jet` is the matrix read of one order of a field's `coord_jets`,
-which the matrix oracles take and return.
+`stacked_spline_table` builds a lattice's spline table of one derivative
+order from one stack of all its stencil grids, the build the grid-by-grid
+tables are held to bit for bit. `matrix_jet` is the matrix read of one
+order of a field's `coord_jets`, which the matrix oracles take and return.
 """
 
 import json
@@ -37,7 +37,9 @@ import numpy as np
 from gaugeflow.algebra import (
     _matmul, _structure, dagger, exp_lie, expm, lie_coords, lie_matrix, maxabs, trace,
 )
-from gaugeflow.field import AnalyticField, LatticeField, cov_deriv_curvature, spline_filter
+from gaugeflow.field import (
+    AnalyticField, LatticeField, cov_deriv_curvature, spline_filter, stencil_d1,
+)
 from gaugeflow.heatflow import _BRACKET_FLOATS
 from gaugeflow.path import Curve, gauss_legendre, perturb, sine_basis
 
@@ -251,12 +253,16 @@ def load_field(base):
     raise ValueError(f"unknown serialized field kind {header['kind']!r}")
 
 
-def stacked_spline_table(lat, keys):
-    """The (m^d, components) spline table of the grids `keys` of `lat`, formed
-    as one stack: every key's grid, one `spline_filter` over all of them and
-    one transposed copy."""
-    d = lat.torus.d
-    grids = np.stack([lat._grid(k) for k in keys])
+def stacked_spline_table(lat, order):
+    """The (m^d, components) spline table of derivative order 0, 1 or 2 of
+    `lat`, formed as one stack: the order's stencil grids (the coordinates,
+    their partials along each site axis, or the partials along b of those
+    along a for a <= b), one `spline_filter` over all of them and one
+    transposed copy."""
+    d, x, a = lat.torus.d, lat.coords, lat.a
+    first = [stencil_d1(x, 2 + ax, a) for ax in range(d)]
+    second = [stencil_d1(first[ax], 2 + bx, a) for ax in range(d) for bx in range(ax, d)]
+    grids = np.stack(([x], first, second)[order])
     coeff = spline_filter(grids.reshape((-1,) + grids.shape[-d:]), d)
     return np.ascontiguousarray(coeff.reshape(len(coeff), -1).T)
 
@@ -445,10 +451,10 @@ def cesaro_second_trace_per_curve(evaluate, curve, d, n_modes, eps=1e-3, checkpo
 # expression of h and the values at the stencil's offsets in descending order).
 HAND_STENCILS = {
     "run_duhamel": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
-    "run_gradient.deriv_case": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
+    "run_gradient.first_derivative": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
     "run_gradient.riesz_gaps": (1, 2, lambda eps, up, um: (up - um) / (2.0 * eps)),
-    "run_levy.hessian_case": ((1, 1), 2, lambda keps, upp, upm, ump, umm:
-                              (upp - upm - ump + umm) / (4 * keps * keps)),
+    "run_levy.hessian": ((1, 1), 2, lambda keps, upp, upm, ump, umm:
+                         (upp - upm - ump + umm) / (4 * keps * keps)),
     "_functional_gaps.fd1": (1, 4, lambda geps, l2, l1, m1, m2:
                              (-l2 + 8.0 * l1 - 8.0 * m1 + m2) / (12.0 * geps)),
     "_functional_gaps.fd2": (2, 4, lambda heps, l2, l1, l0, m1, m2:

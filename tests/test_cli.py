@@ -213,18 +213,21 @@ def test_heatflow_runs_at_d3(tmp_path):
 
 
 def test_su3_end_to_end_at_reduced_sizes(tmp_path):
-    """N = 3 runs to exit 0 at the reduced sizes of `tests/_reduced.py`.
+    """Every subcommand runs to exit 0 at N = 3, with no tolerance moved.
 
     `transport`, `verify-duhamel`, `verify-gradient`, `heatflow` and
-    `verify-theorem` pass (about 2 s in process). At these sizes the other
-    two fail, and no tolerance is moved to hide it: `levy` reads
+    `verify-theorem` run at the reduced sizes of `tests/_reduced.py` (about
+    2 s in process). `levy` and `r-diagnostic` fail there: `levy` reads
     `cesaro_slope` 1.63 from its two checkpoints against [0.7, 1.3], and
-    `r-diagnostic` reads `r_exact_flow` 2.9e-5 > 1e-5 at grid 32. Both pass
-    at full defaults (`all --set gauge_rank=3`).
+    `r-diagnostic` reads `r_exact_flow` 2.9e-5 > 1e-5 at grid 32. So those
+    two run at full defaults (2–3.5 s each in process), where they pass.
     """
     cfg = write_config(tmp_path, dict(REDUCED_CONFIG, gauge_rank=3))
-    for name in ("transport", "verify-duhamel", "verify-gradient", "heatflow", "verify-theorem"):
-        assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0, name
+    runs = [(name, ["--config", str(cfg)]) for name in
+            ("transport", "verify-duhamel", "verify-gradient", "heatflow", "verify-theorem")]
+    runs += [(name, ["--set", "gauge_rank=3"]) for name in ("levy", "r-diagnostic")]
+    for name, args in runs:
+        assert cli.main([name, *args, "--out", str(tmp_path / "out")]) == 0, name
         report = json.loads((tmp_path / "out" / name / f"{name}.report.json").read_text())
         assert report["config"]["gauge_rank"] == 3
 

@@ -43,9 +43,9 @@ from gaugeflow.field import (
     Torus,
     GaugeField,
     TransformedField,
+    _axis_pairs,
     _curvature_and_cov_deriv,
     _gather_block,
-    _jet_keys,
     _trig,
     central_difference,
     central_weights,
@@ -398,7 +398,7 @@ def test_lattice_second_all_is_the_order_two_jet_bitwise(torus2, su2_field):
     one gather block."""
     lat = LatticeField.sample(su2_field, 16)
     x = random_points(RNG, torus2, (60, 12))
-    assert x[..., 0].size > _gather_block(2, len(_jet_keys(2)[0][2]) * 2 * 3)
+    assert x[..., 0].size > _gather_block(2, len(_axis_pairs(2)[0]) * 2 * 3)
     assert np.array_equal(lat.second_all(x), matrix_jet(lat, x, 2))
 
 
@@ -489,7 +489,7 @@ def test_coordinate_curvature_matches_matrix_kernels(torus2, n):
     the complex-matrix kernels they replaced, to 1e-14 of the largest terms
     each kernel sums: the gauge transform's F is ~1% of its terms."""
     x = random_points(rng_for(n, "unit/coordinate-curvature/x"), torus2, (60, 12))
-    assert x[..., 0].size > _gather_block(2, len(_jet_keys(2)[0][2]) * 2 * (n * n - 1))
+    assert x[..., 0].size > _gather_block(2, len(_axis_pairs(2)[0]) * 2 * (n * n - 1))
     for fld in _three_kinds(torus2, n, "unit/coordinate-curvature"):
         a, p, s = (maxabs(jet) for jet in fld.coord_jets(x))
         f, df = matrix_curvature_and_cov_deriv(fld, x)
@@ -548,11 +548,11 @@ def test_lattice_exact_at_nodes(torus2, su2_field):
     assert maxabs(matrix_jet(lat, pts, 0) - lat.values) < 1e-12
 
 
-def _scipy_spline_read(lat, key, x):
-    """scipy.ndimage periodic cubic spline of one grid of `lat` at points x."""
+def _scipy_spline_read(lat, arr, x):
+    """scipy.ndimage periodic cubic spline of a grid `arr` of `lat`'s layout
+    (su_basis coordinates (d, K, *sites)) at points x."""
     from scipy.ndimage import map_coordinates, spline_filter
 
-    arr = lat._grid(key)  # su_basis coordinates (d, K, *sites)
     d = lat.torus.d
     flat = arr.reshape((-1,) + arr.shape[-d:])
     coords = (x.reshape(-1, d) / lat.a).T
@@ -577,11 +577,12 @@ def test_lattice_spline_matches_scipy(d, n):
     edges = np.array([np.zeros(d), np.full(d, torus.L), np.full(d, -lat.a), np.full(d, 1.5)])
     x = np.concatenate([sites, edges, rng.uniform(-1.0, 2.0, size=(21, d))]).reshape(3, 10, d)
     read = functools.partial(_scipy_spline_read, lat, x=x)
+    first = [stencil_d1(lat.coords, 2 + a, lat.a) for a in range(d)]
     refs = [
-        read("val"),
-        np.stack([read(("d", a)) for a in range(d)], axis=-4),
-        np.stack([np.stack([read(("dd", min(a, b), max(a, b))) for b in range(d)], axis=-4)
-                  for a in range(d)], axis=-5),
+        read(lat.coords),
+        np.stack([read(p) for p in first], axis=-4),
+        np.stack([np.stack([read(stencil_d1(first[min(a, b)], 2 + max(a, b), lat.a))
+                            for b in range(d)], axis=-4) for a in range(d)], axis=-5),
     ]
     for k, ref in enumerate(refs):
         got = matrix_jet(lat, x, k)
@@ -597,31 +598,30 @@ def test_lattice_blocked_read_equals_one_block(monkeypatch, d):
     rng = rng_for(d, "unit/blocked-read")
     lat = LatticeField.sample(AnalyticField.random_su(rng, torus, n=2, amplitude=0.3), 8)
     x = random_points(rng, torus, (11, 3))
-    keysets = _jet_keys(d)[0]
-    widest = len(keysets[2]) * d * 3
+    widest = len(_axis_pairs(d)[0]) * d * 3
     assert _gather_block(d, widest) >= 33
-    whole = lat._interp(keysets, x)
+    whole = lat.coord_jets(x)
     monkeypatch.setattr("gaugeflow.field._GATHER_FLOATS", 4**d * widest * 8)
     assert _gather_block(d, widest) == 8
-    blocked = lat._interp(keysets, x)
+    blocked = lat.coord_jets(x)
     for got, want in zip(blocked, whole, strict=True):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lattice_tables_equal_stacked_build(n):
-    """The key-by-key spline tables have the bits of one stacked build for all
-    three key sets, and after a full read the field holds no stencil grid:
-    nothing but its coordinates, those tables and its scalars."""
+    """The spline tables, filled a grid at a time and keyed by derivative
+    order, have the bits of one stacked build of each order's stencil grids,
+    and after a full read the field holds no stencil grid: nothing but its
+    coordinates, those tables and its scalars."""
     torus = Torus(2, 1.0)
     rng = rng_for(n, "unit/spline-tables")
     lat = LatticeField.sample(AnalyticField.random_su(rng, torus, n=n, amplitude=0.3), 16)
     lat.coord_jets(random_points(rng, torus, (7,)), 2)
-    keysets = _jet_keys(2)[0]
-    assert set(lat._splines) == set(keysets)
-    for keys in keysets:
-        got, want = lat._splines[keys], stacked_spline_table(lat, keys)
-        assert got.shape == want.shape and np.array_equal(got, want), keys
+    assert set(lat._splines) == {0, 1, 2}
+    for order in range(3):
+        got, want = lat._splines[order], stacked_spline_table(lat, order)
+        assert got.shape == want.shape and np.array_equal(got, want), order
     assert set(vars(lat)) == {"torus", "n", "m", "a", "coords", "_splines"}
 
 
@@ -756,7 +756,8 @@ def test_finite_difference_oracles_write_no_stencil_denominator():
 
 
 def test_lattice_curvature_grid(torus2, su2_field):
-    """On-grid stencil curvature vs the analytic curvature at the sites."""
+    """A lattice's curvature at its own sites, read from its stencil tables, vs
+    the analytic curvature there."""
     lat = LatticeField.sample(su2_field, 64)
     axes = [np.arange(64) / 64.0] * 2
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -294,10 +294,11 @@ def test_fd_ds_field_second_order():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernels_match_einsum_oracle(d, n, m):
-    """Padded stencil is bit-identical to np.roll; the matrix curvature, the
-    F * F^T action and the su(N)-coordinate velocity of ym_rhs match einsum
-    to roundoff (measured at most 2.2e-16, 1.4e-16 and 1.7e-15 relative), as
-    do the flow's own curvature, pair by pair m < n, and its action."""
+    """Padded stencil is bit-identical to np.roll; the lattice curvature (the
+    spline read of the stencil tables at the sites), the action summed from it
+    and the su(N)-coordinate velocity of ym_rhs match einsum to roundoff
+    (measured at most 1.1e-15, 4.4e-16 and 1.7e-15 relative), as do the
+    flow's own curvature, pair by pair m < n, and its action."""
     torus = Torus(d, 1.0)
     fld = AnalyticField.random_su(rng_for(7, f"unit/kernels-{d}-{n}-{m}"), torus, n=n,
                                   modes=2, amplitude=0.3, kmax=2)
